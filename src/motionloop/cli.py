@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -184,7 +184,6 @@ def _pipeline_config(doc: dict, seed: int) -> PipelineConfig:
         coarse=_generator_config(doc.get("coarse", {}), COARSE_CONFIG),
         fine=_generator_config(doc.get("fine", {}), FINE_CONFIG),
         confidence_triple=tuple(doc.get("confidence_triple", (1.0, 0.5, 0.0))),
-        training_mix=tuple(doc.get("training_mix", (0.4, 0.3, 0.3))),
         pmp_checkpoint=doc.get("pmp_checkpoint", ""),
         seed=seed)
 
@@ -193,8 +192,9 @@ def _pipeline_config(doc: dict, seed: int) -> PipelineConfig:
 class CliConfig:
     """Merged run configuration: one JSON file plus flag overrides.
 
-    The seed always resolves (flag > file > 42) so every run is replayable
-    from its archived run.json alone.
+    The seed always resolves (flag > file > 42), and the checkpoint in use
+    (flag > file) is recorded as an absolute path in the pipeline config, so
+    every run is replayable from its archived run.json alone.
     """
 
     pipeline: PipelineConfig
@@ -214,8 +214,9 @@ class CliConfig:
         checkpoint = checkpoint_override or pipeline.pmp_checkpoint
         if not checkpoint:
             raise MotionError("a PMP checkpoint is required (--checkpoint)")
-        return cls(pipeline=pipeline, scene=scene, checkpoint=str(checkpoint),
-                   seed=seed)
+        checkpoint = str(Path(checkpoint).resolve())
+        return cls(pipeline=replace(pipeline, pmp_checkpoint=checkpoint),
+                   scene=scene, checkpoint=checkpoint, seed=seed)
 
 
 def cmd_run(args) -> int:

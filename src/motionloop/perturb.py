@@ -177,6 +177,27 @@ def apply_record(seq: MotionSequence, record: PerturbationRecord,
     return drop_repeat(seq, int(lo), int(hi), record.seed)
 
 
+def _draw_record(kind: Kind, f: int, config: PerturbConfig,
+                 rng: np.random.Generator) -> PerturbationRecord:
+    """Draw the op seed and parameters of one perturbation of an f-frame
+    sequence. Parameters scale shared uniforms so that, for the same seed,
+    narrower ranges always yield weaker-or-equal perturbations."""
+    op_seed = int(rng.integers(0, 2**63 - 1))
+    u_size = rng.random()
+    u_pos = rng.random()
+    if kind is Kind.NOISE:
+        lo_t, hi_t = config.noise_t
+        t = lo_t + int(u_size * (hi_t - lo_t + 1) * (1 - 1e-12))
+        return PerturbationRecord(kind, (t,), op_seed)
+    if kind is Kind.SHUFFLE:
+        (a, b), min_len, max_len = config.shuffle_frac, 2, f
+    else:
+        (a, b), min_len, max_len = config.drop_frac, 1, max(1, f // 4)
+    length = int(np.clip(round((a + u_size * (b - a)) * f), min_len, max_len))
+    lo = int(u_pos * (f - length + 1) * (1 - 1e-12))
+    return PerturbationRecord(kind, (lo, lo + length), op_seed)
+
+
 def sample_perturbation(seq: MotionSequence, config: PerturbConfig,
                         seed: int) -> tuple[MotionSequence, PerturbationRecord]:
     """Draw one perturbation kind + parameters and apply it."""
@@ -190,25 +211,13 @@ def sample_perturbation(seq: MotionSequence, config: PerturbConfig,
         # no legal drop segment below 4 frames; fold its mass into noise
         probs = np.array([probs[0] + probs[2], probs[1], 0.0])
     cumulative = np.cumsum(probs)
-    op_seed = int(rng.integers(0, 2**63 - 1))
-    # parameters scale shared uniforms so that, for the same seed, narrower
-    # ranges always yield weaker-or-equal perturbations
-    u_size = rng.random()
-    u_pos = rng.random()
     if u < cumulative[0]:
-        lo_t, hi_t = config.noise_t
-        t = lo_t + int(u_size * (hi_t - lo_t + 1) * (1 - 1e-12))
-        record = PerturbationRecord(Kind.NOISE, (t,), op_seed)
+        kind = Kind.NOISE
     elif u < cumulative[1]:
-        frac = config.shuffle_frac[0] + u_size * (config.shuffle_frac[1] - config.shuffle_frac[0])
-        length = int(np.clip(round(frac * f), 2, f))
-        lo = int(u_pos * (f - length + 1) * (1 - 1e-12))
-        record = PerturbationRecord(Kind.SHUFFLE, (lo, lo + length), op_seed)
+        kind = Kind.SHUFFLE
     else:
-        frac = config.drop_frac[0] + u_size * (config.drop_frac[1] - config.drop_frac[0])
-        length = int(np.clip(round(frac * f), 1, max(1, f // 4)))
-        lo = int(u_pos * (f - length + 1) * (1 - 1e-12))
-        record = PerturbationRecord(Kind.DROP_REPEAT, (lo, lo + length), op_seed)
+        kind = Kind.DROP_REPEAT
+    record = _draw_record(kind, f, config, rng)
     return apply_record(seq, record, config), record
 
 
@@ -222,29 +231,9 @@ def sample_composed(seq: MotionSequence, config: PerturbConfig,
     records: list[PerturbationRecord] = []
     for k, kind in enumerate((Kind.NOISE, Kind.SHUFFLE, Kind.DROP_REPEAT)):
         gate = rng.random() < config.probs[k]
-        op_seed = int(rng.integers(0, 2**63 - 1))
-        u_size = rng.random()
-        u_pos = rng.random()
-        if not gate:
+        record = _draw_record(kind, f, config, rng)
+        if not gate or (kind is Kind.DROP_REPEAT and f < 4):
             continue
-        if kind is Kind.NOISE:
-            lo_t, hi_t = config.noise_t
-            t = lo_t + int(u_size * (hi_t - lo_t + 1) * (1 - 1e-12))
-            record = PerturbationRecord(kind, (t,), op_seed)
-        elif kind is Kind.SHUFFLE:
-            frac = config.shuffle_frac[0] + u_size * (
-                config.shuffle_frac[1] - config.shuffle_frac[0])
-            length = int(np.clip(round(frac * f), 2, f))
-            lo = int(u_pos * (f - length + 1) * (1 - 1e-12))
-            record = PerturbationRecord(kind, (lo, lo + length), op_seed)
-        else:
-            if f < 4:
-                continue
-            frac = config.drop_frac[0] + u_size * (
-                config.drop_frac[1] - config.drop_frac[0])
-            length = int(np.clip(round(frac * f), 1, max(1, f // 4)))
-            lo = int(u_pos * (f - length + 1) * (1 - 1e-12))
-            record = PerturbationRecord(kind, (lo, lo + length), op_seed)
         out = apply_record(out, record, config)
         records.append(record)
     return out, records

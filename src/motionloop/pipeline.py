@@ -43,6 +43,7 @@ from .geometry import (
     render_part_masks,
 )
 from .pmp import Conditioning, PmpModel, pmp_refine, tokens_for
+from .scenes import scene_to_json
 from .simgen import (
     COARSE_CONFIG,
     FINE_CONFIG,
@@ -51,15 +52,12 @@ from .simgen import (
     VideoClip,
     coarse_frame_count,
     effective_radius,
+    frame_render_points,
     generate,
     intensity_to_label,
-    object_render_points,
     part_intensity,
     synthesize_gt_motion,
 )
-
-_BONE_CENTROID_FRACTION = 11.0 / 18.0  # mean position of a part's points
-# along parent->child: the joint point plus 8 bone samples at i/8
 
 
 @dataclass(frozen=True)
@@ -67,29 +65,26 @@ class PipelineConfig:
     coarse: GeneratorConfig = COARSE_CONFIG
     fine: GeneratorConfig = FINE_CONFIG
     confidence_triple: tuple[float, float, float] = (1.0, 0.5, 0.0)
-    training_mix: tuple[float, float, float] = (0.4, 0.3, 0.3)
     pmp_checkpoint: str = ""
     seed: int = 42
 
     def __post_init__(self):
-        if abs(sum(self.training_mix) - 1.0) > 1e-9 or min(self.training_mix) < 0:
-            raise InvalidConfig("training_mix must be a probability triple")
         full, target, empty = self.confidence_triple
         if not full >= target >= empty:
             raise InvalidConfig("confidence triple must satisfy full >= target >= empty")
 
     def to_json(self) -> str:
+        """The "pipeline" block of run.json, in the form the CLI loads."""
+        def generator(c: GeneratorConfig) -> dict:
+            return {"resolution_scale": c.resolution_scale,
+                    "frame_fraction": c.frame_fraction, "steps": c.steps,
+                    "splat_radius": c.splat_radius}
+
         return json.dumps({
-            "coarse": {"resolution_scale": self.coarse.resolution_scale,
-                       "frame_fraction": self.coarse.frame_fraction,
-                       "steps": self.coarse.steps},
-            "fine": {"resolution_scale": self.fine.resolution_scale,
-                     "frame_fraction": self.fine.frame_fraction,
-                     "steps": self.fine.steps},
+            "coarse": generator(self.coarse),
+            "fine": generator(self.fine),
             "confidence_triple": list(self.confidence_triple),
-            "training_mix": list(self.training_mix),
             "pmp_checkpoint": self.pmp_checkpoint,
-            "seed": self.seed,
         }, sort_keys=True)
 
 
@@ -357,14 +352,9 @@ def stage3_regenerate(scene: SceneSpec, refined: list[MotionSequence],
         if m.frame_count != fine_n:
             raise ShapeMismatch("refined motion length != fine frame count")
     camera = scene.camera.scaled(config.fine.resolution_scale)
-    frames_points = []
-    for t in range(fine_n):
-        frame_objects = []
-        for obj, motion in zip(scene.objects, refined):
-            pts, labels = object_render_points(obj, motion.frames[t])
-            frame_objects.append((pts, labels))
-        frames_points.append(frame_objects)
-    payload = FullMotionPayload(frames=frames_points, camera=camera,
+    payload = FullMotionPayload(frames=[frame_render_points(scene, refined, t)
+                                        for t in range(fine_n)],
+                                camera=camera,
                                 splat_radius=effective_radius(config.fine))
     channels = build_condition(ConditionMode.FULL_MOTION, payload,
                                config.confidence_triple)
@@ -453,14 +443,9 @@ class RunResult:
 def gt_masks_for(scene: SceneSpec, motions: list[MotionSequence],
                  config: GeneratorConfig) -> list[np.ndarray]:
     camera = scene.camera.scaled(config.resolution_scale)
-    masks = []
-    for t in range(motions[0].frame_count):
-        objects = []
-        for obj, m in zip(scene.objects, motions):
-            pts, labels = object_render_points(obj, m.frames[t])
-            objects.append((pts, labels))
-        masks.append(render_part_masks(objects, camera, effective_radius(config)))
-    return masks
+    radius = effective_radius(config)
+    return [render_part_masks(frame_render_points(scene, motions, t), camera, radius)
+            for t in range(motions[0].frame_count)]
 
 
 def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
@@ -511,7 +496,12 @@ def _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
 
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
-    (d / "run.json").write_text(config.to_json())
+    # everything `motionloop run --config run.json` needs to replay the run
+    (d / "run.json").write_text(json.dumps({
+        "pipeline": json.loads(config.to_json()),
+        "scene": json.loads(scene_to_json(scene)),
+        "seed": config.seed,
+    }, sort_keys=True))
     fileio.write_clip(d / "coarse", list(coarse_clip.frames), coarse_clip.fps)
     fileio.write_clip(d / "final", list(final_clip.frames), final_clip.fps)
     stage2 = d / "stage2"

@@ -2,8 +2,8 @@
 
 Each step samples clean motions from the corpus, corrupts them with one of
 the three perturbations, conditions on the *clean* sequence's strength and
-tags, and takes one SGD-with-momentum step on the MSE toward the clean
-target. Gradients are reduced in a fixed order, so runs are reproducible
+tags, and takes one Adam step on the MSE toward the clean target.
+Gradients are reduced in a fixed order, so runs are reproducible
 bit-for-bit from the seed.
 """
 
@@ -31,8 +31,7 @@ class TrainConfig:
     steps: int = 5000
     batch_size: int = 16
     lr: float = 1e-3
-    momentum: float = 0.9
-    optimizer: str = "adam"  # "adam" or "sgd"; sgd stalls at desk scale
+    momentum: float = 0.9  # Adam's first-moment decay (beta1)
     clean_fraction: float = 0.1  # samples left unperturbed: anchors pass-through
     perturb: PerturbConfig = field(default_factory=PerturbConfig)
 
@@ -41,8 +40,6 @@ class TrainConfig:
             raise InvalidConfig("steps >= 0, batch_size >= 1, lr > 0 required")
         if not 0.0 <= self.momentum < 1.0:
             raise InvalidConfig("momentum must be in [0, 1)")
-        if self.optimizer not in ("adam", "sgd"):
-            raise InvalidConfig("optimizer must be 'adam' or 'sgd'")
         if not 0.0 <= self.clean_fraction < 1.0:
             raise InvalidConfig("clean_fraction must be in [0, 1)")
 
@@ -88,21 +85,15 @@ def pmp_train(model: PmpModel, corpus: list[CorpusItem],
                                                    train_config.perturb, op_seed)
             batch.append((perturbed, item.motion, conds[int(i)]))
         loss, grads = pmp_loss(model, batch)
-        if train_config.optimizer == "adam":
-            t = step + 1
-            for name in model.params:
-                g = grads[name]
-                velocity[name] = b1 * velocity[name] + (1 - b1) * g
-                second[name] = b2 * second[name] + (1 - b2) * g * g
-                mhat = velocity[name] / (1 - b1**t)
-                vhat = second[name] / (1 - b2**t)
-                model.params[name] = model.params[name] - \
-                    train_config.lr * mhat / (np.sqrt(vhat) + eps)
-        else:
-            for name in model.params:
-                velocity[name] = (train_config.momentum * velocity[name]
-                                  - train_config.lr * grads[name])
-                model.params[name] = model.params[name] + velocity[name]
+        t = step + 1
+        for name in model.params:
+            g = grads[name]
+            velocity[name] = b1 * velocity[name] + (1 - b1) * g
+            second[name] = b2 * second[name] + (1 - b2) * g * g
+            mhat = velocity[name] / (1 - b1**t)
+            vhat = second[name] / (1 - b2**t)
+            model.params[name] = model.params[name] - \
+                train_config.lr * mhat / (np.sqrt(vhat) + eps)
         log.append((step, loss))
     return model, log
 

@@ -28,7 +28,7 @@ from .core import (
     resample,
 )
 from .errors import DimensionMismatch, InvalidConfig, UnknownActionTag
-from .geometry import CameraSpec, ConditionMode
+from .geometry import CameraSpec, ConditionMode, render_part_masks
 
 ACTIONS_ARTICULATED = ("static", "walk", "reach")
 ACTIONS_GENERIC = ("static", "drop", "slide", "orbit")
@@ -296,51 +296,24 @@ def object_render_points(obj: SceneObject, pose_row: np.ndarray
     return pts, np.ones(pts.shape[0], dtype=np.int64)
 
 
-def _splat_values(objects: list[tuple[np.ndarray, np.ndarray]],
-                  camera: CameraSpec, radius: float) -> np.ndarray:
-    """Z-buffered splatting of per-point uint8 values (same rule as the
-    part-mask rasterizer: nearest depth wins, ties by object then point)."""
-    from .geometry import project
-
-    w, h = camera.size
-    grid = np.zeros((h, w), dtype=np.uint8)
-    entries = []
-    for oid, (points, values) in enumerate(objects):
-        proj = project(points, camera)
-        entries.append((proj, np.full(points.shape[0], oid),
-                        np.arange(points.shape[0]), values))
-    if not entries:
-        return grid
-    u = np.concatenate([e[0][:, 0] for e in entries])
-    v = np.concatenate([e[0][:, 1] for e in entries])
-    z = np.concatenate([e[0][:, 2] for e in entries])
-    oid = np.concatenate([e[1] for e in entries])
-    pid = np.concatenate([e[2] for e in entries])
-    val = np.concatenate([e[3] for e in entries])
-    order = np.lexsort((pid, oid, z))[::-1]
-    for i in order:
-        x0 = max(0, int(math.ceil(u[i] - radius)))
-        x1 = min(w - 1, int(math.floor(u[i] + radius)))
-        y0 = max(0, int(math.ceil(v[i] - radius)))
-        y1 = min(h - 1, int(math.floor(v[i] + radius)))
-        if x0 > x1 or y0 > y1:
-            continue
-        px = np.arange(x0, x1 + 1)
-        py = np.arange(y0, y1 + 1)
-        inside = ((py - v[i]) ** 2)[:, None] + ((px - u[i]) ** 2)[None, :] \
-            <= radius * radius
-        patch = grid[y0:y1 + 1, x0:x1 + 1]
-        patch[inside] = val[i]
-    return grid
-
-
 def effective_radius(config: GeneratorConfig) -> float:
     return max(1.0, config.splat_radius * config.resolution_scale)
 
 
+def frame_render_points(scene: SceneSpec, motions: list[MotionSequence],
+                        t: int) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Labeled world-space points of every scene object at frame t."""
+    return [object_render_points(obj, m.frames[t])
+            for obj, m in zip(scene.objects, motions)]
+
+
 def render_video(scene: SceneSpec, motions: list[MotionSequence],
                  config: GeneratorConfig) -> VideoClip:
-    """Render realized motions to grayscale frames with part-coded intensity."""
+    """Render realized motions to grayscale frames with part-coded intensity.
+
+    Each point carries its part's intensity code through the part-mask
+    splat kernel; codes are at most 255, so the uint8 cast is exact.
+    """
     if len(motions) != len(scene.objects):
         raise DimensionMismatch("one motion per scene object required")
     n = motions[0].frame_count
@@ -349,29 +322,15 @@ def render_video(scene: SceneSpec, motions: list[MotionSequence],
             raise DimensionMismatch("motion lengths differ")
     camera = scene.camera.scaled(config.resolution_scale)
     radius = effective_radius(config)
+    luts = [np.array([part_intensity(l, obj.spec.part_count)
+                      for l in range(obj.spec.part_count + 1)])
+            for obj in scene.objects]
     frames = []
     for t in range(n):
-        objects = []
-        for obj, motion in zip(scene.objects, motions):
-            pts, labels = object_render_points(obj, motion.frames[t])
-            values = np.array([part_intensity(int(l), obj.spec.part_count)
-                               for l in labels], dtype=np.uint8)
-            objects.append((pts, values))
-        frames.append(_splat_values(objects, camera, radius))
+        objects = [(pts, lut[labels]) for (pts, labels), lut
+                   in zip(frame_render_points(scene, motions, t), luts)]
+        frames.append(render_part_masks(objects, camera, radius).astype(np.uint8))
     return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size)
-
-
-def part_mask_frame(scene: SceneSpec, motions: list[MotionSequence], t: int,
-                    config: GeneratorConfig) -> np.ndarray:
-    """Part-label grid for frame t of a realized motion set."""
-    from .geometry import render_part_masks
-
-    camera = scene.camera.scaled(config.resolution_scale)
-    objects = []
-    for obj, motion in zip(scene.objects, motions):
-        pts, labels = object_render_points(obj, motion.frames[t])
-        objects.append((pts, labels))
-    return render_part_masks(objects, camera, effective_radius(config))
 
 
 # ---------------------------------------------------------------- generate

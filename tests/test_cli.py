@@ -124,6 +124,23 @@ def test_run_command_deterministic(tiny_checkpoint, tmp_path):
         assert (a / sub).read_bytes() == (b / sub).read_bytes()
 
 
+def test_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"fixture": 3, "seed": 7,
+                                    "pipeline": {"coarse": {"steps": 20}}}))
+    a, b = tmp_path / "a", tmp_path / "b"
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(a),
+                   "--checkpoint", str(tiny_checkpoint)) == 0
+    assert run_cli("run", "--config", str(a / "run.json"), "--out", str(b)) == 0
+    for name in ("report.json", "run.json"):
+        assert (a / name).read_bytes() == (b / name).read_bytes()
+    doc = json.loads((a / "run.json").read_text())
+    assert doc["seed"] == 7
+    assert doc["scene"] == json.loads(scene_to_json(fixture_scene(3)))
+    assert doc["pipeline"]["coarse"]["steps"] == 20
+    assert doc["pipeline"]["pmp_checkpoint"] == str(tiny_checkpoint.resolve())
+
+
 def test_cli_run_is_a_thin_adapter(tiny_checkpoint, tmp_path):
     # a library call with the same parsed config reproduces the CLI output
     from motionloop.pipeline import PipelineConfig, UserCondition, run_pipeline

@@ -50,12 +50,9 @@ ZERO_CORRUPTION = GeneratorConfig(
 
 def test_pipeline_config_validation():
     with pytest.raises(InvalidConfig):
-        PipelineConfig(training_mix=(0.5, 0.5, 0.5))
-    with pytest.raises(InvalidConfig):
         PipelineConfig(confidence_triple=(0.0, 0.5, 1.0))
     cfg = PipelineConfig()
     assert cfg.confidence_triple == (1.0, 0.5, 0.0)
-    assert cfg.training_mix == (0.4, 0.3, 0.3)
 
 
 # ------------------------------------------------------------------ metrics

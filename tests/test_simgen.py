@@ -177,6 +177,40 @@ def test_intensity_depends_only_on_part_label():
     assert values <= allowed
 
 
+def test_render_two_objects_nearer_one_wins_the_overlap():
+    from motionloop.pipeline import gt_masks_for
+
+    human = one_object_scene(Category.HUMAN, "walk",
+                             placement=(0.0, 0.0, 4.0)).objects[0]
+    thing = SceneObject(spec=preset(Category.GENERIC_OBJECT),
+                        initial_pose=generic_template(1.2, 0.9), shape_scale=1.0,
+                        placement=(0.0, 0.0, 7.0), tags=("object", "static"))
+
+    def scene_of(*objects):
+        return SceneSpec(objects=objects, camera=CameraSpec.default(192, 108),
+                         duration=8, fps=16.0)
+
+    # the farther object is listed first, so only depth puts the human on top
+    scene = scene_of(thing, human)
+    motions = synthesize_gt_motion(scene, seed=3)
+    clip = render_video(scene, motions, FINE_CONFIG)
+    thing_alone = render_video(scene_of(thing), motions[:1], FINE_CONFIG)
+    human_alone = render_video(scene_of(human), motions[1:], FINE_CONFIG)
+    human_codes = {part_intensity(l, 22) for l in range(1, 23)}
+    masks = gt_masks_for(scene, motions, FINE_CONFIG)
+    for t, frame in enumerate(clip.frames):
+        thing_px = thing_alone.frames[t] > 0
+        human_px = human_alone.frames[t] > 0
+        overlap = thing_px & human_px
+        assert overlap.sum() > 50
+        assert np.array_equal(frame[overlap], human_alone.frames[t][overlap])
+        assert set(np.unique(frame[overlap]).tolist()) <= human_codes
+        rest = thing_px & ~human_px
+        assert rest.any()
+        assert np.array_equal(frame[rest], thing_alone.frames[t][rest])
+        assert np.array_equal(frame > 0, masks[t] > 0)
+
+
 @pytest.mark.parametrize("part_count", [1, 16, 22])
 def test_intensity_coding_round_trip(part_count):
     for label in range(1, part_count + 1):
