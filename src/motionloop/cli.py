@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -24,14 +24,13 @@ from .core import (
     preset,
 )
 from .errors import MotionError
-from .geometry import ConditionMode
 from .longvideo import plan_windows, stitch, extend_motion
 from .pipeline import (
-    PipelineConfig,
     UserCondition,
     eval_metrics,
     extract_motion,
     gt_masks_for,
+    run_from_json,
     run_pipeline,
 )
 from .pmp import (
@@ -48,7 +47,7 @@ from .pmp import (
     save_log_csv,
     tokens_for,
 )
-from .scenes import make_corpus, scene_from_json, fixture_scene
+from .scenes import make_corpus, scene_from_json
 from .simgen import FINE_CONFIG, GeneratorConfig, VideoClip, SceneSpec
 
 
@@ -68,14 +67,6 @@ def _read_clip(path) -> VideoClip:
     frames, fps, resolution = fileio.read_clip(path)
     return VideoClip(frames=tuple(np.asarray(f, dtype=np.uint8) for f in frames),
                      fps=fps, resolution=resolution)
-
-
-def _generator_config(doc: dict, base: GeneratorConfig) -> GeneratorConfig:
-    return GeneratorConfig(
-        resolution_scale=doc.get("resolution_scale", base.resolution_scale),
-        frame_fraction=doc.get("frame_fraction", base.frame_fraction),
-        steps=doc.get("steps", base.steps),
-        splat_radius=doc.get("splat_radius", base.splat_radius))
 
 
 def cmd_gen_corpus(args) -> int:
@@ -132,15 +123,18 @@ def cmd_grad_check(args) -> int:
     return 0 if err < 1e-4 else 1
 
 
+def _conditioning(model, seq, tokens: str, strength=None) -> Conditioning:
+    """Conditioning from comma-separated tags and the motion's own strength."""
+    return Conditioning(
+        tokens=tokens_for(model.config, tokens.split(",") if tokens else []),
+        strength=motion_strength(seq).mean if strength is None else strength,
+        category=seq.model.category)
+
+
 def cmd_denoise(args) -> int:
     model = load_checkpoint(args.checkpoint)
     seq = motion_from_json(Path(args.infile).read_text())
-    strength = args.strength if args.strength is not None \
-        else motion_strength(seq).mean
-    tokens = tokens_for(model.config, args.tokens.split(",") if args.tokens else [])
-    cond = Conditioning(tokens=tokens, strength=strength,
-                        category=seq.model.category)
-    out = pmp_refine(model, seq, cond)
+    out = pmp_refine(model, seq, _conditioning(model, seq, args.tokens, args.strength))
     Path(args.out).write_text(motion_to_json(out))
     _emit(args.out)
     return 0
@@ -177,54 +171,17 @@ def cmd_rasterize(args) -> int:
     return 0
 
 
-def _pipeline_config(doc: dict, seed: int) -> PipelineConfig:
-    from .simgen import COARSE_CONFIG
-
-    return PipelineConfig(
-        coarse=_generator_config(doc.get("coarse", {}), COARSE_CONFIG),
-        fine=_generator_config(doc.get("fine", {}), FINE_CONFIG),
-        confidence_triple=tuple(doc.get("confidence_triple", (1.0, 0.5, 0.0))),
-        pmp_checkpoint=doc.get("pmp_checkpoint", ""),
-        seed=seed)
-
-
-@dataclass(frozen=True)
-class CliConfig:
-    """Merged run configuration: one JSON file plus flag overrides.
-
-    The seed always resolves (flag > file > 42), and the checkpoint in use
-    (flag > file) is recorded as an absolute path in the pipeline config, so
-    every run is replayable from its archived run.json alone.
-    """
-
-    pipeline: PipelineConfig
-    scene: SceneSpec
-    checkpoint: str
-    seed: int
-
-    @classmethod
-    def load(cls, path, seed_override=None, checkpoint_override=None) -> "CliConfig":
-        doc = json.loads(Path(path).read_text())
-        seed = seed_override if seed_override is not None else doc.get("seed", 42)
-        pipeline = _pipeline_config(doc.get("pipeline", {}), seed)
-        if "scene" in doc:
-            scene = scene_from_json(json.dumps(doc["scene"]))
-        else:
-            scene = fixture_scene(doc.get("fixture", 0))
-        checkpoint = checkpoint_override or pipeline.pmp_checkpoint
-        if not checkpoint:
-            raise MotionError("a PMP checkpoint is required (--checkpoint)")
-        checkpoint = str(Path(checkpoint).resolve())
-        return cls(pipeline=replace(pipeline, pmp_checkpoint=checkpoint),
-                   scene=scene, checkpoint=checkpoint, seed=seed)
-
-
 def cmd_run(args) -> int:
-    config = CliConfig.load(args.config, seed_override=args.seed,
-                            checkpoint_override=args.checkpoint)
-    model = load_checkpoint(config.checkpoint)
-    result = run_pipeline(config.scene, UserCondition(), config.pipeline,
-                          model, out_dir=args.out)
+    config, scene = run_from_json(Path(args.config).read_text(), args.seed)
+    # the checkpoint in use (flag, else file) is recorded as an absolute
+    # path, so the run replays from its run.json alone
+    checkpoint = args.checkpoint or config.pmp_checkpoint
+    if not checkpoint:
+        raise MotionError("a PMP checkpoint is required (--checkpoint)")
+    config = replace(config, pmp_checkpoint=str(Path(checkpoint).resolve()))
+    model = load_checkpoint(config.pmp_checkpoint)
+    result = run_pipeline(scene, UserCondition(), config, model,
+                          out_dir=args.out)
     _log(f"final traj_mse {result.report.traj_mse:.6f} "
          f"coarse {result.coarse_traj_mse:.6f}")
     _emit(Path(args.out) / "report.json")
@@ -234,11 +191,7 @@ def cmd_run(args) -> int:
 def cmd_extend(args) -> int:
     model = load_checkpoint(args.checkpoint)
     seq = motion_from_json(Path(args.infile).read_text())
-    strength = motion_strength(seq).mean
-    tokens = tokens_for(model.config, args.tokens.split(",") if args.tokens else [])
-    cond = Conditioning(tokens=tokens, strength=strength,
-                        category=seq.model.category)
-    out = extend_motion(seq, args.target, model, cond)
+    out = extend_motion(seq, args.target, model, _conditioning(model, seq, args.tokens))
     Path(args.out).write_text(motion_to_json(out))
     _emit(args.out)
     return 0

@@ -14,14 +14,14 @@ R = Rz(c) @ Ry(b) @ Rx(a).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
 from functools import lru_cache
 from importlib import resources
 
 import numpy as np
 
-from .errors import DimensionMismatch, SequenceTooShort
+from .errors import DimensionMismatch, InvalidConfig, SequenceTooShort
 
 BONE_SAMPLES = 8  # densified points per bone so part masks have area
 
@@ -315,15 +315,62 @@ def motion_to_json(seq: MotionSequence) -> str:
 
 
 def motion_from_json(text: str) -> MotionSequence:
-    doc = json.loads(text)
-    if doc.get("version") != MOTION_JSON_VERSION:
-        raise DimensionMismatch(f"unsupported motion JSON version {doc.get('version')!r}")
-    spec = preset(Category(doc["category"]))
-    for key in ("pose_dim", "shape_dim", "expression_dim"):
-        if doc[key] != getattr(spec, key):
+    """Inverse of ``motion_to_json``. A malformed document, or frames that
+    ``validate`` rejects (e.g. non-finite entries), raise DimensionMismatch."""
+    doc = load_json(text, "motion JSON", DimensionMismatch)
+    try:
+        if doc.get("version") != MOTION_JSON_VERSION:
             raise DimensionMismatch(
-                f"{key} {doc[key]} does not match the {spec.category.value} preset")
-    frames = np.asarray(doc["frames"], dtype=np.float64)
-    if frames.ndim != 2 or frames.shape[1] != spec.pose_dim:
-        raise DimensionMismatch("frame rows must have pose_dim entries")
-    return MotionSequence(model=spec, fps=float(doc["fps"]), frames=frames)
+                f"unsupported motion JSON version {doc.get('version')!r}")
+        spec = preset(Category(doc["category"]))
+        for key in ("pose_dim", "shape_dim", "expression_dim"):
+            if doc[key] != getattr(spec, key):
+                raise DimensionMismatch(
+                    f"{key} {doc[key]} does not match the {spec.category.value} preset")
+        seq = MotionSequence(model=spec, fps=float(doc["fps"]),
+                             frames=np.asarray(doc["frames"], dtype=np.float64))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise DimensionMismatch(
+            f"malformed motion JSON ({type(exc).__name__}: {exc})") from None
+    violations = validate(seq)
+    if violations:
+        raise DimensionMismatch(
+            f"{len(violations)} motion violation(s), first {violations[0]}")
+    return seq
+
+
+# ------------------------------------------------------------ config JSON
+
+def load_json(text, what: str, error=InvalidConfig):
+    """``json.loads``, raising ``error`` instead of a decode error."""
+    try:
+        return json.loads(text)
+    except ValueError as exc:
+        raise error(f"{what} is not JSON: {exc}") from None
+
+
+def json_like(value, default, where: str):
+    """A parsed JSON value as the type of ``default``: a number, a string, a
+    tuple (any length, entries like ``default[0]``) or a dataclass."""
+    if is_dataclass(default):
+        return config_from_json(default, value, where)
+    if isinstance(default, tuple) and isinstance(value, list):
+        return tuple(json_like(v, default[0], where) for v in value)
+    accepted = {float: (int, float), int: int, str: str}.get(type(default))
+    if accepted and isinstance(value, accepted) and not isinstance(value, bool):
+        return type(default)(value)
+    raise InvalidConfig(f"{where} must be like {default!r}, got {value!r}")
+
+
+def config_from_json(base, doc, where: str, exclude: tuple[str, ...] = ()):
+    """``base`` (a frozen dataclass) with the fields a parsed JSON object sets;
+    unknown or excluded keys and wrong types raise InvalidConfig."""
+    if not isinstance(doc, dict):
+        raise InvalidConfig(f"{where} must be a JSON object, got {doc!r}")
+    names = {f.name for f in fields(base)} - set(exclude)
+    unknown = sorted(set(doc) - names)
+    if unknown:
+        raise InvalidConfig(f"unknown {where} key(s) {unknown}; "
+                            f"expected some of {sorted(names)}")
+    return replace(base, **{key: json_like(value, getattr(base, key), f"{where}.{key}")
+                            for key, value in doc.items()})

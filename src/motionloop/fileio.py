@@ -49,9 +49,14 @@ def read_pgm(path) -> np.ndarray:
             tokens.append(tok)
     if tokens[0] != b"P5":
         raise ShapeMismatch(f"not a binary PGM: {path}")
+    if not all(tok.isdigit() for tok in tokens[1:]):
+        raise ShapeMismatch(f"non-numeric PGM header in {path}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     data = raw[pos + 1:]  # single whitespace byte after maxval
-    dtype = np.uint8 if maxval <= 255 else np.dtype(">u2")
+    dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
+    if len(data) < w * h * dtype.itemsize:
+        raise ShapeMismatch(
+            f"PGM payload of {len(data)} bytes is short of {w}x{h} pixels: {path}")
     grid = np.frombuffer(data, dtype=dtype, count=w * h).reshape(h, w)
     return grid.astype(np.int64 if maxval > 255 else np.uint8)
 

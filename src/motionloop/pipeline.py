@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +24,11 @@ from scipy import ndimage
 from . import fileio
 from .core import (
     MotionSequence,
+    config_from_json,
+    json_like,
+    load_json,
     motion_strength,
+    motion_to_json,
     resample,
 )
 from .errors import ExtractionFailed, InvalidConfig, ShapeMismatch
@@ -43,7 +47,7 @@ from .geometry import (
     render_part_masks,
 )
 from .pmp import Conditioning, PmpModel, pmp_refine, tokens_for
-from .scenes import scene_to_json
+from .scenes import fixture_scene, scene_from_json, scene_to_json
 from .simgen import (
     COARSE_CONFIG,
     FINE_CONFIG,
@@ -69,23 +73,49 @@ class PipelineConfig:
     seed: int = 42
 
     def __post_init__(self):
+        if len(self.confidence_triple) != 3:
+            raise InvalidConfig("confidence triple needs three values")
         full, target, empty = self.confidence_triple
         if not full >= target >= empty:
             raise InvalidConfig("confidence triple must satisfy full >= target >= empty")
 
     def to_json(self) -> str:
-        """The "pipeline" block of run.json, in the form the CLI loads."""
-        def generator(c: GeneratorConfig) -> dict:
-            return {"resolution_scale": c.resolution_scale,
-                    "frame_fraction": c.frame_fraction, "steps": c.steps,
-                    "splat_radius": c.splat_radius}
+        """The "pipeline" block of run.json: every field but the seed."""
+        return json.dumps({k: v for k, v in asdict(self).items() if k != "seed"},
+                          sort_keys=True)
 
-        return json.dumps({
-            "coarse": generator(self.coarse),
-            "fine": generator(self.fine),
-            "confidence_triple": list(self.confidence_triple),
-            "pmp_checkpoint": self.pmp_checkpoint,
-        }, sort_keys=True)
+    @classmethod
+    def from_json(cls, doc, seed: int) -> "PipelineConfig":
+        """Strict inverse of ``to_json`` (parsed); absent keys keep defaults."""
+        return config_from_json(cls(seed=seed), doc, "pipeline", exclude=("seed",))
+
+
+def run_to_json(config: PipelineConfig, scene: SceneSpec) -> str:
+    """The run.json document: everything `motionloop run --config` needs to
+    replay the run."""
+    return json.dumps({"pipeline": json.loads(config.to_json()), "seed": config.seed,
+                       "scene": json.loads(scene_to_json(scene))}, sort_keys=True)
+
+
+def run_from_json(text: str, seed: int | None = None
+                  ) -> tuple[PipelineConfig, SceneSpec]:
+    """Parse run.json, or a user config that leaves keys out or names a
+    fixture scene; the seed resolves as argument, then file, then 42."""
+    doc = load_json(text, "run config")
+    keys = {"pipeline", "scene", "fixture", "seed"}
+    if not isinstance(doc, dict) or not set(doc) <= keys:
+        raise InvalidConfig(f"run config must be a JSON object with keys among "
+                            f"{sorted(keys)}, got {text[:80]!r}")
+    if "scene" in doc and "fixture" in doc:
+        raise InvalidConfig("give a scene or a fixture, not both")
+    file_seed, fixture = (json_like(doc.get(key, value), 0, key)
+                          for key, value in (("seed", 42), ("fixture", 0)))
+    seed = file_seed if seed is None else seed
+    if min(seed, fixture) < 0:
+        raise InvalidConfig("seed and fixture must be non-negative")
+    config = PipelineConfig.from_json(doc.get("pipeline", {}), seed)
+    return config, (scene_from_json(json.dumps(doc["scene"])) if "scene" in doc
+                    else fixture_scene(fixture))
 
 
 @dataclass(frozen=True)
@@ -96,8 +126,7 @@ class EvalReport:
     ssim: float
 
     def to_json(self) -> str:
-        return json.dumps({"traj_mse": self.traj_mse, "mask_miou": self.mask_miou,
-                           "psnr": self.psnr, "ssim": self.ssim}, sort_keys=True)
+        return json.dumps(asdict(self), sort_keys=True)
 
 
 @dataclass(frozen=True)
@@ -471,18 +500,16 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
     gt_masks = gt_masks_for(scene, gt_fine, config.fine)
     report = eval_metrics(final_clip, ref_clip, final_realized, gt_fine,
                           pred_masks, gt_masks)
-    coarse_traj = float(np.mean([np.mean((r.frames - g.frames) ** 2)
-                                 for r, g in zip(coarse_realized, gt_coarse)]))
-    raw_traj = float(np.mean([np.mean((r.frames - g.frames) ** 2)
-                              for r, g in zip(raws, gt_fine)]))
-    refined_traj = float(np.mean([np.mean((r.frames - g.frames) ** 2)
-                                  for r, g in zip(refined, gt_fine)]))
 
-    result = RunResult(final_clip=final_clip, report=report,
-                       coarse_clip=coarse_clip, coarse_traj_mse=coarse_traj,
+    def traj_mse(pred, ref) -> float:
+        return float(np.mean([np.mean((p.frames - r.frames) ** 2)
+                              for p, r in zip(pred, ref)]))
+
+    result = RunResult(final_clip=final_clip, report=report, coarse_clip=coarse_clip,
+                       coarse_traj_mse=traj_mse(coarse_realized, gt_coarse),
                        raw_motions=raws, refined_motions=refined,
-                       strengths=strengths, raw_traj_mse=raw_traj,
-                       refined_traj_mse=refined_traj)
+                       strengths=strengths, raw_traj_mse=traj_mse(raws, gt_fine),
+                       refined_traj_mse=traj_mse(refined, gt_fine))
     if out_dir is not None:
         result.run_dir = str(out_dir)
         _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
@@ -492,16 +519,9 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
 
 def _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
                  strengths, s1_channels, s3_channels, report, scene) -> None:
-    from .core import motion_to_json
-
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
-    # everything `motionloop run --config run.json` needs to replay the run
-    (d / "run.json").write_text(json.dumps({
-        "pipeline": json.loads(config.to_json()),
-        "scene": json.loads(scene_to_json(scene)),
-        "seed": config.seed,
-    }, sort_keys=True))
+    (d / "run.json").write_text(run_to_json(config, scene))
     fileio.write_clip(d / "coarse", list(coarse_clip.frames), coarse_clip.fps)
     fileio.write_clip(d / "final", list(final_clip.frames), final_clip.fps)
     stage2 = d / "stage2"

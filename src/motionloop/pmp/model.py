@@ -16,12 +16,12 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 from scipy.special import erf
 
-from ..core import Category, MotionSequence
+from ..core import Category, MotionSequence, config_from_json, load_json
 from ..errors import (
     EmptyBatch,
     InvalidConfig,
@@ -65,19 +65,12 @@ class PmpConfig:
         return self.model_dim // self.heads
 
     def to_json(self) -> str:
-        return json.dumps({
-            "layers": self.layers, "model_dim": self.model_dim,
-            "heads": self.heads, "ffn_dim": self.ffn_dim,
-            "max_frames": self.max_frames, "vocab": list(self.vocab),
-            "max_pose_dim": self.max_pose_dim,
-            "refine_iterations": self.refine_iterations,
-        })
+        return json.dumps(asdict(self))
 
     @classmethod
-    def from_json(cls, text: str) -> "PmpConfig":
-        doc = json.loads(text)
-        doc["vocab"] = tuple(doc["vocab"])
-        return cls(**doc)
+    def from_json(cls, text: str | bytes) -> "PmpConfig":
+        """Strict inverse of ``to_json``; absent keys keep their defaults."""
+        return config_from_json(cls(), load_json(text, "PMP config"), "PMP config")
 
 
 @dataclass(frozen=True)
@@ -490,12 +483,13 @@ def save_checkpoint(model: PmpModel, path) -> None:
 
 
 def load_checkpoint(path) -> PmpModel:
+    """Inverse of ``save_checkpoint``; any other layout raises InvalidConfig."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
-        if magic != CHECKPOINT_MAGIC:
-            raise InvalidConfig(f"bad checkpoint magic {magic!r}")
-        (n,) = struct.unpack("<I", fh.read(4))
-        config = PmpConfig.from_json(fh.read(n).decode("utf-8"))
+        header = fh.read(8)
+        if header[:4] != CHECKPOINT_MAGIC or len(header) < 8:
+            raise InvalidConfig(f"bad checkpoint header {header!r}")
+        (n,) = struct.unpack_from("<I", header, 4)
+        config = PmpConfig.from_json(fh.read(n))
         params = {}
         for name, shape in _param_shapes(config):
             count = int(np.prod(shape))
@@ -503,6 +497,8 @@ def load_checkpoint(path) -> PmpModel:
             if len(buf) != 8 * count:
                 raise InvalidConfig("truncated checkpoint")
             params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
+        if fh.read(1):
+            raise InvalidConfig("trailing bytes after the last checkpoint tensor")
     return PmpModel(config=config, params=params)
 
 

@@ -10,13 +10,13 @@ bit-for-bit from the seed.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from ..core import MotionSequence, motion_strength
 from ..errors import EmptyCorpus, InvalidConfig
-from ..perturb import PerturbConfig, sample_composed, sample_perturbation
+from ..perturb import PerturbConfig, sample_perturbation
 from .model import Conditioning, PmpModel, pmp_loss, tokens_for
 
 
@@ -31,17 +31,10 @@ class TrainConfig:
     steps: int = 5000
     batch_size: int = 16
     lr: float = 1e-3
-    momentum: float = 0.9  # Adam's first-moment decay (beta1)
-    clean_fraction: float = 0.1  # samples left unperturbed: anchors pass-through
-    perturb: PerturbConfig = field(default_factory=PerturbConfig)
 
     def __post_init__(self):
         if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
             raise InvalidConfig("steps >= 0, batch_size >= 1, lr > 0 required")
-        if not 0.0 <= self.momentum < 1.0:
-            raise InvalidConfig("momentum must be in [0, 1)")
-        if not 0.0 <= self.clean_fraction < 1.0:
-            raise InvalidConfig("clean_fraction must be in [0, 1)")
 
 
 def conditioning_for(model: PmpModel, item: CorpusItem) -> Conditioning:
@@ -67,22 +60,20 @@ def pmp_train(model: PmpModel, corpus: list[CorpusItem],
     second = {k: np.zeros_like(v) for k, v in model.params.items()}
     log: list[tuple[int, float]] = []
     conds = [conditioning_for(model, item) for item in corpus]
-    b1, b2, eps = train_config.momentum, 0.999, 1e-8
+    perturb_config = PerturbConfig()
+    b1, b2, eps = 0.9, 0.999, 1e-8  # Adam
+    clean_fraction = 0.1  # samples left unperturbed: anchors pass-through
     for step in range(train_config.steps):
         idx = rng.integers(0, len(corpus), size=train_config.batch_size)
         batch = []
         for i in idx:
             item = corpus[int(i)]
             op_seed = int(rng.integers(0, 2**63 - 1))
-            keep_clean = rng.random() < train_config.clean_fraction
-            if keep_clean:
+            if rng.random() < clean_fraction:
                 perturbed = item.motion
-            elif train_config.perturb.compose:
-                perturbed, _ = sample_composed(item.motion,
-                                               train_config.perturb, op_seed)
             else:
-                perturbed, _ = sample_perturbation(item.motion,
-                                                   train_config.perturb, op_seed)
+                perturbed, _ = sample_perturbation(item.motion, perturb_config,
+                                                   op_seed)
             batch.append((perturbed, item.motion, conds[int(i)]))
         loss, grads = pmp_loss(model, batch)
         t = step + 1

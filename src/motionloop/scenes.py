@@ -8,6 +8,7 @@ the 0.4 / 0.3 / 0.3 full / target / empty training mix.
 
 from __future__ import annotations
 
+import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -116,8 +117,6 @@ def walker_scene(duration: int = 16) -> SceneSpec:
 
 
 def scene_to_json(scene: SceneSpec) -> str:
-    import json
-
     return json.dumps({
         "objects": [{
             "category": obj.spec.category.value,
@@ -136,8 +135,6 @@ def scene_to_json(scene: SceneSpec) -> str:
 
 
 def scene_from_json(text: str) -> SceneSpec:
-    import json
-
     doc = json.loads(text)
     cam = doc["camera"]
     objects = tuple(

@@ -17,7 +17,7 @@ determinism clause; a real diffusion backend would plug in at that seam.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,6 +35,14 @@ ACTIONS_GENERIC = ("static", "drop", "slide", "orbit")
 
 INTENSITY_LO, INTENSITY_HI = 64, 255
 DROP_ACCEL = 0.3  # units / s^2, toward +y (down)
+
+# full-strength generator corruption, before conditioning attenuation: the
+# shuffle and drop shares of the perturbation mix (noise takes the rest),
+# the top noise step, and the target-pose pin width per sqrt(channel)
+CORRUPTION_SHUFFLE_PROB = 0.25
+CORRUPTION_DROP_PROB = 0.25
+CORRUPTION_NOISE_T = 100
+CORRUPTION_PIN_WIDTH = 0.1
 
 
 @dataclass(frozen=True)
@@ -81,20 +89,6 @@ class SceneSpec:
             raise InvalidConfig("duration >= 2, fps > 0, walk_period >= 2 required")
 
 
-@dataclass(frozen=True)
-class CorruptionSpec:
-    noise_level: float = 1.0  # scales the noise step range; /10 is the pin width
-    shuffle_prob: float = 0.25
-    drop_prob: float = 0.25
-
-    def __post_init__(self):
-        if not 0.0 < self.noise_level <= 1.0:
-            raise InvalidConfig("noise_level must be in (0, 1]")
-        if min(self.shuffle_prob, self.drop_prob) < 0 or \
-                self.shuffle_prob + self.drop_prob > 1.0:
-            raise InvalidConfig("shuffle/drop probabilities must fit under 1")
-
-
 # canonical conditioning levels used to key attenuation, independent of the
 # numeric confidence triple in use
 _CANONICAL_LEVEL = {ConditionMode.EMPTY: 0.0, ConditionMode.TARGET_POSE: 0.5,
@@ -106,11 +100,9 @@ class GeneratorConfig:
     resolution_scale: float = 1.0
     frame_fraction: float = 1.0
     steps: int = 50  # denoising-step analog; recorded, no pixel effect here
-    corruption: CorruptionSpec = field(default_factory=CorruptionSpec)
     condition_fidelity: tuple[tuple[float, float], ...] = (
         (0.0, 1.0), (0.5, 0.4), (1.0, 0.02))
     splat_radius: float = 3.0
-    noise_t_base: int = 100
 
     def __post_init__(self):
         if not 0.0 < self.resolution_scale <= 1.0:
@@ -120,18 +112,17 @@ class GeneratorConfig:
         if self.steps < 1 or self.splat_radius <= 0:
             raise InvalidConfig("steps and splat_radius must be positive")
         fid = sorted(self.condition_fidelity)
+        if not fid or any(len(pair) != 2 for pair in fid):
+            raise InvalidConfig("condition_fidelity needs (level, attenuation) pairs")
         for (c0, a0), (c1, a1) in zip(fid, fid[1:]):
             if a1 > a0:
                 raise InvalidConfig(
                     "attenuation must be non-increasing in confidence")
 
     def attenuation(self, mode: ConditionMode) -> float:
-        level = _CANONICAL_LEVEL[mode]
         table = dict(self.condition_fidelity)
-        if level in table:
-            return table[level]
         keys = sorted(table)  # monotone interpolation between known levels
-        return float(np.interp(level, keys, [table[k] for k in keys]))
+        return float(np.interp(_CANONICAL_LEVEL[mode], keys, [table[k] for k in keys]))
 
 
 COARSE_CONFIG = GeneratorConfig(resolution_scale=0.25, frame_fraction=0.5, steps=32)
@@ -247,16 +238,14 @@ def corrupt_motion(gt: MotionSequence, mode: ConditionMode,
     att = config.attenuation(mode)
     if att <= 0.0:
         return gt
-    cor = config.corruption
-    t_hi = max(1, int(round(config.noise_t_base * cor.noise_level)))
     pconf = perturb.PerturbConfig(
-        probs=(1.0 - cor.shuffle_prob - cor.drop_prob,
-               cor.shuffle_prob, cor.drop_prob),
-        noise_t=(1, t_hi))
+        probs=(1.0 - CORRUPTION_SHUFFLE_PROB - CORRUPTION_DROP_PROB,
+               CORRUPTION_SHUFFLE_PROB, CORRUPTION_DROP_PROB),
+        noise_t=(1, CORRUPTION_NOISE_T))
     perturbed, _ = perturb.sample_perturbation(gt, pconf, seed)
     frames = gt.frames + att * (perturbed.frames - gt.frames)
     if mode is ConditionMode.TARGET_POSE:
-        tol = cor.noise_level / 10.0 * np.sqrt(gt.frames.shape[1])
+        tol = CORRUPTION_PIN_WIDTH * np.sqrt(gt.frames.shape[1])
         dev = frames[-1] - gt.frames[-1]
         norm = float(np.linalg.norm(dev))
         if norm > tol:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import struct
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -141,6 +143,27 @@ def test_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
     assert doc["pipeline"]["pmp_checkpoint"] == str(tiny_checkpoint.resolve())
 
 
+def test_library_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
+    # a generator field the CLI never sets still reaches run.json: a weaker
+    # coarse corruption changes the coarse clip, and the replay matches it
+    from motionloop.pipeline import PipelineConfig, UserCondition, run_pipeline
+    from motionloop.pmp import load_checkpoint
+    from motionloop.simgen import COARSE_CONFIG
+
+    coarse = replace(COARSE_CONFIG, condition_fidelity=(
+        (0.0, 0.5), (0.5, 0.2), (1.0, 0.01)))
+    config = PipelineConfig(coarse=coarse, seed=7,
+                            pmp_checkpoint=str(tiny_checkpoint.resolve()))
+    a, b = tmp_path / "a", tmp_path / "b"
+    run_pipeline(fixture_scene(3), UserCondition(), config,
+                 load_checkpoint(tiny_checkpoint), out_dir=a)
+    assert run_cli("run", "--config", str(a / "run.json"), "--out", str(b)) == 0
+    frames = [f"coarse/{p.name}" for p in sorted((a / "coarse").glob("frame_*.pgm"))]
+    assert len(frames) == 8
+    for name in frames + ["stage2/raw.json", "report.json", "run.json"]:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
+
+
 def test_cli_run_is_a_thin_adapter(tiny_checkpoint, tmp_path):
     # a library call with the same parsed config reproduces the CLI output
     from motionloop.pipeline import PipelineConfig, UserCondition, run_pipeline
@@ -202,3 +225,100 @@ def test_domain_error_exit_code_1(tmp_path, capsys):
                    "--out", str(tmp_path / "o.json"))
     assert code == 1
     assert "InvalidConfig" in capsys.readouterr().err
+
+
+# ------------------------------------------------------- input boundaries
+
+def _motion_doc() -> dict:
+    scene = fixture_scene(0, duration=8)
+    return json.loads(motion_to_json(synthesize_gt_motion(scene, seed=1)[0]))
+
+
+def _denoise(tmp_path, checkpoint, doc) -> list[str]:
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(doc))
+    return ["denoise", "--checkpoint", str(checkpoint), "--in", str(src),
+            "--out", str(tmp_path / "out.json")]
+
+
+def _bad_checkpoint(edit):
+    """denoise with a copy of the checkpoint whose bytes went through edit."""
+    def argv(tmp_path, checkpoint):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edit(checkpoint.read_bytes()))
+        return _denoise(tmp_path, bad, _motion_doc())
+    return argv
+
+
+def _config_bytes(edit):
+    """Checkpoint bytes with the config JSON replaced by edit(config)."""
+    def apply(raw: bytes) -> bytes:
+        (n,) = struct.unpack_from("<I", raw, 4)
+        cfg = edit(raw[8:8 + n])
+        return raw[:4] + struct.pack("<I", len(cfg)) + cfg + raw[8 + n:]
+    return apply
+
+
+def _bad_motion(edit):
+    def argv(tmp_path, checkpoint):
+        doc = _motion_doc()
+        edit(doc)
+        return _denoise(tmp_path, checkpoint, doc)
+    return argv
+
+
+def _bad_run_config(text):
+    def argv(tmp_path, checkpoint):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        return ["run", "--config", str(cfg), "--out", str(tmp_path / "run"),
+                "--checkpoint", str(checkpoint)]
+    return argv
+
+
+def _short_pgm_eval(tmp_path, checkpoint):
+    clip = tmp_path / "clip"
+    fileio.write_clip(clip, [np.full((6, 8), 9, dtype=np.uint8)] * 2, fps=8.0)
+    frame = clip / "frame_0001.pgm"
+    frame.write_bytes(frame.read_bytes()[:-5])
+    return ["eval", "--pred", str(clip), "--ref", str(clip)]
+
+
+BOUNDARY_CASES = {
+    "checkpoint-trailing-bytes": (_bad_checkpoint(lambda b: b + b"\0"), "InvalidConfig"),
+    "checkpoint-unknown-config-key": (_bad_checkpoint(_config_bytes(
+        lambda c: json.dumps({**json.loads(c), "dropout": 0.1}).encode())),
+        "InvalidConfig"),
+    "checkpoint-short-header": (_bad_checkpoint(lambda b: b[:6]), "InvalidConfig"),
+    "checkpoint-config-not-json": (_bad_checkpoint(_config_bytes(
+        lambda c: b"layers=1")), "InvalidConfig"),
+    "motion-unknown-category": (_bad_motion(lambda d: d.update(category="Nope")),
+                                "DimensionMismatch"),
+    "motion-missing-pose-dim": (_bad_motion(lambda d: d.pop("pose_dim")),
+                                "DimensionMismatch"),
+    "motion-all-nan": (_bad_motion(lambda d: d.update(
+        frames=[[float("nan")] * len(row) for row in d["frames"]])),
+        "DimensionMismatch"),
+    "pgm-short-payload": (_short_pgm_eval, "ShapeMismatch"),
+    "run-misspelled-key": (_bad_run_config(
+        '{"pipeline": {"coarse": {"splat_radus": 2.0}}}'), "InvalidConfig"),
+    "run-unknown-top-level-key": (_bad_run_config('{"fixtures": 3}'), "InvalidConfig"),
+    "run-string-resolution-scale": (_bad_run_config(
+        '{"pipeline": {"fine": {"resolution_scale": "x"}}}'), "InvalidConfig"),
+    "run-two-value-triple": (_bad_run_config(
+        '{"pipeline": {"confidence_triple": [1.0, 0.5]}}'), "InvalidConfig"),
+    "run-top-level-list": (_bad_run_config('[{"fixture": 3}]'), "InvalidConfig"),
+    "run-string-fixture": (_bad_run_config('{"fixture": "a"}'), "InvalidConfig"),
+    "run-not-json": (_bad_run_config("fixture: 3"), "InvalidConfig"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
+def test_malformed_input_exits_1_with_a_named_error(case, tiny_checkpoint,
+                                                     tmp_path, capsys):
+    build, name = BOUNDARY_CASES[case]
+    assert run_cli(*build(tmp_path, tiny_checkpoint)) == 1
+    err = capsys.readouterr().err
+    assert len(err.strip().splitlines()) == 1, err
+    assert err.startswith(f"error [{name}]: "), err
+    assert "Traceback" not in err

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -22,6 +23,7 @@ from motionloop.pmp import PmpConfig, pmp_init
 from motionloop.scenes import fixture_scene, walker_scene
 from motionloop.simgen import (
     COARSE_CONFIG,
+    FINE_CONFIG,
     GeneratorConfig,
     VideoClip,
     generate,
@@ -53,6 +55,23 @@ def test_pipeline_config_validation():
         PipelineConfig(confidence_triple=(0.0, 0.5, 1.0))
     cfg = PipelineConfig()
     assert cfg.confidence_triple == (1.0, 0.5, 0.0)
+
+
+def test_pipeline_config_json_round_trip():
+    coarse = GeneratorConfig(resolution_scale=0.3, frame_fraction=0.6, steps=7,
+                             condition_fidelity=((0.0, 0.9), (0.25, 0.5), (1.0, 0.1)),
+                             splat_radius=2.5)
+    fine = GeneratorConfig(resolution_scale=0.9, frame_fraction=0.8, steps=11,
+                           condition_fidelity=((0.0, 0.7), (1.0, 0.05)),
+                           splat_radius=4.0)
+    config = PipelineConfig(coarse=coarse, fine=fine,
+                            confidence_triple=(0.9, 0.6, 0.1),
+                            pmp_checkpoint="prior.ckpt", seed=13)
+    for c, default in ((coarse, COARSE_CONFIG), (fine, FINE_CONFIG),
+                       (config, PipelineConfig())):
+        for f in fields(c):
+            assert getattr(c, f.name) != getattr(default, f.name), f.name
+    assert PipelineConfig.from_json(json.loads(config.to_json()), 13) == config
 
 
 # ------------------------------------------------------------------ metrics

@@ -8,6 +8,7 @@ from motionloop.errors import InvalidConfig, UnknownActionTag
 from motionloop.geometry import CameraSpec, ConditionMode
 from motionloop.simgen import (
     COARSE_CONFIG,
+    CORRUPTION_PIN_WIDTH,
     DROP_ACCEL,
     FINE_CONFIG,
     GeneratorConfig,
@@ -124,11 +125,10 @@ def test_corrupt_target_pose_pins_final_frame():
     scene = one_object_scene(action="drop")
     gt = synthesize_gt_motion(scene, seed=6)[0]
     config = GeneratorConfig()
-    width = config.corruption.noise_level / 10.0
     for seed in range(8):
         out = corrupt_motion(gt, ConditionMode.TARGET_POSE, config, seed=seed)
         err = np.linalg.norm(out.frames[-1] - gt.frames[-1])
-        assert err <= width * np.sqrt(gt.frames.shape[1]) + 1e-12
+        assert err <= CORRUPTION_PIN_WIDTH * np.sqrt(gt.frames.shape[1]) + 1e-12
 
 
 # ---------------------------------------------------------------- rendering
