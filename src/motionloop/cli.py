@@ -23,7 +23,7 @@ from .core import (
     motion_to_json,
     preset,
 )
-from .errors import MotionError
+from .errors import InvalidConfig, MotionError
 from .longvideo import plan_windows, stitch, extend_motion
 from .pipeline import (
     UserCondition,
@@ -177,7 +177,7 @@ def cmd_run(args) -> int:
     # path, so the run replays from its run.json alone
     checkpoint = args.checkpoint or config.pmp_checkpoint
     if not checkpoint:
-        raise MotionError("a PMP checkpoint is required (--checkpoint)")
+        raise InvalidConfig("a PMP checkpoint is required (--checkpoint)")
     config = replace(config, pmp_checkpoint=str(Path(checkpoint).resolve()))
     model = load_checkpoint(config.pmp_checkpoint)
     result = run_pipeline(scene, UserCondition(), config, model,

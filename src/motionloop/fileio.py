@@ -16,6 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .core import load_json
 from .errors import ShapeMismatch
 from .geometry import ConditionChannels, DepthMap
 
@@ -121,10 +122,14 @@ def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:
 
 def read_clip(dir_path) -> tuple[list[np.ndarray], float, tuple[int, int]]:
     d = Path(dir_path)
-    meta = json.loads((d / "clip.json").read_text())
+    meta = load_json((d / "clip.json").read_text(), "clip.json", ShapeMismatch)
+    try:
+        (w, h), fps = meta["resolution"], float(meta["fps"])
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ShapeMismatch(
+            f"malformed clip.json in {d} ({type(exc).__name__}: {exc})") from None
     frames = [read_pgm(p) for p in sorted(d.glob("frame_*.pgm"))]
-    w, h = meta["resolution"]
     for f in frames:
         if f.shape != (h, w):
             raise ShapeMismatch("frame resolution differs from clip.json")
-    return frames, float(meta["fps"]), (w, h)
+    return frames, fps, (w, h)

@@ -402,22 +402,39 @@ def _psnr(pred: np.ndarray, ref: np.ndarray, maxval: float = 255.0) -> float:
 
 def _ssim_frame(a: np.ndarray, b: np.ndarray, maxval: float = 255.0,
                 window: int = 8, stride: int = 4) -> float:
+    """Mean SSIM over window x window patches at the given stride, in
+    row-major order; a side shorter than the window gets one truncated patch.
+
+    Patch sums come from int64 integral images of a, b, a², b² and ab, so
+    for uint8 frames every sum is exact, and with a full patch of n = 64
+    pixels S/n and (n·Sxy − Sx·Sy)/n² are exactly the mean, variance and
+    covariance a per-patch two-pass computation gives.
+    """
     c1 = (0.01 * maxval) ** 2
     c2 = (0.03 * maxval) ** 2
-    a = a.astype(np.float64)
-    b = b.astype(np.float64)
+    a = a.astype(np.int64)
+    b = b.astype(np.int64)
     h, w = a.shape
-    vals = []
-    for y in range(0, max(h - window + 1, 1), stride):
-        for x in range(0, max(w - window + 1, 1), stride):
-            pa = a[y:y + window, x:x + window]
-            pb = b[y:y + window, x:x + window]
-            mu_a, mu_b = pa.mean(), pb.mean()
-            va, vb = pa.var(), pb.var()
-            cov = ((pa - mu_a) * (pb - mu_b)).mean()
-            vals.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-                        / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
-    return float(np.mean(vals))
+    wy, wx = min(window, h), min(window, w)
+    ys = np.arange(0, h - wy + 1, stride)
+    xs = np.arange(0, w - wx + 1, stride)
+    ny, nx = len(ys), len(xs)
+    tables = np.zeros((5, h + 1, w + 1), dtype=np.int64)
+    tables[:, 1:, 1:] = (a, b, a * a, b * b, a * b)
+    np.cumsum(tables, axis=1, out=tables)
+    np.cumsum(tables, axis=2, out=tables)
+    # patch corners: rows ys then ys + wy, columns xs then xs + wx
+    c = tables[:, np.r_[ys, ys + wy][:, None], np.r_[xs, xs + wx]]
+    sa, sb, saa, sbb, sab = (c[:, ny:, nx:] - c[:, :ny, nx:]
+                             - c[:, ny:, :nx] + c[:, :ny, :nx])
+    n = wy * wx
+    mu_a, mu_b = sa / n, sb / n
+    va = (n * saa - sa * sa) / (n * n)
+    vb = (n * sbb - sb * sb) / (n * n)
+    cov = (n * sab - sa * sb) / (n * n)
+    vals = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+            / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
+    return float(np.mean(vals.ravel()))
 
 
 def _miou_frame(pred: np.ndarray, ref: np.ndarray) -> float:

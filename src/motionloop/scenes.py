@@ -13,7 +13,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Category, preset
+from .core import Category, load_json, preset
+from .errors import InvalidConfig
 from .geometry import CameraSpec, ConditionMode
 from .pmp import CorpusItem
 from .simgen import SceneObject, SceneSpec, generic_template, synthesize_gt_motion
@@ -135,18 +136,23 @@ def scene_to_json(scene: SceneSpec) -> str:
 
 
 def scene_from_json(text: str) -> SceneSpec:
-    doc = json.loads(text)
-    cam = doc["camera"]
-    objects = tuple(
-        SceneObject(spec=preset(Category(o["category"])),
-                    initial_pose=np.asarray(o["initial_pose"]),
-                    shape_scale=float(o["shape_scale"]),
-                    placement=tuple(o["placement"]),
-                    tags=tuple(o["tags"]))
-        for o in doc["objects"])
-    return SceneSpec(objects=objects,
-                     camera=CameraSpec(focal=cam["focal"],
-                                       principal=tuple(cam["principal"]),
-                                       size=tuple(cam["size"])),
-                     duration=int(doc["duration"]), fps=float(doc["fps"]),
-                     walk_period=int(doc.get("walk_period", 16)))
+    """Inverse of ``scene_to_json``; a malformed document raises InvalidConfig."""
+    doc = load_json(text, "scene JSON")
+    try:
+        cam = doc["camera"]
+        objects = tuple(
+            SceneObject(spec=preset(Category(o["category"])),
+                        initial_pose=np.asarray(o["initial_pose"]),
+                        shape_scale=float(o["shape_scale"]),
+                        placement=tuple(o["placement"]),
+                        tags=tuple(o["tags"]))
+            for o in doc["objects"])
+        return SceneSpec(objects=objects,
+                         camera=CameraSpec(focal=cam["focal"],
+                                           principal=tuple(cam["principal"]),
+                                           size=tuple(cam["size"])),
+                         duration=int(doc["duration"]), fps=float(doc["fps"]),
+                         walk_period=int(doc.get("walk_period", 16)))
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        raise InvalidConfig(
+            f"malformed scene JSON ({type(exc).__name__}: {exc})") from None

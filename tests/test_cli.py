@@ -276,12 +276,25 @@ def _bad_run_config(text):
     return argv
 
 
-def _short_pgm_eval(tmp_path, checkpoint):
-    clip = tmp_path / "clip"
-    fileio.write_clip(clip, [np.full((6, 8), 9, dtype=np.uint8)] * 2, fps=8.0)
+def _bad_clip(edit):
+    """eval on a two-frame clip directory after edit(directory)."""
+    def argv(tmp_path, checkpoint):
+        clip = tmp_path / "clip"
+        fileio.write_clip(clip, [np.full((6, 8), 9, dtype=np.uint8)] * 2, fps=8.0)
+        edit(clip)
+        return ["eval", "--pred", str(clip), "--ref", str(clip)]
+    return argv
+
+
+def _truncate_second_frame(clip):
     frame = clip / "frame_0001.pgm"
     frame.write_bytes(frame.read_bytes()[:-5])
-    return ["eval", "--pred", str(clip), "--ref", str(clip)]
+
+
+def _run_without_checkpoint(tmp_path, checkpoint):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"fixture": 1}')
+    return ["run", "--config", str(cfg), "--out", str(tmp_path / "run")]
 
 
 BOUNDARY_CASES = {
@@ -299,7 +312,7 @@ BOUNDARY_CASES = {
     "motion-all-nan": (_bad_motion(lambda d: d.update(
         frames=[[float("nan")] * len(row) for row in d["frames"]])),
         "DimensionMismatch"),
-    "pgm-short-payload": (_short_pgm_eval, "ShapeMismatch"),
+    "pgm-short-payload": (_bad_clip(_truncate_second_frame), "ShapeMismatch"),
     "run-misspelled-key": (_bad_run_config(
         '{"pipeline": {"coarse": {"splat_radus": 2.0}}}'), "InvalidConfig"),
     "run-unknown-top-level-key": (_bad_run_config('{"fixtures": 3}'), "InvalidConfig"),
@@ -310,6 +323,12 @@ BOUNDARY_CASES = {
     "run-top-level-list": (_bad_run_config('[{"fixture": 3}]'), "InvalidConfig"),
     "run-string-fixture": (_bad_run_config('{"fixture": "a"}'), "InvalidConfig"),
     "run-not-json": (_bad_run_config("fixture: 3"), "InvalidConfig"),
+    "run-no-checkpoint": (_run_without_checkpoint, "InvalidConfig"),
+    "scene-missing-camera": (_bad_run_config('{"scene": {"objects": []}}'),
+                             "InvalidConfig"),
+    "clip-json-missing-resolution": (_bad_clip(lambda clip: (clip / "clip.json")
+                                               .write_text('{"fps": 8.0}')),
+                                     "ShapeMismatch"),
 }
 
 

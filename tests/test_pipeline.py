@@ -12,6 +12,7 @@ from motionloop.geometry import ConditionMode
 from motionloop.pipeline import (
     PipelineConfig,
     UserCondition,
+    _ssim_frame,
     eval_metrics,
     extract_motion,
     run_pipeline,
@@ -27,6 +28,7 @@ from motionloop.simgen import (
     GeneratorConfig,
     VideoClip,
     generate,
+    render_video,
     synthesize_gt_motion,
 )
 
@@ -118,6 +120,66 @@ def test_ssim_symmetric():
     r1 = eval_metrics(clip_of([a]), clip_of([b]), [], [], [], [])
     r2 = eval_metrics(clip_of([b]), clip_of([a]), [], [], [], [])
     assert r1.ssim == pytest.approx(r2.ssim, rel=1e-12)
+
+
+def _ssim_frame_loop(a: np.ndarray, b: np.ndarray, maxval: float = 255.0,
+                     window: int = 8, stride: int = 4) -> float:
+    """The per-window loop that _ssim_frame replaced, kept as its oracle."""
+    c1 = (0.01 * maxval) ** 2
+    c2 = (0.03 * maxval) ** 2
+    a = a.astype(np.float64)
+    b = b.astype(np.float64)
+    h, w = a.shape
+    vals = []
+    for y in range(0, max(h - window + 1, 1), stride):
+        for x in range(0, max(w - window + 1, 1), stride):
+            pa = a[y:y + window, x:x + window]
+            pb = b[y:y + window, x:x + window]
+            mu_a, mu_b = pa.mean(), pb.mean()
+            va, vb = pa.var(), pb.var()
+            cov = ((pa - mu_a) * (pb - mu_b)).mean()
+            vals.append(((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                        / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
+    return float(np.mean(vals))
+
+
+def test_ssim_equals_window_loop_on_fixture_frames():
+    # the final (full-motion, fine) and coarse (empty, coarse) clips against
+    # the ground-truth render, as run_pipeline evaluates them
+    compared = 0
+    for index in range(20):
+        scene = fixture_scene(index)
+        gt = synthesize_gt_motion(scene, seed=42)
+        for mode, config in ((ConditionMode.FULL_MOTION, FINE_CONFIG),
+                             (ConditionMode.EMPTY, COARSE_CONFIG)):
+            clip, _ = generate(scene, mode, config, seed=42)
+            ref = render_video(scene, [resample(m, clip.frame_count) for m in gt],
+                               config)
+            for t, (a, b) in enumerate(zip(clip.frames, ref.frames)):
+                assert _ssim_frame(a, b) == _ssim_frame_loop(a, b), (index, config, t)
+                compared += 1
+    assert compared == 20 * (16 + 8)
+
+
+def test_ssim_equals_window_loop_on_random_and_sparse_frames():
+    rng = np.random.default_rng(74)
+    for shape in ((108, 192), (110, 193), (9, 13), (8, 8), (12, 17)):
+        a = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        b = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        sparse = a * (rng.random(shape) < 0.03)
+        for x, y in ((a, b), (sparse, b), (sparse, sparse), (sparse, 0 * a)):
+            assert _ssim_frame(x, y) == _ssim_frame_loop(x, y), shape
+
+
+def test_ssim_matches_window_loop_on_frames_smaller_than_the_window():
+    # one truncated window of fewer than 64 pixels: its mean and variance are
+    # no longer exact divisions, so agreement is to rounding, not bitwise
+    rng = np.random.default_rng(75)
+    for shape in ((5, 7), (3, 20), (20, 3), (1, 1)):
+        a = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        b = rng.integers(0, 256, size=shape, dtype=np.uint8)
+        assert _ssim_frame(a, b) == pytest.approx(_ssim_frame_loop(a, b),
+                                                  rel=0, abs=1e-12), shape
 
 
 def test_miou_counting_oracle():

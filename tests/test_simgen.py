@@ -14,6 +14,7 @@ from motionloop.simgen import (
     GeneratorConfig,
     SceneObject,
     SceneSpec,
+    VideoClip,
     corrupt_motion,
     generate,
     generic_template,
@@ -270,3 +271,12 @@ def test_generator_config_validation():
         GeneratorConfig(resolution_scale=0.0)
     with pytest.raises(InvalidConfig):
         GeneratorConfig(condition_fidelity=((0.0, 0.1), (1.0, 0.9)))
+
+
+def test_video_clip_rejects_non_uint8_frames():
+    # SSIM's exact integer window sums rely on the uint8 frame contract
+    frame = np.zeros((4, 6), dtype=np.uint8)
+    VideoClip(frames=(frame,), fps=16.0, resolution=(6, 4))
+    with pytest.raises(InvalidConfig, match="uint8"):
+        VideoClip(frames=(frame, frame.astype(np.float64)), fps=16.0,
+                  resolution=(6, 4))
