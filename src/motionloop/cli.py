@@ -18,9 +18,12 @@ import numpy as np
 from . import fileio
 from .core import (
     Category,
+    load_json,
     motion_from_json,
     motion_strength,
     motion_to_json,
+    motions_from_json,
+    motions_to_json,
     preset,
 )
 from .errors import InvalidConfig, MotionError
@@ -29,7 +32,6 @@ from .pipeline import (
     UserCondition,
     eval_metrics,
     extract_motion,
-    gt_masks_for,
     run_from_json,
     run_pipeline,
 )
@@ -48,7 +50,7 @@ from .pmp import (
     tokens_for,
 )
 from .scenes import make_corpus, scene_from_json
-from .simgen import FINE_CONFIG, GeneratorConfig, VideoClip, SceneSpec
+from .simgen import FINE_CONFIG, GeneratorConfig, SceneSpec, part_masks
 
 
 def _log(msg: str) -> None:
@@ -61,12 +63,6 @@ def _emit(path) -> None:
 
 def _load_scene(path) -> SceneSpec:
     return scene_from_json(Path(path).read_text())
-
-
-def _read_clip(path) -> VideoClip:
-    frames, fps, resolution = fileio.read_clip(path)
-    return VideoClip(frames=tuple(np.asarray(f, dtype=np.uint8) for f in frames),
-                     fps=fps, resolution=resolution)
 
 
 def cmd_gen_corpus(args) -> int:
@@ -87,9 +83,14 @@ def cmd_gen_corpus(args) -> int:
 
 def _load_corpus(corpus_dir) -> list[CorpusItem]:
     d = Path(corpus_dir)
-    index = json.loads((d / "index.json").read_text())
-    return [CorpusItem(motion=motion_from_json((d / e["file"]).read_text()),
-                       tags=tuple(e["tags"])) for e in index]
+    index = load_json((d / "index.json").read_text(), "corpus index.json")
+    try:
+        entries = [(d / e["file"], tuple(e["tags"])) for e in index]
+    except (KeyError, TypeError) as exc:
+        raise InvalidConfig(f"corpus index.json entries need \"file\" and \"tags\" "
+                            f"({type(exc).__name__}: {exc})") from None
+    return [CorpusItem(motion=motion_from_json(path.read_text()), tags=tags)
+            for path, tags in entries]
 
 
 def cmd_train_pmp(args) -> int:
@@ -142,26 +143,22 @@ def cmd_denoise(args) -> int:
 
 def cmd_extract(args) -> int:
     scene = _load_scene(args.scene)
-    clip = _read_clip(args.clip)
+    clip = fileio.read_clip(args.clip)
     config = GeneratorConfig(
         resolution_scale=clip.resolution[0] / scene.camera.size[0],
         frame_fraction=1.0)
     motions = extract_motion(clip, scene, config)
     out = Path(args.out)
     out.parent.mkdir(parents=True, exist_ok=True)
-    out.write_text(json.dumps(
-        [json.loads(motion_to_json(m)) for m in motions]))
+    out.write_text(motions_to_json(motions))
     _emit(out)
     return 0
 
 
 def cmd_rasterize(args) -> int:
     scene = _load_scene(args.scene)
-    docs = json.loads(Path(args.motion).read_text())
-    if isinstance(docs, dict):
-        docs = [docs]
-    motions = [motion_from_json(json.dumps(doc)) for doc in docs]
-    masks = gt_masks_for(scene, motions, FINE_CONFIG)
+    motions = motions_from_json(Path(args.motion).read_text())
+    masks = part_masks(scene, motions, FINE_CONFIG)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, grid in enumerate(masks):
@@ -198,7 +195,7 @@ def cmd_extend(args) -> int:
 
 
 def cmd_stitch(args) -> int:
-    clips = [_read_clip(p) for p in args.clips]
+    clips = [fileio.read_clip(p) for p in args.clips]
     plan = plan_windows(args.total, window=args.window, stride=args.stride)
     merged = stitch(clips, plan)
     fileio.write_clip(args.out, list(merged.frames), merged.fps)
@@ -207,14 +204,12 @@ def cmd_stitch(args) -> int:
 
 
 def cmd_eval(args) -> int:
-    pred = _read_clip(args.pred)
-    ref = _read_clip(args.ref)
+    pred = fileio.read_clip(args.pred)
+    ref = fileio.read_clip(args.ref)
     pred_motions, gt_motions = [], []
     if args.pred_motions and args.gt_motions:
-        pred_motions = [motion_from_json(json.dumps(doc)) for doc in
-                        json.loads(Path(args.pred_motions).read_text())]
-        gt_motions = [motion_from_json(json.dumps(doc)) for doc in
-                      json.loads(Path(args.gt_motions).read_text())]
+        pred_motions = motions_from_json(Path(args.pred_motions).read_text())
+        gt_motions = motions_from_json(Path(args.gt_motions).read_text())
     report = eval_metrics(pred, ref, pred_motions, gt_motions, [], [])
     print(report.to_json())
     if args.out:

@@ -317,7 +317,22 @@ def motion_to_json(seq: MotionSequence) -> str:
 def motion_from_json(text: str) -> MotionSequence:
     """Inverse of ``motion_to_json``. A malformed document, or frames that
     ``validate`` rejects (e.g. non-finite entries), raise DimensionMismatch."""
+    return _motion_from_doc(load_json(text, "motion JSON", DimensionMismatch))
+
+
+def motions_to_json(motions: list[MotionSequence]) -> str:
+    """A JSON list of motion documents, one per sequence."""
+    return "[" + ", ".join(motion_to_json(m) for m in motions) + "]"
+
+
+def motions_from_json(text: str) -> list[MotionSequence]:
+    """Inverse of ``motions_to_json``; a single motion document reads as a
+    one-item list. Malformed input raises DimensionMismatch."""
     doc = load_json(text, "motion JSON", DimensionMismatch)
+    return [_motion_from_doc(d) for d in (doc if isinstance(doc, list) else [doc])]
+
+
+def _motion_from_doc(doc) -> MotionSequence:
     try:
         if doc.get("version") != MOTION_JSON_VERSION:
             raise DimensionMismatch(

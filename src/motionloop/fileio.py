@@ -19,6 +19,7 @@ import numpy as np
 from .core import load_json
 from .errors import ShapeMismatch
 from .geometry import ConditionChannels, DepthMap
+from .simgen import VideoClip
 
 
 def write_pgm(path, grid: np.ndarray, maxval: int = 255) -> None:
@@ -120,7 +121,7 @@ def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:
     return d
 
 
-def read_clip(dir_path) -> tuple[list[np.ndarray], float, tuple[int, int]]:
+def read_clip(dir_path) -> VideoClip:
     d = Path(dir_path)
     meta = load_json((d / "clip.json").read_text(), "clip.json", ShapeMismatch)
     try:
@@ -130,6 +131,8 @@ def read_clip(dir_path) -> tuple[list[np.ndarray], float, tuple[int, int]]:
             f"malformed clip.json in {d} ({type(exc).__name__}: {exc})") from None
     frames = [read_pgm(p) for p in sorted(d.glob("frame_*.pgm"))]
     for f in frames:
+        if f.dtype != np.uint8:
+            raise ShapeMismatch(f"clip frames must be 8-bit PGMs, {d} holds 16-bit ones")
         if f.shape != (h, w):
             raise ShapeMismatch("frame resolution differs from clip.json")
-    return frames, fps, (w, h)
+    return VideoClip(frames=tuple(frames), fps=fps, resolution=(w, h))

@@ -437,71 +437,17 @@ def polygon_target_mask(parts: list[tuple[int, np.ndarray]],
 
 # -------------------------------------------------------- condition channels
 
-@dataclass(frozen=True)
-class FullMotionPayload:
-    """Per-frame labeled 3D points: frames[t] = [(points, labels), ...]."""
-
-    frames: list
-    camera: CameraSpec
-    splat_radius: float = 3.0
-
-
-@dataclass(frozen=True)
-class TargetPosePayload:
-    """Final-frame part polygon points, already in pixel coordinates."""
-
-    parts: list  # [(part_label, (N, 2) points), ...]
-    frame_count: int
-    size: tuple[int, int]
-
-
-@dataclass(frozen=True)
-class EmptyPayload:
-    frame_count: int
-    size: tuple[int, int]
-
-
 DEFAULT_TRIPLE = (1.0, 0.5, 0.0)
 
 
-def build_condition(mode: ConditionMode, payload,
+def build_condition(mode: ConditionMode, masks: list[np.ndarray],
                     confidence_triple: tuple[float, float, float] = DEFAULT_TRIPLE
                     ) -> list[ConditionChannels]:
-    """Build the per-frame condition channels for one conditioning mode.
-
-    FullMotion renders every frame's part masks at the full confidence;
-    TargetPose rasterizes polygons on the final frame only at the middle
-    confidence; Empty yields zero masks at the background confidence.
-    """
+    """Per-frame condition channels: each part-label mask with the mode's
+    confidence level (full, target or empty) on its labeled pixels and the
+    empty level on the background."""
     full, target, empty = confidence_triple
-    out: list[ConditionChannels] = []
-    if mode is ConditionMode.FULL_MOTION:
-        if not isinstance(payload, FullMotionPayload):
-            raise PayloadMismatch("FullMotion mode needs a FullMotionPayload")
-        for frame_objects in payload.frames:
-            grid = render_part_masks(frame_objects, payload.camera,
-                                     payload.splat_radius)
-            conf = np.where(grid != 0, full, empty)
-            out.append(ConditionChannels(grid, conf, confidence_triple))
-    elif mode is ConditionMode.TARGET_POSE:
-        if not isinstance(payload, TargetPosePayload):
-            raise PayloadMismatch("TargetPose mode needs a TargetPosePayload")
-        w, h = payload.size
-        blank = np.zeros((h, w), dtype=np.int32)
-        for _ in range(payload.frame_count - 1):
-            out.append(ConditionChannels(blank, np.full((h, w), empty),
-                                         confidence_triple))
-        grid = polygon_target_mask(payload.parts, payload.size)
-        conf = np.where(grid != 0, target, empty)
-        out.append(ConditionChannels(grid, conf, confidence_triple))
-    elif mode is ConditionMode.EMPTY:
-        if not isinstance(payload, EmptyPayload):
-            raise PayloadMismatch("Empty mode needs an EmptyPayload")
-        w, h = payload.size
-        blank = np.zeros((h, w), dtype=np.int32)
-        for _ in range(payload.frame_count):
-            out.append(ConditionChannels(blank, np.full((h, w), empty),
-                                         confidence_triple))
-    else:  # pragma: no cover
-        raise PayloadMismatch(f"unknown mode {mode}")
-    return out
+    level = {ConditionMode.FULL_MOTION: full, ConditionMode.TARGET_POSE: target,
+             ConditionMode.EMPTY: empty}[mode]
+    return [ConditionChannels(grid, np.where(grid != 0, level, empty), confidence_triple)
+            for grid in masks]

@@ -9,7 +9,6 @@ original length. Every perturbation is replayable from a small record.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from enum import Enum
 
@@ -78,17 +77,6 @@ class PerturbationRecord:
     params: tuple  # (t,) for Noise; (lo, hi) for Shuffle / DropRepeat
     seed: int
 
-    def to_json(self) -> str:
-        return json.dumps({"kind": self.kind.value,
-                           "params": list(self.params),
-                           "seed": int(self.seed)})
-
-    @classmethod
-    def from_json(cls, text: str) -> "PerturbationRecord":
-        doc = json.loads(text)
-        return cls(kind=Kind(doc["kind"]), params=tuple(doc["params"]),
-                   seed=int(doc["seed"]))
-
 
 @dataclass(frozen=True)
 class PerturbConfig:
@@ -106,14 +94,12 @@ class PerturbConfig:
     shuffle_frac: tuple[float, float] = (0.25, 0.75)
     drop_frac: tuple[float, float] = (0.05, 0.25)
     schedule: NoiseSchedule = DEFAULT_SCHEDULE
-    compose: bool = False  # apply each kind as an independent coin instead
-    # of drawing exactly one per sample
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
         if p.shape != (3,) or np.any(p < 0.0):
             raise InvalidConfig("kind probabilities must be 3 non-negatives")
-        if not self.compose and abs(p.sum() - 1.0) > 1e-9:
+        if abs(p.sum() - 1.0) > 1e-9:
             raise InvalidConfig("kind probabilities must sum to 1")
         if not 1 <= self.noise_t[0] <= self.noise_t[1] <= self.schedule.steps:
             raise InvalidConfig("noise_t range outside schedule")
@@ -220,20 +206,3 @@ def sample_perturbation(seq: MotionSequence, config: PerturbConfig,
     record = _draw_record(kind, f, config, rng)
     return apply_record(seq, record, config), record
 
-
-def sample_composed(seq: MotionSequence, config: PerturbConfig,
-                    seed: int) -> tuple[MotionSequence, list[PerturbationRecord]]:
-    """Composition mode: each kind fires as an independent coin, applied in
-    noise -> shuffle -> drop order; the record list replays the whole chain."""
-    f = seq.frame_count
-    rng = np.random.default_rng(seed)
-    out = seq
-    records: list[PerturbationRecord] = []
-    for k, kind in enumerate((Kind.NOISE, Kind.SHUFFLE, Kind.DROP_REPEAT)):
-        gate = rng.random() < config.probs[k]
-        record = _draw_record(kind, f, config, rng)
-        if not gate or (kind is Kind.DROP_REPEAT and f < 4):
-            continue
-        out = apply_record(out, record, config)
-        records.append(record)
-    return out, records

@@ -28,7 +28,7 @@ from .core import (
     json_like,
     load_json,
     motion_strength,
-    motion_to_json,
+    motions_to_json,
     resample,
 )
 from .errors import ExtractionFailed, InvalidConfig, ShapeMismatch
@@ -36,15 +36,12 @@ from .geometry import (
     BinaryMask,
     ConditionMode,
     DepthMap,
-    EmptyPayload,
-    FullMotionPayload,
-    TargetPosePayload,
     bbox_from_mask,
     build_condition,
     lift_points,
     object25d_from_mask,
+    polygon_target_mask,
     project,
-    render_part_masks,
 )
 from .pmp import Conditioning, PmpModel, pmp_refine, tokens_for
 from .scenes import fixture_scene, scene_from_json, scene_to_json
@@ -56,10 +53,11 @@ from .simgen import (
     VideoClip,
     coarse_frame_count,
     effective_radius,
-    frame_render_points,
     generate,
     intensity_to_label,
     part_intensity,
+    part_masks,
+    render_video,
     synthesize_gt_motion,
 )
 
@@ -151,16 +149,13 @@ def stage1_coarse(scene: SceneSpec, user_condition: UserCondition,
                   ) -> tuple[VideoClip, list]:
     """Coarse generation from the user's (weak) conditioning."""
     n = coarse_frame_count(scene.duration, config.coarse)
-    camera = scene.camera.scaled(config.coarse.resolution_scale)
+    w, h = scene.camera.scaled(config.coarse.resolution_scale).size
+    masks = [np.zeros((h, w), dtype=np.int32) for _ in range(n)]
     if user_condition.mode is ConditionMode.TARGET_POSE:
         s = config.coarse.resolution_scale
-        parts = [(label, np.asarray(pts, dtype=float) * s)
-                 for label, pts in user_condition.parts]
-        payload = TargetPosePayload(parts=parts, frame_count=n, size=camera.size)
-    else:
-        payload = EmptyPayload(frame_count=n, size=camera.size)
-    channels = build_condition(user_condition.mode, payload,
-                               config.confidence_triple)
+        masks[-1] = polygon_target_mask([(label, np.asarray(pts, dtype=float) * s)
+                                         for label, pts in user_condition.parts], (w, h))
+    channels = build_condition(user_condition.mode, masks, config.confidence_triple)
     clip, realized = generate(scene, user_condition.mode, config.coarse, seed)
     return clip, [channels, realized]
 
@@ -380,12 +375,8 @@ def stage3_regenerate(scene: SceneSpec, refined: list[MotionSequence],
     for m in refined:
         if m.frame_count != fine_n:
             raise ShapeMismatch("refined motion length != fine frame count")
-    camera = scene.camera.scaled(config.fine.resolution_scale)
-    payload = FullMotionPayload(frames=[frame_render_points(scene, refined, t)
-                                        for t in range(fine_n)],
-                                camera=camera,
-                                splat_radius=effective_radius(config.fine))
-    channels = build_condition(ConditionMode.FULL_MOTION, payload,
+    channels = build_condition(ConditionMode.FULL_MOTION,
+                               part_masks(scene, refined, config.fine),
                                config.confidence_triple)
     clip, realized = generate(scene, ConditionMode.FULL_MOTION, config.fine, seed)
     return clip, [channels, realized]
@@ -455,6 +446,9 @@ def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
         raise ShapeMismatch("clip shapes differ")
     if len(pred_masks) != len(gt_masks):
         raise ShapeMismatch("mask counts differ")
+    if len(pred_motions) != len(gt_motions):
+        raise ShapeMismatch(f"{len(pred_motions)} predicted motions for "
+                            f"{len(gt_motions)} ground-truth ones")
     psnr = float(np.mean([_psnr(p, r) for p, r in
                           zip(pred_clip.frames, ref_clip.frames)]))
     ssim = float(np.mean([_ssim_frame(p, r) for p, r in
@@ -486,14 +480,6 @@ class RunResult:
     run_dir: str = ""
 
 
-def gt_masks_for(scene: SceneSpec, motions: list[MotionSequence],
-                 config: GeneratorConfig) -> list[np.ndarray]:
-    camera = scene.camera.scaled(config.resolution_scale)
-    radius = effective_radius(config)
-    return [render_part_masks(frame_render_points(scene, motions, t), camera, radius)
-            for t in range(motions[0].frame_count)]
-
-
 def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
                  config: PipelineConfig, pmp: PmpModel,
                  out_dir: str | None = None) -> RunResult:
@@ -511,10 +497,9 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
     gt_fine = [resample(m, fine_n) for m in gt]
     gt_coarse = [resample(m, coarse_n) for m in gt]
 
-    from .simgen import render_video
     ref_clip = render_video(scene, gt_fine, config.fine)
-    pred_masks = gt_masks_for(scene, final_realized, config.fine)
-    gt_masks = gt_masks_for(scene, gt_fine, config.fine)
+    pred_masks = part_masks(scene, final_realized, config.fine)
+    gt_masks = part_masks(scene, gt_fine, config.fine)
     report = eval_metrics(final_clip, ref_clip, final_realized, gt_fine,
                           pred_masks, gt_masks)
 
@@ -543,10 +528,8 @@ def _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
     fileio.write_clip(d / "final", list(final_clip.frames), final_clip.fps)
     stage2 = d / "stage2"
     stage2.mkdir(exist_ok=True)
-    (stage2 / "raw.json").write_text(
-        json.dumps([json.loads(motion_to_json(m)) for m in raws]))
-    (stage2 / "refined.json").write_text(
-        json.dumps([json.loads(motion_to_json(m)) for m in refined]))
+    (stage2 / "raw.json").write_text(motions_to_json(raws))
+    (stage2 / "refined.json").write_text(motions_to_json(refined))
     (stage2 / "strength.json").write_text(json.dumps(strengths))
     fileio.write_condition(d / "channels", s1_channels, prefix="s1")
     fileio.write_condition(d / "channels", s3_channels, prefix="s3")

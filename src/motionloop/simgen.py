@@ -299,6 +299,37 @@ def frame_render_points(scene: SceneSpec, motions: list[MotionSequence],
             for obj, m in zip(scene.objects, motions)]
 
 
+def _splat_frames(scene: SceneSpec, motions: list[MotionSequence],
+                  config: GeneratorConfig, codes: list[np.ndarray]
+                  ) -> tuple[list[np.ndarray], CameraSpec]:
+    """Splat every frame of the motions at the config's resolution, each
+    point carrying codes[object][part label]; returns the grids and camera."""
+    if len(motions) != len(scene.objects):
+        raise DimensionMismatch("one motion per scene object required")
+    n = motions[0].frame_count
+    for obj, m in zip(scene.objects, motions):
+        if m.frame_count != n:
+            raise DimensionMismatch("motion lengths differ")
+        if m.model.category is not obj.spec.category:
+            raise DimensionMismatch(f"a {m.model.category.value} motion for a "
+                                    f"{obj.spec.category.value} scene object")
+    camera = scene.camera.scaled(config.resolution_scale)
+    radius = effective_radius(config)
+    grids = []
+    for t in range(n):
+        objects = [(pts, code[labels]) for (pts, labels), code
+                   in zip(frame_render_points(scene, motions, t), codes)]
+        grids.append(render_part_masks(objects, camera, radius))
+    return grids, camera
+
+
+def part_masks(scene: SceneSpec, motions: list[MotionSequence],
+               config: GeneratorConfig) -> list[np.ndarray]:
+    """Per-frame part-label masks of the motions, as the clip render sees them."""
+    labels = [np.arange(obj.spec.part_count + 1) for obj in scene.objects]
+    return _splat_frames(scene, motions, config, labels)[0]
+
+
 def render_video(scene: SceneSpec, motions: list[MotionSequence],
                  config: GeneratorConfig) -> VideoClip:
     """Render realized motions to grayscale frames with part-coded intensity.
@@ -306,23 +337,12 @@ def render_video(scene: SceneSpec, motions: list[MotionSequence],
     Each point carries its part's intensity code through the part-mask
     splat kernel; codes are at most 255, so the uint8 cast is exact.
     """
-    if len(motions) != len(scene.objects):
-        raise DimensionMismatch("one motion per scene object required")
-    n = motions[0].frame_count
-    for m in motions:
-        if m.frame_count != n:
-            raise DimensionMismatch("motion lengths differ")
-    camera = scene.camera.scaled(config.resolution_scale)
-    radius = effective_radius(config)
     luts = [np.array([part_intensity(l, obj.spec.part_count)
                       for l in range(obj.spec.part_count + 1)])
             for obj in scene.objects]
-    frames = []
-    for t in range(n):
-        objects = [(pts, lut[labels]) for (pts, labels), lut
-                   in zip(frame_render_points(scene, motions, t), luts)]
-        frames.append(render_part_masks(objects, camera, radius).astype(np.uint8))
-    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size)
+    grids, camera = _splat_frames(scene, motions, config, luts)
+    return VideoClip(frames=tuple(g.astype(np.uint8) for g in grids), fps=scene.fps,
+                     resolution=camera.size)
 
 
 # ---------------------------------------------------------------- generate

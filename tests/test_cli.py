@@ -204,7 +204,7 @@ def test_stitch_command(tmp_path):
     out = tmp_path / "merged"
     assert run_cli("stitch", "--clips", *dirs, "--total", "56",
                    "--out", str(out)) == 0
-    frames, fps, _ = fileio.read_clip(out)
+    frames = fileio.read_clip(out).frames
     assert len(frames) == 56
     np.testing.assert_array_equal(frames[30], base)
 
@@ -291,6 +291,49 @@ def _truncate_second_frame(clip):
     frame.write_bytes(frame.read_bytes()[:-5])
 
 
+def _sixteen_bit_second_frame(clip):
+    fileio.write_pgm(clip / "frame_0001.pgm", np.full((6, 8), 300), maxval=65535)
+
+
+def _motions_file(tmp_path, name, docs) -> str:
+    path = tmp_path / name
+    path.write_text(docs if isinstance(docs, str) else json.dumps(docs))
+    return str(path)
+
+
+def _eval_motions(pred, gt):
+    """eval on a valid clip with the given pred and gt motion files."""
+    def argv(tmp_path, checkpoint):
+        clip = tmp_path / "clip"
+        fileio.write_clip(clip, [np.full((6, 8), 9, dtype=np.uint8)] * 2, fps=8.0)
+        return ["eval", "--pred", str(clip), "--ref", str(clip),
+                "--pred-motions", _motions_file(tmp_path, "pred.json", pred),
+                "--gt-motions", _motions_file(tmp_path, "gt.json", gt)]
+    return argv
+
+
+def _rasterize(motions, objects=(0,)):
+    """rasterize the given motion file over a scene of fixture objects."""
+    def argv(tmp_path, checkpoint):
+        scene = replace(fixture_scene(objects[0], duration=8),
+                        objects=tuple(fixture_scene(i).objects[0] for i in objects))
+        scene_path = tmp_path / "scene.json"
+        scene_path.write_text(scene_to_json(scene))
+        return ["rasterize", "--scene", str(scene_path), "--out", str(tmp_path / "masks"),
+                "--motion", _motions_file(tmp_path, "motions.json", motions)]
+    return argv
+
+
+def _bad_corpus(index_text):
+    def argv(tmp_path, checkpoint):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        (corpus / "index.json").write_text(index_text)
+        return ["train-pmp", "--corpus", str(corpus), "--out", str(tmp_path / "p.ckpt"),
+                "--steps", "1", "--layers", "1"]
+    return argv
+
+
 def _run_without_checkpoint(tmp_path, checkpoint):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"fixture": 1}')
@@ -329,6 +372,23 @@ BOUNDARY_CASES = {
     "clip-json-missing-resolution": (_bad_clip(lambda clip: (clip / "clip.json")
                                                .write_text('{"fps": 8.0}')),
                                      "ShapeMismatch"),
+    "clip-sixteen-bit-frame": (_bad_clip(_sixteen_bit_second_frame), "ShapeMismatch"),
+    "eval-pred-motions-not-json": (_eval_motions("not json", [_motion_doc()]),
+                                   "DimensionMismatch"),
+    "eval-gt-motions-not-json": (_eval_motions([_motion_doc()], "not json"),
+                                 "DimensionMismatch"),
+    "eval-motion-count-mismatch": (_eval_motions([_motion_doc()] * 2, [_motion_doc()]),
+                                   "ShapeMismatch"),
+    "rasterize-motion-not-json": (_rasterize("not json"), "DimensionMismatch"),
+    "rasterize-fewer-motions-than-objects": (_rasterize([_motion_doc()], objects=(0, 2)),
+                                             "DimensionMismatch"),
+    "rasterize-more-motions-than-objects": (_rasterize([_motion_doc()] * 2),
+                                            "DimensionMismatch"),
+    "rasterize-motion-of-another-category": (_rasterize([_motion_doc()], objects=(1,)),
+                                             "DimensionMismatch"),
+    "corpus-index-not-json": (_bad_corpus("not json"), "InvalidConfig"),
+    "corpus-index-entry-without-file": (_bad_corpus('[{"tags": ["walk"]}]'),
+                                        "InvalidConfig"),
 }
 
 

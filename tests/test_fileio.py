@@ -53,7 +53,7 @@ def test_clip_round_trip(tmp_path):
     rng = np.random.default_rng(33)
     frames = [rng.integers(0, 255, size=(10, 14)).astype(np.uint8) for _ in range(3)]
     fileio.write_clip(tmp_path / "clip", frames, fps=12.0)
-    back, fps, (w, h) = fileio.read_clip(tmp_path / "clip")
-    assert fps == 12.0 and (w, h) == (14, 10)
-    for a, b in zip(back, frames):
+    back = fileio.read_clip(tmp_path / "clip")
+    assert back.fps == 12.0 and back.resolution == (14, 10)
+    for a, b in zip(back.frames, frames):
         np.testing.assert_array_equal(a, b)

@@ -19,9 +19,6 @@ from motionloop.geometry import (
     CameraSpec,
     ConditionMode,
     DepthMap,
-    EmptyPayload,
-    FullMotionPayload,
-    TargetPosePayload,
     bbox_from_mask,
 )
 
@@ -375,7 +372,8 @@ def test_polygon_degenerate_collinear():
 # -------------------------------------------------------- condition channels
 
 def test_condition_empty_default_triple():
-    chans = geo.build_condition(ConditionMode.EMPTY, EmptyPayload(4, (16, 12)))
+    chans = geo.build_condition(ConditionMode.EMPTY,
+                                [np.zeros((12, 16), dtype=np.int32)] * 4)
     assert len(chans) == 4
     for ch in chans:
         assert not ch.part_mask.any()
@@ -384,9 +382,9 @@ def test_condition_empty_default_triple():
 
 def test_condition_target_pose_half_confidence():
     tri = np.array([[2.0, 2.0], [12.0, 3.0], [6.0, 10.0]])
-    chans = geo.build_condition(
-        ConditionMode.TARGET_POSE,
-        TargetPosePayload(parts=[(2, tri)], frame_count=5, size=(16, 12)))
+    blank = np.zeros((12, 16), dtype=np.int32)
+    target = geo.polygon_target_mask([(2, tri)], (16, 12))
+    chans = geo.build_condition(ConditionMode.TARGET_POSE, [blank] * 4 + [target])
     assert len(chans) == 5
     for ch in chans[:-1]:
         assert not ch.part_mask.any()
@@ -399,21 +397,14 @@ def test_condition_target_pose_half_confidence():
 def test_condition_full_motion_custom_triple():
     cam = CameraSpec.default(20, 16)
     pts = np.array([[0.0, 0.0, 3.0]])
-    labels = np.array([4])
-    payload = FullMotionPayload(frames=[[(pts, labels)], [(pts, labels)]],
-                                camera=cam, splat_radius=2.0)
-    chans = geo.build_condition(ConditionMode.FULL_MOTION, payload, (3.0, 2.0, 1.0))
+    grid = geo.render_part_masks([(pts, np.array([4]))], cam, 2.0)
+    chans = geo.build_condition(ConditionMode.FULL_MOTION, [grid, grid], (3.0, 2.0, 1.0))
     assert len(chans) == 2
     for ch in chans:
+        np.testing.assert_array_equal(ch.part_mask, grid)
         assert np.all(ch.confidence[ch.part_mask != 0] == 3.0)
         assert np.all(ch.confidence[ch.part_mask == 0] == 1.0)
         assert set(np.unique(ch.confidence)) <= {3.0, 1.0}
-
-
-def test_condition_payload_mismatch():
-    with pytest.raises(PayloadMismatch):
-        geo.build_condition(ConditionMode.EMPTY,
-                            TargetPosePayload([], 3, (8, 8)))
 
 
 def test_condition_channels_invariant_enforced():

@@ -15,7 +15,6 @@ from motionloop.perturb import (
     Kind,
     NoiseSchedule,
     PerturbConfig,
-    PerturbationRecord,
 )
 
 
@@ -213,37 +212,11 @@ def test_sample_preserves_shape():
             assert out.frames.shape == seq.frames.shape
 
 
-def test_record_json_round_trip():
-    rec = PerturbationRecord(Kind.SHUFFLE, (3, 9), 123456789)
-    back = PerturbationRecord.from_json(rec.to_json())
-    assert back == rec
-
-
 def test_invalid_config_rejected():
     with pytest.raises(InvalidConfig):
         PerturbConfig(probs=(0.5, 0.5, 0.5))
     with pytest.raises(InvalidConfig):
         PerturbConfig(noise_t=(0, 10))
-
-
-def test_composed_perturbations_replayable():
-    rng = np.random.default_rng(14)
-    seq = random_seq(rng)
-    config = PerturbConfig(probs=(0.9, 0.9, 0.9), compose=True)
-    seen_multi = False
-    for seed in range(16):
-        out, records = perturb.sample_composed(seq, config, seed)
-        assert out.frames.shape == seq.frames.shape
-        seen_multi = seen_multi or len(records) >= 2
-        replay = seq
-        for rec in records:
-            replay = perturb.apply_record(replay, rec, config)
-        assert np.array_equal(out.frames, replay.frames)
-    assert seen_multi
-
-
-def test_compose_flag_defaults_off():
-    assert PerturbConfig().compose is False
 
 
 def test_forward_noise_mean_tracks_scaled_input():

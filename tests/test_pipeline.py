@@ -8,6 +8,7 @@ import pytest
 
 from motionloop.core import Category, MotionSequence, preset, resample
 from motionloop.errors import ExtractionFailed, InvalidConfig, ShapeMismatch
+from motionloop.fileio import read_condition
 from motionloop.geometry import ConditionMode
 from motionloop.pipeline import (
     PipelineConfig,
@@ -26,8 +27,10 @@ from motionloop.simgen import (
     COARSE_CONFIG,
     FINE_CONFIG,
     GeneratorConfig,
+    SceneSpec,
     VideoClip,
     generate,
+    part_masks,
     render_video,
     synthesize_gt_motion,
 )
@@ -339,6 +342,18 @@ def test_run_pipeline_persists_layout_and_is_deterministic(tmp_path):
     assert r1.report == r2.report
     doc = json.loads((tmp_path / "a" / "report.json").read_text())
     assert set(doc) == {"traj_mse", "mask_miou", "psnr", "ssim"}
+
+
+def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
+    scene = SceneSpec(objects=(fixture_scene(1).objects[0], fixture_scene(2).objects[0]),
+                      camera=fixture_scene(1).camera, duration=16, fps=16.0)
+    config = PipelineConfig()
+    result = run_pipeline(scene, UserCondition(), config, tiny_model(), out_dir=tmp_path)
+    channels = read_condition(tmp_path / "channels", prefix="s3")
+    masks = part_masks(scene, result.refined_motions, config.fine)
+    assert len(channels) == len(masks) == scene.duration
+    for ch, mask in zip(channels, masks):
+        np.testing.assert_array_equal(ch.part_mask, mask)
 
 
 def test_run_pipeline_empty_condition_completes():

@@ -20,6 +20,7 @@ from motionloop.simgen import (
     generic_template,
     intensity_to_label,
     part_intensity,
+    part_masks,
     render_video,
     synthesize_gt_motion,
 )
@@ -179,8 +180,6 @@ def test_intensity_depends_only_on_part_label():
 
 
 def test_render_two_objects_nearer_one_wins_the_overlap():
-    from motionloop.pipeline import gt_masks_for
-
     human = one_object_scene(Category.HUMAN, "walk",
                              placement=(0.0, 0.0, 4.0)).objects[0]
     thing = SceneObject(spec=preset(Category.GENERIC_OBJECT),
@@ -198,7 +197,7 @@ def test_render_two_objects_nearer_one_wins_the_overlap():
     thing_alone = render_video(scene_of(thing), motions[:1], FINE_CONFIG)
     human_alone = render_video(scene_of(human), motions[1:], FINE_CONFIG)
     human_codes = {part_intensity(l, 22) for l in range(1, 23)}
-    masks = gt_masks_for(scene, motions, FINE_CONFIG)
+    masks = part_masks(scene, motions, FINE_CONFIG)
     for t, frame in enumerate(clip.frames):
         thing_px = thing_alone.frames[t] > 0
         human_px = human_alone.frames[t] > 0
