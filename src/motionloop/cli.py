@@ -50,7 +50,7 @@ from .pmp import (
     tokens_for,
 )
 from .scenes import make_corpus, scene_from_json
-from .simgen import FINE_CONFIG, GeneratorConfig, SceneSpec, part_masks
+from .simgen import FINE_CONFIG, GeneratorConfig, SceneSpec, render
 
 
 def _log(msg: str) -> None:
@@ -158,7 +158,7 @@ def cmd_extract(args) -> int:
 def cmd_rasterize(args) -> int:
     scene = _load_scene(args.scene)
     motions = motions_from_json(Path(args.motion).read_text())
-    masks = part_masks(scene, motions, FINE_CONFIG)
+    masks = render(scene, motions, FINE_CONFIG)[1]
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     for i, grid in enumerate(masks):
@@ -207,7 +207,9 @@ def cmd_eval(args) -> int:
     pred = fileio.read_clip(args.pred)
     ref = fileio.read_clip(args.ref)
     pred_motions, gt_motions = [], []
-    if args.pred_motions and args.gt_motions:
+    if (args.pred_motions is None) != (args.gt_motions is None):
+        raise InvalidConfig("--pred-motions and --gt-motions go together")
+    if args.pred_motions is not None:
         pred_motions = motions_from_json(Path(args.pred_motions).read_text())
         gt_motions = motions_from_json(Path(args.gt_motions).read_text())
     report = eval_metrics(pred, ref, pred_motions, gt_motions, [], [])

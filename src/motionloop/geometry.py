@@ -337,8 +337,8 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
                       camera: CameraSpec, splat_radius: float = 3.0) -> np.ndarray:
     """Splat labeled 3D point sets into a part-label grid with z-buffering.
 
-    This is the one splat kernel: labels are part ids for masks and
-    condition channels, and part intensity codes for video frames.
+    This is the one splat kernel: labels are whatever codes the caller
+    needs, such as simgen's packed (intensity code, part id) values.
     Each projected point covers pixels within splat_radius of its image
     position; the smallest depth wins per pixel, ties broken by lower
     (object index, point index). Implemented as a worst-to-best ordered

@@ -78,22 +78,24 @@ class PerturbationRecord:
     seed: int
 
 
+# Noise draws a step index in NOISE_T of DEFAULT_SCHEDULE; an upper
+# bound of 100 of 1000 steps keeps the added noise small relative to the
+# signal. Segment lengths are drawn as fractions of the sequence length; drop
+# segments are additionally capped at F // 4 so most of the true motion
+# survives.
+NOISE_T = (1, 100)
+SHUFFLE_FRAC = (0.25, 0.75)
+DROP_FRAC = (0.05, 0.25)
+
+
 @dataclass(frozen=True)
 class PerturbConfig:
-    """Sampling distribution for training perturbations.
-
-    Noise draws a step index in [noise_t[0], noise_t[1]] of the schedule;
-    keeping the default upper bound at 100 of 1000 keeps the added noise
-    small relative to the signal. Segment lengths are drawn as fractions of
-    the sequence length; drop segments are additionally capped at F // 4 so
-    most of the true motion survives.
-    """
+    """Sampling distribution for training perturbations: the probabilities
+    of noise, shuffle and drop. Their parameters are drawn from the module
+    constants NOISE_T (steps of DEFAULT_SCHEDULE), SHUFFLE_FRAC and
+    DROP_FRAC."""
 
     probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
-    noise_t: tuple[int, int] = (1, 100)
-    shuffle_frac: tuple[float, float] = (0.25, 0.75)
-    drop_frac: tuple[float, float] = (0.05, 0.25)
-    schedule: NoiseSchedule = DEFAULT_SCHEDULE
 
     def __post_init__(self):
         p = np.asarray(self.probs, dtype=np.float64)
@@ -101,8 +103,6 @@ class PerturbConfig:
             raise InvalidConfig("kind probabilities must be 3 non-negatives")
         if abs(p.sum() - 1.0) > 1e-9:
             raise InvalidConfig("kind probabilities must sum to 1")
-        if not 1 <= self.noise_t[0] <= self.noise_t[1] <= self.schedule.steps:
-            raise InvalidConfig("noise_t range outside schedule")
 
 
 def forward_noise(seq: MotionSequence, t: int, sched: NoiseSchedule,
@@ -150,12 +150,10 @@ def drop_repeat(seq: MotionSequence, lo: int, hi: int, seed: int = 0) -> MotionS
     return seq.with_frames(retained[idx])
 
 
-def apply_record(seq: MotionSequence, record: PerturbationRecord,
-                 config: PerturbConfig | None = None) -> MotionSequence:
+def apply_record(seq: MotionSequence, record: PerturbationRecord) -> MotionSequence:
     """Replay a recorded perturbation on a sequence."""
-    config = config or PerturbConfig()
     if record.kind is Kind.NOISE:
-        return forward_noise(seq, int(record.params[0]), config.schedule, record.seed)
+        return forward_noise(seq, int(record.params[0]), DEFAULT_SCHEDULE, record.seed)
     if record.kind is Kind.SHUFFLE:
         lo, hi = record.params
         return shuffle_segment(seq, int(lo), int(hi), record.seed)
@@ -163,8 +161,7 @@ def apply_record(seq: MotionSequence, record: PerturbationRecord,
     return drop_repeat(seq, int(lo), int(hi), record.seed)
 
 
-def _draw_record(kind: Kind, f: int, config: PerturbConfig,
-                 rng: np.random.Generator) -> PerturbationRecord:
+def _draw_record(kind: Kind, f: int, rng: np.random.Generator) -> PerturbationRecord:
     """Draw the op seed and parameters of one perturbation of an f-frame
     sequence. Parameters scale shared uniforms so that, for the same seed,
     narrower ranges always yield weaker-or-equal perturbations."""
@@ -172,13 +169,13 @@ def _draw_record(kind: Kind, f: int, config: PerturbConfig,
     u_size = rng.random()
     u_pos = rng.random()
     if kind is Kind.NOISE:
-        lo_t, hi_t = config.noise_t
+        lo_t, hi_t = NOISE_T
         t = lo_t + int(u_size * (hi_t - lo_t + 1) * (1 - 1e-12))
         return PerturbationRecord(kind, (t,), op_seed)
     if kind is Kind.SHUFFLE:
-        (a, b), min_len, max_len = config.shuffle_frac, 2, f
+        (a, b), min_len, max_len = SHUFFLE_FRAC, 2, f
     else:
-        (a, b), min_len, max_len = config.drop_frac, 1, max(1, f // 4)
+        (a, b), min_len, max_len = DROP_FRAC, 1, max(1, f // 4)
     length = int(np.clip(round((a + u_size * (b - a)) * f), min_len, max_len))
     lo = int(u_pos * (f - length + 1) * (1 - 1e-12))
     return PerturbationRecord(kind, (lo, lo + length), op_seed)
@@ -203,6 +200,6 @@ def sample_perturbation(seq: MotionSequence, config: PerturbConfig,
         kind = Kind.SHUFFLE
     else:
         kind = Kind.DROP_REPEAT
-    record = _draw_record(kind, f, config, rng)
-    return apply_record(seq, record, config), record
+    record = _draw_record(kind, f, rng)
+    return apply_record(seq, record), record
 

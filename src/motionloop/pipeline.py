@@ -56,8 +56,7 @@ from .simgen import (
     generate,
     intensity_to_label,
     part_intensity,
-    part_masks,
-    render_video,
+    render,
     synthesize_gt_motion,
 )
 
@@ -297,6 +296,9 @@ def extract_motion(clip: VideoClip, scene: SceneSpec,
                    config: GeneratorConfig) -> list[MotionSequence]:
     """Recover raw per-object motion from clip pixels."""
     camera = scene.camera.scaled(config.resolution_scale)
+    if clip.resolution != camera.size:
+        raise ShapeMismatch(f"clip resolution {clip.resolution} != scene camera "
+                            f"{camera.size} at scale {config.resolution_scale}")
     radius = effective_radius(config)
     n = clip.frame_count
     empty_frames = sum(1 for f in clip.frames if not (f > 0).any())
@@ -376,7 +378,7 @@ def stage3_regenerate(scene: SceneSpec, refined: list[MotionSequence],
         if m.frame_count != fine_n:
             raise ShapeMismatch("refined motion length != fine frame count")
     channels = build_condition(ConditionMode.FULL_MOTION,
-                               part_masks(scene, refined, config.fine),
+                               render(scene, refined, config.fine)[1],
                                config.confidence_triple)
     clip, realized = generate(scene, ConditionMode.FULL_MOTION, config.fine, seed)
     return clip, [channels, realized]
@@ -497,9 +499,8 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
     gt_fine = [resample(m, fine_n) for m in gt]
     gt_coarse = [resample(m, coarse_n) for m in gt]
 
-    ref_clip = render_video(scene, gt_fine, config.fine)
-    pred_masks = part_masks(scene, final_realized, config.fine)
-    gt_masks = part_masks(scene, gt_fine, config.fine)
+    ref_clip, gt_masks = render(scene, gt_fine, config.fine)
+    pred_masks = render(scene, final_realized, config.fine)[1]
     report = eval_metrics(final_clip, ref_clip, final_realized, gt_fine,
                           pred_masks, gt_masks)
 

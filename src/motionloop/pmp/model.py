@@ -15,6 +15,8 @@ the MSE loss for every parameter, verified against central differences.
 from __future__ import annotations
 
 import json
+import math
+import os
 import struct
 from dataclasses import asdict, dataclass, field
 
@@ -490,15 +492,16 @@ def load_checkpoint(path) -> PmpModel:
             raise InvalidConfig(f"bad checkpoint header {header!r}")
         (n,) = struct.unpack_from("<I", header, 4)
         config = PmpConfig.from_json(fh.read(n))
-        params = {}
-        for name, shape in _param_shapes(config):
-            count = int(np.prod(shape))
-            buf = fh.read(8 * count)
-            if len(buf) != 8 * count:
-                raise InvalidConfig("truncated checkpoint")
-            params[name] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-        if fh.read(1):
-            raise InvalidConfig("trailing bytes after the last checkpoint tensor")
+        shapes = _param_shapes(config)
+        # sizes are checked before anything is allocated, so a config that
+        # declares huge tensors cannot exhaust memory
+        declared = 8 * sum(math.prod(shape) for _, shape in shapes)
+        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        if declared != left:
+            raise InvalidConfig(f"checkpoint config declares {declared} tensor "
+                                f"bytes, the file holds {left}")
+        params = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
+                  .reshape(shape).copy() for name, shape in shapes}
     return PmpModel(config=config, params=params)
 
 

@@ -38,10 +38,9 @@ DROP_ACCEL = 0.3  # units / s^2, toward +y (down)
 
 # full-strength generator corruption, before conditioning attenuation: the
 # shuffle and drop shares of the perturbation mix (noise takes the rest),
-# the top noise step, and the target-pose pin width per sqrt(channel)
+# and the target-pose pin width per sqrt(channel)
 CORRUPTION_SHUFFLE_PROB = 0.25
 CORRUPTION_DROP_PROB = 0.25
-CORRUPTION_NOISE_T = 100
 CORRUPTION_PIN_WIDTH = 0.1
 
 
@@ -243,8 +242,7 @@ def corrupt_motion(gt: MotionSequence, mode: ConditionMode,
         return gt
     pconf = perturb.PerturbConfig(
         probs=(1.0 - CORRUPTION_SHUFFLE_PROB - CORRUPTION_DROP_PROB,
-               CORRUPTION_SHUFFLE_PROB, CORRUPTION_DROP_PROB),
-        noise_t=(1, CORRUPTION_NOISE_T))
+               CORRUPTION_SHUFFLE_PROB, CORRUPTION_DROP_PROB))
     perturbed, _ = perturb.sample_perturbation(gt, pconf, seed)
     frames = gt.frames + att * (perturbed.frames - gt.frames)
     if mode is ConditionMode.TARGET_POSE:
@@ -292,18 +290,15 @@ def effective_radius(config: GeneratorConfig) -> float:
     return max(1.0, config.splat_radius * config.resolution_scale)
 
 
-def frame_render_points(scene: SceneSpec, motions: list[MotionSequence],
-                        t: int) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Labeled world-space points of every scene object at frame t."""
-    return [object_render_points(obj, m.frames[t])
-            for obj, m in zip(scene.objects, motions)]
+def render(scene: SceneSpec, motions: list[MotionSequence],
+           config: GeneratorConfig) -> tuple[VideoClip, list[np.ndarray]]:
+    """Render motions to a grayscale clip with part-coded intensity, and
+    the per-frame part-label masks of the same splat.
 
-
-def _splat_frames(scene: SceneSpec, motions: list[MotionSequence],
-                  config: GeneratorConfig, codes: list[np.ndarray]
-                  ) -> tuple[list[np.ndarray], CameraSpec]:
-    """Splat every frame of the motions at the config's resolution, each
-    point carrying codes[object][part label]; returns the grids and camera."""
+    Each point carries its part's intensity code in bits 8-15 and its part
+    label in bits 0-7 through the one splat kernel; codes are at most 255
+    and labels fit in a byte, so both unpack exactly.
+    """
     if len(motions) != len(scene.objects):
         raise DimensionMismatch("one motion per scene object required")
     n = motions[0].frame_count
@@ -313,36 +308,21 @@ def _splat_frames(scene: SceneSpec, motions: list[MotionSequence],
         if m.model.category is not obj.spec.category:
             raise DimensionMismatch(f"a {m.model.category.value} motion for a "
                                     f"{obj.spec.category.value} scene object")
+    codes = [np.array([part_intensity(l, obj.spec.part_count) << 8 | l
+                       for l in range(obj.spec.part_count + 1)])
+             for obj in scene.objects]
     camera = scene.camera.scaled(config.resolution_scale)
     radius = effective_radius(config)
-    grids = []
+    frames, masks = [], []
     for t in range(n):
-        objects = [(pts, code[labels]) for (pts, labels), code
-                   in zip(frame_render_points(scene, motions, t), codes)]
-        grids.append(render_part_masks(objects, camera, radius))
-    return grids, camera
-
-
-def part_masks(scene: SceneSpec, motions: list[MotionSequence],
-               config: GeneratorConfig) -> list[np.ndarray]:
-    """Per-frame part-label masks of the motions, as the clip render sees them."""
-    labels = [np.arange(obj.spec.part_count + 1) for obj in scene.objects]
-    return _splat_frames(scene, motions, config, labels)[0]
-
-
-def render_video(scene: SceneSpec, motions: list[MotionSequence],
-                 config: GeneratorConfig) -> VideoClip:
-    """Render realized motions to grayscale frames with part-coded intensity.
-
-    Each point carries its part's intensity code through the part-mask
-    splat kernel; codes are at most 255, so the uint8 cast is exact.
-    """
-    luts = [np.array([part_intensity(l, obj.spec.part_count)
-                      for l in range(obj.spec.part_count + 1)])
-            for obj in scene.objects]
-    grids, camera = _splat_frames(scene, motions, config, luts)
-    return VideoClip(frames=tuple(g.astype(np.uint8) for g in grids), fps=scene.fps,
-                     resolution=camera.size)
+        objects = []
+        for obj, m, code in zip(scene.objects, motions, codes):
+            pts, labels = object_render_points(obj, m.frames[t])
+            objects.append((pts, code[labels]))
+        grid = render_part_masks(objects, camera, radius)
+        frames.append((grid >> 8).astype(np.uint8))
+        masks.append(grid & 0xFF)
+    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), masks
 
 
 # ---------------------------------------------------------------- generate
@@ -373,5 +353,4 @@ def generate(scene: SceneSpec, mode: ConditionMode, config: GeneratorConfig,
         sub = resample(m, n) if n != m.frame_count else m
         rng_seed = int(np.random.default_rng((seed, 4241, oi)).integers(2**63 - 1))
         realized.append(corrupt_motion(sub, mode, config, rng_seed))
-    clip = render_video(scene, realized, config)
-    return clip, realized
+    return render(scene, realized, config)[0], realized

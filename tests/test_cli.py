@@ -302,14 +302,30 @@ def _motions_file(tmp_path, name, docs) -> str:
 
 
 def _eval_motions(pred, gt):
-    """eval on a valid clip with the given pred and gt motion files."""
+    """eval on a valid clip with the given pred and gt motion files; a None
+    leaves that flag out."""
     def argv(tmp_path, checkpoint):
         clip = tmp_path / "clip"
         fileio.write_clip(clip, [np.full((6, 8), 9, dtype=np.uint8)] * 2, fps=8.0)
+        flags = [(flag, _motions_file(tmp_path, name, docs))
+                 for flag, name, docs in (("--pred-motions", "pred.json", pred),
+                                          ("--gt-motions", "gt.json", gt))
+                 if docs is not None]
         return ["eval", "--pred", str(clip), "--ref", str(clip),
-                "--pred-motions", _motions_file(tmp_path, "pred.json", pred),
-                "--gt-motions", _motions_file(tmp_path, "gt.json", gt)]
+                *(arg for pair in flags for arg in pair)]
     return argv
+
+
+def _extract_cropped_clip(tmp_path, checkpoint):
+    """extract on the left half of a clip of the scene: same height, half
+    the width, so no camera scale fits it."""
+    scene = fixture_scene(2, duration=8)
+    clip, _ = generate(scene, ConditionMode.EMPTY, FINE_CONFIG, seed=5)
+    w = clip.resolution[0] // 2
+    fileio.write_clip(tmp_path / "clip", [f[:, :w] for f in clip.frames], clip.fps)
+    (tmp_path / "scene.json").write_text(scene_to_json(scene))
+    return ["extract", "--clip", str(tmp_path / "clip"), "--scene",
+            str(tmp_path / "scene.json"), "--out", str(tmp_path / "motions.json")]
 
 
 def _rasterize(motions, objects=(0,)):
@@ -348,6 +364,9 @@ BOUNDARY_CASES = {
     "checkpoint-short-header": (_bad_checkpoint(lambda b: b[:6]), "InvalidConfig"),
     "checkpoint-config-not-json": (_bad_checkpoint(_config_bytes(
         lambda c: b"layers=1")), "InvalidConfig"),
+    "checkpoint-config-declares-more-than-the-file": (_bad_checkpoint(_config_bytes(
+        lambda c: json.dumps({**json.loads(c), "max_pose_dim": 10**11}).encode())),
+        "InvalidConfig"),
     "motion-unknown-category": (_bad_motion(lambda d: d.update(category="Nope")),
                                 "DimensionMismatch"),
     "motion-missing-pose-dim": (_bad_motion(lambda d: d.pop("pose_dim")),
@@ -379,6 +398,11 @@ BOUNDARY_CASES = {
                                  "DimensionMismatch"),
     "eval-motion-count-mismatch": (_eval_motions([_motion_doc()] * 2, [_motion_doc()]),
                                    "ShapeMismatch"),
+    "eval-pred-motions-without-gt-motions": (_eval_motions([_motion_doc()], None),
+                                             "InvalidConfig"),
+    "eval-gt-motions-without-pred-motions": (_eval_motions(None, [_motion_doc()]),
+                                             "InvalidConfig"),
+    "extract-clip-aspect-differs-from-scene": (_extract_cropped_clip, "ShapeMismatch"),
     "rasterize-motion-not-json": (_rasterize("not json"), "DimensionMismatch"),
     "rasterize-fewer-motions-than-objects": (_rasterize([_motion_doc()], objects=(0, 2)),
                                              "DimensionMismatch"),

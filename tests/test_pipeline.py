@@ -30,8 +30,7 @@ from motionloop.simgen import (
     SceneSpec,
     VideoClip,
     generate,
-    part_masks,
-    render_video,
+    render,
     synthesize_gt_motion,
 )
 
@@ -156,8 +155,8 @@ def test_ssim_equals_window_loop_on_fixture_frames():
         for mode, config in ((ConditionMode.FULL_MOTION, FINE_CONFIG),
                              (ConditionMode.EMPTY, COARSE_CONFIG)):
             clip, _ = generate(scene, mode, config, seed=42)
-            ref = render_video(scene, [resample(m, clip.frame_count) for m in gt],
-                               config)
+            ref = render(scene, [resample(m, clip.frame_count) for m in gt],
+                         config)[0]
             for t, (a, b) in enumerate(zip(clip.frames, ref.frames)):
                 assert _ssim_frame(a, b) == _ssim_frame_loop(a, b), (index, config, t)
                 compared += 1
@@ -350,10 +349,28 @@ def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
     config = PipelineConfig()
     result = run_pipeline(scene, UserCondition(), config, tiny_model(), out_dir=tmp_path)
     channels = read_condition(tmp_path / "channels", prefix="s3")
-    masks = part_masks(scene, result.refined_motions, config.fine)
+    masks = render(scene, result.refined_motions, config.fine)[1]
     assert len(channels) == len(masks) == scene.duration
     for ch, mask in zip(channels, masks):
         np.testing.assert_array_equal(ch.part_mask, mask)
+
+
+def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
+    # 16 frames: 8 coarse frames, the refined-motion channels and the final
+    # clip (16 each), and the ground-truth clip with its masks plus the
+    # final clip's masks (16 each); ground truth is not splatted twice
+    from motionloop import simgen
+
+    calls = []
+    kernel = simgen.render_part_masks
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return kernel(*args, **kwargs)
+
+    monkeypatch.setattr(simgen, "render_part_masks", counted)
+    run_pipeline(fixture_scene(1), UserCondition(), PipelineConfig(), tiny_model())
+    assert len(calls) == 8 + 16 + 16 + 16 + 16
 
 
 def test_run_pipeline_empty_condition_completes():

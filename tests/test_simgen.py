@@ -20,8 +20,7 @@ from motionloop.simgen import (
     generic_template,
     intensity_to_label,
     part_intensity,
-    part_masks,
-    render_video,
+    render,
     synthesize_gt_motion,
 )
 
@@ -138,15 +137,15 @@ def test_corrupt_target_pose_pins_final_frame():
 def test_render_out_of_view_object_gives_background():
     scene = one_object_scene(action="static", placement=(50.0, 0.0, 5.0))
     motions = synthesize_gt_motion(scene, seed=0)
-    clip = render_video(scene, motions, FINE_CONFIG)
-    for frame in clip.frames:
-        assert not frame.any()
+    clip, masks = render(scene, motions, FINE_CONFIG)
+    for frame, mask in zip(clip.frames, masks):
+        assert not frame.any() and not mask.any()
 
 
 def test_render_static_scene_identical_frames():
     scene = one_object_scene(action="static")
     motions = synthesize_gt_motion(scene, seed=0)
-    clip = render_video(scene, motions, FINE_CONFIG)
+    clip = render(scene, motions, FINE_CONFIG)[0]
     for frame in clip.frames[1:]:
         assert np.array_equal(frame, clip.frames[0])
 
@@ -156,7 +155,7 @@ def test_render_centroid_tracks_projected_center():
 
     scene = one_object_scene(action="slide")
     motions = synthesize_gt_motion(scene, seed=7)
-    clip = render_video(scene, motions, FINE_CONFIG)
+    clip = render(scene, motions, FINE_CONFIG)[0]
     camera = scene.camera
     for t in range(0, scene.duration, 4):
         frame = clip.frames[t]
@@ -170,7 +169,7 @@ def test_render_centroid_tracks_projected_center():
 def test_intensity_depends_only_on_part_label():
     scene = one_object_scene(Category.HUMAN, "walk", placement=(0, 0, 5.0))
     motions = synthesize_gt_motion(scene, seed=8)
-    clip = render_video(scene, motions, FINE_CONFIG)
+    clip = render(scene, motions, FINE_CONFIG)[0]
     values = set()
     for frame in clip.frames:
         values |= set(np.unique(frame).tolist())
@@ -193,11 +192,10 @@ def test_render_two_objects_nearer_one_wins_the_overlap():
     # the farther object is listed first, so only depth puts the human on top
     scene = scene_of(thing, human)
     motions = synthesize_gt_motion(scene, seed=3)
-    clip = render_video(scene, motions, FINE_CONFIG)
-    thing_alone = render_video(scene_of(thing), motions[:1], FINE_CONFIG)
-    human_alone = render_video(scene_of(human), motions[1:], FINE_CONFIG)
+    clip, masks = render(scene, motions, FINE_CONFIG)
+    thing_alone = render(scene_of(thing), motions[:1], FINE_CONFIG)[0]
+    human_alone = render(scene_of(human), motions[1:], FINE_CONFIG)[0]
     human_codes = {part_intensity(l, 22) for l in range(1, 23)}
-    masks = part_masks(scene, motions, FINE_CONFIG)
     for t, frame in enumerate(clip.frames):
         thing_px = thing_alone.frames[t] > 0
         human_px = human_alone.frames[t] > 0
