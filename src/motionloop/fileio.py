@@ -3,8 +3,9 @@
 Part-label grids and masks are 8-bit P5 PGMs (pixel value = part id,
 0 = background). Depth maps are 16-bit P5 PGMs (big-endian words, per the
 Netpbm convention) with a {"scale": units_per_step} sidecar. Confidence
-maps store the level index {2, 1, 0} = {full, target, empty} with a
-{"triple": [a, b, c]} sidecar. A video clip is a directory of
+PGMs store the frame's conditioning mode on labeled pixels (2 full motion,
+1 target pose, 0 empty) and 0 on the background, with a
+{"triple": [full, target, empty]} sidecar. A video clip is a directory of
 frame_%04d.pgm files plus clip.json {"fps", "resolution": [w, h]}.
 """
 
@@ -17,8 +18,8 @@ from pathlib import Path
 import numpy as np
 
 from .core import load_json
-from .errors import ShapeMismatch
-from .geometry import ConditionChannels, DepthMap
+from .errors import PayloadMismatch, ShapeMismatch
+from .geometry import ConditionChannels, ConditionMode, DepthMap
 from .simgen import VideoClip
 
 
@@ -75,39 +76,40 @@ def read_depth(path) -> DepthMap:
     return DepthMap(values=steps.astype(np.float64) * scale, scale=scale)
 
 
+# the conf PGM's levels are one more confidence triple
+_FILE_LEVELS = (2, 1, 0)
+
+
 def write_condition(dir_path, channels: list[ConditionChannels],
-                    prefix: str = "cond") -> list[Path]:
-    """Write per-frame part masks and confidence maps with the triple sidecar."""
+                    prefix: str = "cond") -> None:
+    """Write per-frame part masks and mode-level PGMs with the triple sidecar."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    written = []
     for i, ch in enumerate(channels):
-        mask_path = d / f"{prefix}_mask_{i:04d}.pgm"
-        conf_path = d / f"{prefix}_conf_{i:04d}.pgm"
-        write_pgm(mask_path, ch.part_mask)
-        full, target, _ = ch.triple
-        level = np.zeros(ch.confidence.shape, dtype=np.uint8)
-        level[(ch.part_mask != 0) & (ch.confidence == full)] = 2
-        level[(ch.part_mask != 0) & (ch.confidence == target)] = 1
-        write_pgm(conf_path, level)
-        written += [mask_path, conf_path]
+        write_pgm(d / f"{prefix}_mask_{i:04d}.pgm", ch.part_mask)
+        write_pgm(d / f"{prefix}_conf_{i:04d}.pgm",
+                  np.where(ch.part_mask != 0, ch.mode.level(_FILE_LEVELS), 0))
     (d / f"{prefix}_conf.json").write_text(
         json.dumps({"triple": list(channels[0].triple)}))
-    return written
 
 
 def read_condition(dir_path, prefix: str = "cond") -> list[ConditionChannels]:
+    """Inverse of ``write_condition``. A frame's mode is its highest level;
+    a frame with no labeled pixel reads back as EMPTY."""
     d = Path(dir_path)
     triple = tuple(json.loads((d / f"{prefix}_conf.json").read_text())["triple"])
     out = []
     for mask_path in sorted(d.glob(f"{prefix}_mask_*.pgm")):
         i = int(mask_path.stem.rsplit("_", 1)[1])
         mask = read_pgm(mask_path).astype(np.int32)
-        level = read_pgm(d / f"{prefix}_conf_{i:04d}.pgm")
-        conf = np.full(mask.shape, triple[2], dtype=np.float64)
-        conf[level == 2] = triple[0]
-        conf[level == 1] = triple[1]
-        out.append(ConditionChannels(mask, conf, triple))
+        conf_path = d / f"{prefix}_conf_{i:04d}.pgm"
+        level = read_pgm(conf_path)
+        top = int(level.max(initial=0))
+        mode = {m.level(_FILE_LEVELS): m for m in ConditionMode}.get(top)
+        if mode is None or not np.array_equal(level, np.where(mask != 0, top, 0)):
+            raise PayloadMismatch(f"{conf_path} is not one mode level on the "
+                                  f"labeled pixels of {mask_path.name} and 0 elsewhere")
+        out.append(ConditionChannels(mask, mode, triple))
     return out
 
 

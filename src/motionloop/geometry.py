@@ -4,8 +4,8 @@ An object seen in a frame is summarized by 21 points: 16 vertices sampled
 from its mask contour, the 4 bounding-box corners, and the box center, each
 lifted to 3D with per-pixel depth. Going the other way, labeled 3D points
 are projected through a pinhole camera and splatted into a part-label mask
-with z-buffer occlusion, paired with a confidence map whose values encode
-how reliable the mask is (full motion / target pose / empty).
+with z-buffer occlusion, paired with the conditioning mode (full motion /
+target pose / empty) whose confidence level says how reliable the mask is.
 
 Image convention: x right, y down, pixel centers at integer coordinates.
 Contours are returned counterclockwise in the y-up sense (negative shoelace
@@ -43,14 +43,6 @@ class BinaryMask:
             raise EmptyMask("mask must be a 2-D grid")
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
-
-    @property
-    def width(self) -> int:
-        return self.bits.shape[1]
-
-    @property
-    def height(self) -> int:
-        return self.bits.shape[0]
 
 
 @dataclass(frozen=True)
@@ -138,45 +130,47 @@ class Object25D:
         return self.points[:CONTOUR_VERTICES]
 
     @property
-    def corners(self) -> np.ndarray:
-        return self.points[CONTOUR_VERTICES:CONTOUR_VERTICES + 4]
-
-    @property
     def center(self) -> np.ndarray:
         return self.points[20]
 
 
+# confidence levels, one per ConditionMode in member order
+DEFAULT_TRIPLE = (1.0, 0.5, 0.0)
+
+
 class ConditionMode(Enum):
+    """Conditioning strength. The member order is the order of a confidence
+    triple's entries: (full motion, target pose, empty)."""
+
     FULL_MOTION = "FullMotion"
     TARGET_POSE = "TargetPose"
     EMPTY = "Empty"
 
+    def level(self, triple: tuple[float, float, float] = DEFAULT_TRIPLE) -> float:
+        """This mode's entry of the confidence triple."""
+        return triple[list(ConditionMode).index(self)]
+
 
 @dataclass(frozen=True)
 class ConditionChannels:
-    """Part-label mask + confidence map, the two extra generator inputs."""
+    """Part-label mask + conditioning mode, the two extra generator inputs;
+    the confidence map follows from them and the triple."""
 
     part_mask: np.ndarray  # (H, W) int32, 0 = background
-    confidence: np.ndarray  # (H, W) float64
-    triple: tuple[float, float, float]  # (full, target, empty)
+    mode: ConditionMode
+    triple: tuple[float, float, float] = DEFAULT_TRIPLE  # (full, target, empty)
 
     def __post_init__(self):
         mask = np.asarray(self.part_mask, dtype=np.int32)
-        conf = np.asarray(self.confidence, dtype=np.float64)
-        if mask.shape != conf.shape:
-            raise PayloadMismatch("mask and confidence shapes differ")
-        full, target, empty = self.triple
-        allowed = np.isin(conf, list(self.triple))
-        if not allowed.all():
-            raise PayloadMismatch("confidence contains values outside the triple")
-        if np.any((mask == 0) & (conf != empty)):
-            raise PayloadMismatch("background pixels must carry the empty confidence")
-        if np.any((mask != 0) & (conf == empty) & (conf != full) & (conf != target)):
-            raise PayloadMismatch("labeled pixels must carry a non-empty confidence")
         mask.setflags(write=False)
-        conf.setflags(write=False)
         object.__setattr__(self, "part_mask", mask)
-        object.__setattr__(self, "confidence", conf)
+
+    @property
+    def confidence(self) -> np.ndarray:
+        """(H, W) float64: the mode's level on labeled pixels, the empty
+        level on the background."""
+        return np.where(self.part_mask != 0, self.mode.level(self.triple),
+                        ConditionMode.EMPTY.level(self.triple))
 
 
 # ----------------------------------------------------------------- contours
@@ -288,9 +282,8 @@ def lift_points(uv: np.ndarray, z: np.ndarray, camera: CameraSpec) -> np.ndarray
     return np.stack([x, y, z], axis=1)
 
 
-def project(points: np.ndarray, camera: CameraSpec,
-            labels: np.ndarray | None = None):
-    """Pinhole projection; returns (u, v, z[, label]) columns.
+def project(points: np.ndarray, camera: CameraSpec) -> np.ndarray:
+    """Pinhole projection; returns (u, v, z) columns.
 
     Depth is carried through unchanged so callers can z-buffer.
     """
@@ -301,9 +294,7 @@ def project(points: np.ndarray, camera: CameraSpec,
     cx, cy = camera.principal
     u = camera.focal * points[:, 0] / z + cx
     v = camera.focal * points[:, 1] / z + cy
-    if labels is None:
-        return np.stack([u, v, z], axis=1)
-    return np.stack([u, v, z, np.asarray(labels, dtype=np.float64)], axis=1)
+    return np.stack([u, v, z], axis=1)
 
 
 def object25d_from_mask(mask: BinaryMask, bbox: BBox, depth: DepthMap,
@@ -437,17 +428,10 @@ def polygon_target_mask(parts: list[tuple[int, np.ndarray]],
 
 # -------------------------------------------------------- condition channels
 
-DEFAULT_TRIPLE = (1.0, 0.5, 0.0)
-
-
 def build_condition(mode: ConditionMode, masks: list[np.ndarray],
                     confidence_triple: tuple[float, float, float] = DEFAULT_TRIPLE
                     ) -> list[ConditionChannels]:
-    """Per-frame condition channels: each part-label mask with the mode's
-    confidence level (full, target or empty) on its labeled pixels and the
-    empty level on the background."""
-    full, target, empty = confidence_triple
-    level = {ConditionMode.FULL_MOTION: full, ConditionMode.TARGET_POSE: target,
-             ConditionMode.EMPTY: empty}[mode]
-    return [ConditionChannels(grid, np.where(grid != 0, level, empty), confidence_triple)
-            for grid in masks]
+    """Per-frame condition channels: each part-label mask under the mode,
+    whose confidence level (full, target or empty) covers its labeled
+    pixels and the empty level its background."""
+    return [ConditionChannels(grid, mode, confidence_triple) for grid in masks]

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import MotionSequence, extrapolate, resample
-from .errors import PlanMismatch, SequenceTooShort, TotalTooShort
+from .errors import PlanMismatch, SequenceTooShort, TooManyFrames, TotalTooShort
 from .pmp import Conditioning, PmpModel, pmp_refine
 from .simgen import VideoClip
 
@@ -43,6 +43,9 @@ def extend_motion(seq: MotionSequence, target_len: int, pmp: PmpModel,
         raise SequenceTooShort("extension needs at least 2 frames")
     if target_len < seq.frame_count:
         raise SequenceTooShort("target_len must be >= current length")
+    # checked before the motion grows, so a huge target allocates nothing
+    if target_len > pmp.config.max_frames:
+        raise TooManyFrames(f"{target_len} frames > max_frames {pmp.config.max_frames}")
     out = seq
     if target_len > out.frame_count:
         out = resample(out, min(2 * out.frame_count, target_len))
@@ -75,22 +78,20 @@ def blend_weights(overlap: int) -> np.ndarray:
 
 def _blend_grids(grids: list, plan: WindowPlan) -> list[np.ndarray]:
     """Copy windows verbatim, then apply the blend in each pairwise overlap:
-    out_j = (1 - w_j) * earlier + w_j * later, w_j = j / (L + 1)."""
+    out_j = (1 - w_j) * earlier + w_j * later, w = blend_weights(L)."""
     out: list[np.ndarray | None] = [None] * plan.total
     for (start, end), frames in zip(plan.windows, grids):
         for j in range(plan.window):
             out[start + j] = np.asarray(frames[j], dtype=np.float64)
-    overlap = plan.overlap
-    if overlap > 0:
-        for k in range(1, len(plan.windows)):
-            s_prev = plan.windows[k - 1][0]
-            s_cur = plan.windows[k][0]
-            for j in range(1, overlap + 1):
-                g = s_cur + j - 1
-                w = j / (overlap + 1.0)
-                earlier = np.asarray(grids[k - 1][g - s_prev], dtype=np.float64)
-                later = np.asarray(grids[k][j - 1], dtype=np.float64)
-                out[g] = (1.0 - w) * earlier + w * later
+    weights = blend_weights(plan.overlap)
+    for k in range(1, len(plan.windows)):
+        s_prev = plan.windows[k - 1][0]
+        s_cur = plan.windows[k][0]
+        for j, w in enumerate(weights, start=1):
+            g = s_cur + j - 1
+            earlier = np.asarray(grids[k - 1][g - s_prev], dtype=np.float64)
+            later = np.asarray(grids[k][j - 1], dtype=np.float64)
+            out[g] = (1.0 - w) * earlier + w * later
     return out
 
 

@@ -33,6 +33,7 @@ from .core import (
 )
 from .errors import ExtractionFailed, InvalidConfig, ShapeMismatch
 from .geometry import (
+    DEFAULT_TRIPLE,
     BinaryMask,
     ConditionMode,
     DepthMap,
@@ -65,7 +66,7 @@ from .simgen import (
 class PipelineConfig:
     coarse: GeneratorConfig = COARSE_CONFIG
     fine: GeneratorConfig = FINE_CONFIG
-    confidence_triple: tuple[float, float, float] = (1.0, 0.5, 0.0)
+    confidence_triple: tuple[float, float, float] = DEFAULT_TRIPLE
     pmp_checkpoint: str = ""
     seed: int = 42
 

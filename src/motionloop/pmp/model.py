@@ -18,6 +18,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterator
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -100,18 +101,19 @@ class PmpModel:
         return PmpModel(self.config, {k: v.copy() for k, v in self.params.items()})
 
 
-def _param_shapes(config: PmpConfig) -> list[tuple[str, tuple[int, ...]]]:
-    """Tensor declaration order; also the checkpoint serialization order."""
+def _param_shapes(config: PmpConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
+    """Tensor declaration order; also the checkpoint serialization order.
+    A generator, so a reader can stop partway through a huge config."""
     d, ffn = config.model_dim, config.ffn_dim
     in_dim = config.max_pose_dim + len(CATEGORIES)
-    shapes: list[tuple[str, tuple[int, ...]]] = [
+    yield from [
         ("in_proj_w", (in_dim, d)),
         ("in_proj_b", (d,)),
         ("pos_emb", (config.max_frames, d)),
     ]
     for i in range(config.layers):
         p = f"layer{i}."
-        shapes += [
+        yield from [
             (p + "ln1_g", (d,)), (p + "ln1_b", (d,)),
             (p + "self_wq", (d, d)), (p + "self_wk", (d, d)),
             (p + "self_wv", (d, d)), (p + "self_wo", (d, d)),
@@ -122,14 +124,13 @@ def _param_shapes(config: PmpConfig) -> list[tuple[str, tuple[int, ...]]]:
             (p + "ffn_w1", (d, ffn)), (p + "ffn_b1", (ffn,)),
             (p + "ffn_w2", (ffn, d)), (p + "ffn_b2", (d,)),
         ]
-    shapes += [
+    yield from [
         ("token_emb", (len(config.vocab), d)),
         ("strength_w", (FOURIER_FEATURES, d)),
         ("strength_b", (d,)),
         ("out_proj_w", (d, config.max_pose_dim)),
         ("out_proj_b", (config.max_pose_dim,)),
     ]
-    return shapes
 
 
 def pmp_init(config: PmpConfig, seed: int) -> PmpModel:
@@ -492,16 +493,21 @@ def load_checkpoint(path) -> PmpModel:
             raise InvalidConfig(f"bad checkpoint header {header!r}")
         (n,) = struct.unpack_from("<I", header, 4)
         config = PmpConfig.from_json(fh.read(n))
-        shapes = _param_shapes(config)
-        # sizes are checked before anything is allocated, so a config that
-        # declares huge tensors cannot exhaust memory
-        declared = 8 * sum(math.prod(shape) for _, shape in shapes)
+        # sizes are summed layer by layer before anything is allocated, and
+        # the sum stops once it passes the file, so a config that declares
+        # huge tensors or a huge layer count cannot exhaust memory
         left = os.fstat(fh.fileno()).st_size - fh.tell()
+        declared = 0
+        for _, shape in _param_shapes(config):
+            declared += 8 * math.prod(shape)
+            if declared > left:
+                break
         if declared != left:
-            raise InvalidConfig(f"checkpoint config declares {declared} tensor "
+            over = "at least " if declared > left else ""
+            raise InvalidConfig(f"checkpoint config declares {over}{declared} tensor "
                                 f"bytes, the file holds {left}")
         params = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
-                  .reshape(shape).copy() for name, shape in shapes}
+                  .reshape(shape).copy() for name, shape in _param_shapes(config)}
     return PmpModel(config=config, params=params)
 
 

@@ -19,9 +19,7 @@ from .geometry import CameraSpec, ConditionMode
 from .pmp import CorpusItem
 from .simgen import SceneObject, SceneSpec, generic_template, synthesize_gt_motion
 
-TRAINING_MIX = (0.4, 0.3, 0.3)  # full motion / target pose / empty
-_MIX_MODES = (ConditionMode.FULL_MOTION, ConditionMode.TARGET_POSE,
-              ConditionMode.EMPTY)
+TRAINING_MIX = (0.4, 0.3, 0.3)  # in ConditionMode order
 
 _CATEGORY_WORD = {Category.HUMAN: "human", Category.ANIMAL: "animal",
                   Category.GENERIC_OBJECT: "object"}
@@ -79,7 +77,7 @@ def make_corpus(n: int = 512, seed: int = 42, frames: int = 16
         action = actions[int(rng.integers(0, len(actions)))]
         scene = random_scene(rng, category, action, duration=frames)
         motion = synthesize_gt_motion(scene, seed=int(rng.integers(2**31)))[0]
-        mode = _MIX_MODES[int(rng.choice(3, p=TRAINING_MIX))]
+        mode = tuple(ConditionMode)[int(rng.choice(3, p=TRAINING_MIX))]
         records.append(CorpusRecord(
             item=CorpusItem(motion=motion, tags=scene.objects[0].tags),
             mode=mode))

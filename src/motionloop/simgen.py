@@ -88,12 +88,6 @@ class SceneSpec:
             raise InvalidConfig("duration >= 2, fps > 0, walk_period >= 2 required")
 
 
-# canonical conditioning levels used to key attenuation, independent of the
-# numeric confidence triple in use
-_CANONICAL_LEVEL = {ConditionMode.EMPTY: 0.0, ConditionMode.TARGET_POSE: 0.5,
-                    ConditionMode.FULL_MOTION: 1.0}
-
-
 @dataclass(frozen=True)
 class GeneratorConfig:
     resolution_scale: float = 1.0
@@ -119,9 +113,11 @@ class GeneratorConfig:
                     "attenuation must be non-increasing in confidence")
 
     def attenuation(self, mode: ConditionMode) -> float:
+        """Keyed on the mode's default-triple level, whatever triple the
+        pipeline's confidence maps use."""
         table = dict(self.condition_fidelity)
         keys = sorted(table)  # monotone interpolation between known levels
-        return float(np.interp(_CANONICAL_LEVEL[mode], keys, [table[k] for k in keys]))
+        return float(np.interp(mode.level(), keys, [table[k] for k in keys]))
 
 
 COARSE_CONFIG = GeneratorConfig(resolution_scale=0.25, frame_fraction=0.5, steps=32)

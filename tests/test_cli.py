@@ -1,13 +1,18 @@
 from __future__ import annotations
 
 import json
+import os
+import resource
 import struct
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import motionloop
 from motionloop import fileio
 from motionloop.cli import main
 from motionloop.core import motion_from_json, motion_to_json
@@ -425,3 +430,52 @@ def test_malformed_input_exits_1_with_a_named_error(case, tiny_checkpoint,
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith(f"error [{name}]: "), err
     assert "Traceback" not in err
+
+
+# ------------------------------------------------------ memory boundaries
+
+CHILD_ADDRESS_SPACE = 1536 * 2**20
+
+
+def run_cli_capped(*argv, timeout=120):
+    """Run the CLI in a child process whose address space is capped, so an
+    input that makes it allocate without bound fails in the child alone."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (CHILD_ADDRESS_SPACE,) * 2)
+    src = str(Path(motionloop.__file__).parents[1])
+    env = {**os.environ, "OMP_NUM_THREADS": "1", "OPENBLAS_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
+    return subprocess.run([sys.executable, "-m", "motionloop.cli", *argv],
+                          capture_output=True, text=True, timeout=timeout,
+                          preexec_fn=cap, env=env)
+
+
+def _huge_layer_count(tmp_path, checkpoint):
+    bad = tmp_path / "layers.ckpt"
+    cfg = json.dumps({"layers": 100_000_000}).encode()
+    bad.write_bytes(b"PMP1" + struct.pack("<I", len(cfg)) + cfg + bytes(64))
+    return _denoise(tmp_path, bad, _motion_doc())
+
+
+def _huge_extend_target(tmp_path, checkpoint):
+    src = tmp_path / "in.json"
+    src.write_text(motion_to_json(synthesize_gt_motion(fixture_scene(1), seed=1)[0]))
+    return ["extend", "--checkpoint", str(checkpoint), "--in", str(src),
+            "--target", "100000000", "--out", str(tmp_path / "out.json")]
+
+
+MEMORY_CASES = {
+    "checkpoint-huge-layer-count": (_huge_layer_count, "InvalidConfig"),
+    "extend-huge-target": (_huge_extend_target, "TooManyFrames"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MEMORY_CASES))
+def test_input_that_would_exhaust_memory_exits_1_with_a_named_error(
+        case, tiny_checkpoint, tmp_path):
+    build, name = MEMORY_CASES[case]
+    proc = run_cli_capped(*build(tmp_path, tiny_checkpoint))
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith(f"error [{name}]: "), proc.stderr
+    assert "Traceback" not in proc.stderr

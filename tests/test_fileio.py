@@ -1,8 +1,10 @@
 from __future__ import annotations
 
 import numpy as np
+import pytest
 
 from motionloop import fileio, geometry as geo
+from motionloop.errors import PayloadMismatch
 
 
 def test_pgm8_round_trip(tmp_path):
@@ -34,19 +36,57 @@ def test_depth_round_trip(tmp_path):
     np.testing.assert_allclose(back.values, values, atol=depth.scale)
 
 
-def test_condition_round_trip(tmp_path):
+def _part_mask() -> np.ndarray:
     mask = np.zeros((6, 8), dtype=np.int32)
     mask[2:4, 3:6] = 5
+    return mask
+
+
+def test_condition_round_trip(tmp_path):
+    mask = _part_mask()
     triple = (0.8, 0.5, 0.2)
-    conf = np.where(mask != 0, 0.8, 0.2)
-    chans = [geo.ConditionChannels(mask, conf, triple),
-             geo.ConditionChannels(np.zeros_like(mask), np.full(mask.shape, 0.2), triple)]
+    for mode in geo.ConditionMode:
+        chans = geo.build_condition(mode, [mask, np.zeros_like(mask)], triple)
+        fileio.write_condition(tmp_path / mode.value, chans)
+        back = fileio.read_condition(tmp_path / mode.value)
+        assert len(back) == 2
+        assert back[0].mode is mode and back[0].triple == triple
+        np.testing.assert_array_equal(back[0].part_mask, mask)
+        np.testing.assert_array_equal(back[0].confidence,
+                                      np.where(mask != 0, mode.level(triple), 0.2))
+        # no labeled pixel: read back as EMPTY, whose map is the same
+        assert back[1].mode is geo.ConditionMode.EMPTY
+        np.testing.assert_array_equal(back[1].confidence, chans[1].confidence)
+
+
+def test_condition_full_motion_level_with_full_equal_to_target(tmp_path):
+    mask = _part_mask()
+    chans = geo.build_condition(geo.ConditionMode.FULL_MOTION, [mask], (1.0, 1.0, 0.0))
     fileio.write_condition(tmp_path, chans)
-    back = fileio.read_condition(tmp_path)
-    assert len(back) == 2
-    np.testing.assert_array_equal(back[0].part_mask, mask)
-    np.testing.assert_array_equal(back[0].confidence, conf)
-    assert back[0].triple == triple
+    level = fileio.read_pgm(tmp_path / "cond_conf_0000.pgm")
+    np.testing.assert_array_equal(level, np.where(mask != 0, 2, 0))
+    assert fileio.read_condition(tmp_path)[0].mode is geo.ConditionMode.FULL_MOTION
+
+
+@pytest.mark.parametrize("level", ["background-set", "labeled-pixel-unset",
+                                   "two-levels", "unknown-level"])
+def test_read_condition_rejects_a_level_grid_that_disagrees_with_its_mask(
+        tmp_path, level):
+    mask = _part_mask()
+    fileio.write_condition(tmp_path, geo.build_condition(
+        geo.ConditionMode.TARGET_POSE, [mask]))
+    grid = np.where(mask != 0, 1, 0)
+    if level == "background-set":
+        grid[0, 0] = 1
+    elif level == "labeled-pixel-unset":
+        grid[2, 3] = 0
+    elif level == "two-levels":
+        grid[2, 3] = 2
+    else:
+        grid[mask != 0] = 3
+    fileio.write_pgm(tmp_path / "cond_conf_0000.pgm", grid)
+    with pytest.raises(PayloadMismatch):
+        fileio.read_condition(tmp_path)
 
 
 def test_clip_round_trip(tmp_path):

@@ -11,7 +11,6 @@ from motionloop.errors import (
     DegeneratePart,
     EmptyMask,
     NonPositiveDepth,
-    PayloadMismatch,
 )
 from motionloop.geometry import (
     BBox,
@@ -405,10 +404,3 @@ def test_condition_full_motion_custom_triple():
         assert np.all(ch.confidence[ch.part_mask != 0] == 3.0)
         assert np.all(ch.confidence[ch.part_mask == 0] == 1.0)
         assert set(np.unique(ch.confidence)) <= {3.0, 1.0}
-
-
-def test_condition_channels_invariant_enforced():
-    mask = np.zeros((4, 4), dtype=np.int32)
-    conf = np.full((4, 4), 0.5)
-    with pytest.raises(PayloadMismatch):
-        geo.ConditionChannels(mask, conf, (1.0, 0.5, 0.0))
