@@ -26,7 +26,7 @@ from .core import (
     motions_to_json,
     preset,
 )
-from .errors import InvalidConfig, MotionError
+from .errors import InvalidConfig, MotionError, PlanMismatch
 from .longvideo import plan_windows, stitch, extend_motion
 from .pipeline import (
     UserCondition,
@@ -195,6 +195,11 @@ def cmd_extend(args) -> int:
 
 
 def cmd_stitch(args) -> int:
+    # count the windows before plan_windows builds them all; it names a bad plan
+    if args.stride >= 1 and args.total >= args.window:
+        windows = -(-(args.total - args.window) // args.stride) + 1
+        if len(args.clips) != windows:
+            raise PlanMismatch(f"{len(args.clips)} clips for {windows} windows")
     clips = [fileio.read_clip(p) for p in args.clips]
     plan = plan_windows(args.total, window=args.window, stride=args.stride)
     merged = stitch(clips, plan)

@@ -31,6 +31,7 @@ from .errors import (
 
 CONTOUR_VERTICES = 16
 OBJECT_POINTS = 21  # 16 contour + 4 bbox corners + center
+SPLAT_BLOCK = 1 << 18  # (point, pixel) candidates per splat block
 
 
 @dataclass(frozen=True)
@@ -332,13 +333,18 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     needs, such as simgen's packed (intensity code, part id) values.
     Each projected point covers pixels within splat_radius of its image
     position; the smallest depth wins per pixel, ties broken by lower
-    (object index, point index). Implemented as a worst-to-best ordered
-    overwrite, which realizes exactly the per-pixel minimum.
+    (object index, point index).
+
+    One stable sort on depth ranks the points by that key. A point's
+    candidate pixels fill a fixed window at its clipped box corner; those
+    inside the frame, the box and the disc are kept, and each pixel keeps
+    the smallest rank that covers it (a scatter-min). Points go through in
+    blocks of at most SPLAT_BLOCK candidates, so memory stays bounded
+    whatever the radius.
     """
     w, h = camera.size
-    grid = np.zeros((h, w), dtype=np.int32)
-    us, vs, zs, obj_ids, pt_ids, labs = [], [], [], [], [], []
-    for oid, (points, labels) in enumerate(objects):
+    us, vs, zs, labs = [], [], [], []
+    for points, labels in objects:
         points = np.asarray(points, dtype=np.float64)
         if points.size == 0:
             continue
@@ -346,35 +352,39 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
         us.append(proj[:, 0])
         vs.append(proj[:, 1])
         zs.append(proj[:, 2])
-        obj_ids.append(np.full(points.shape[0], oid))
-        pt_ids.append(np.arange(points.shape[0]))
         labs.append(np.asarray(labels, dtype=np.int32))
     if not us:
-        return grid
-    u = np.concatenate(us)
-    v = np.concatenate(vs)
-    z = np.concatenate(zs)
-    oid = np.concatenate(obj_ids)
-    pid = np.concatenate(pt_ids)
-    lab = np.concatenate(labs)
-    # descending precedence order: later writes win, so sort worst first
-    order = np.lexsort((pid, oid, z))[::-1]
+        return np.zeros((h, w), dtype=np.int32)
+    # points are concatenated in (object, point) order, so a stable sort on
+    # depth ranks them by (z, object index, point index)
+    rank = np.argsort(np.concatenate(zs), kind="stable")
+    u = np.concatenate(us)[rank]
+    v = np.concatenate(vs)[rank]
+    lab = np.concatenate(labs)[rank]
     r = splat_radius
-    for i in order:
-        x0 = max(0, int(np.ceil(u[i] - r)))
-        x1 = min(w - 1, int(np.floor(u[i] + r)))
-        y0 = max(0, int(np.ceil(v[i] - r)))
-        y1 = min(h - 1, int(np.floor(v[i] + r)))
-        if x0 > x1 or y0 > y1:
-            continue
-        px = np.arange(x0, x1 + 1)
-        py = np.arange(y0, y1 + 1)
-        dx = (px - u[i]) ** 2
-        dy = (py - v[i]) ** 2
-        inside = dy[:, None] + dx[None, :] <= r * r
-        patch = grid[y0:y1 + 1, x0:x1 + 1]
-        patch[inside] = lab[i]
-    return grid
+    side = 2 * int(np.ceil(r)) + 1
+    ox, oy = np.arange(min(side, w)), np.arange(min(side, h))
+    # box corners; clipping to w keeps far-off points' windows in int64 range
+    x0 = np.clip(np.ceil(u - r), 0, w).astype(np.int64)
+    y0 = np.clip(np.ceil(v - r), 0, h).astype(np.int64)
+    x1 = np.minimum(np.floor(u + r), w - 1)
+    y1 = np.minimum(np.floor(v + r), h - 1)
+    best = np.full(h * w, u.size)  # rank u.size: no point covers the pixel
+    step = max(1, SPLAT_BLOCK // max(1, ox.size * oy.size))
+    for s in range(0, u.size, step):
+        b = slice(s, s + step)
+        px = x0[b, None] + ox
+        py = y0[b, None] + oy
+        dx = (px - u[b, None]) ** 2
+        dy = (py - v[b, None]) ** 2
+        inside = ((dy[:, :, None] + dx[:, None, :] <= r * r)
+                  & (py <= y1[b, None])[:, :, None] & (px <= x1[b, None])[:, None, :])
+        i, jy, jx = np.nonzero(inside)
+        np.minimum.at(best, py[i, jy] * w + px[i, jx], i + s)
+    grid = np.zeros(h * w, dtype=np.int32)
+    hit = best < u.size
+    grid[hit] = lab[best[hit]]
+    return grid.reshape(h, w)
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:

@@ -31,7 +31,7 @@ from .core import (
     motions_to_json,
     resample,
 )
-from .errors import ExtractionFailed, InvalidConfig, ShapeMismatch
+from .errors import ExtractionFailed, InvalidConfig, ShapeMismatch, TooManyFrames
 from .geometry import (
     DEFAULT_TRIPLE,
     BinaryMask,
@@ -487,6 +487,9 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
                  config: PipelineConfig, pmp: PmpModel,
                  out_dir: str | None = None) -> RunResult:
     """Stage 1 -> 2 -> 3 with evaluation against the scene's ground truth."""
+    fine_n = coarse_frame_count(scene.duration, config.fine)
+    if fine_n > pmp.config.max_frames:  # stage 2 would refuse it after stage 1
+        raise TooManyFrames(f"{fine_n} frames > max_frames {pmp.config.max_frames}")
     seed = config.seed
     coarse_clip, (s1_channels, coarse_realized) = stage1_coarse(
         scene, user_condition, config, seed)
@@ -495,7 +498,6 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
         scene, refined, config, seed)
 
     gt = synthesize_gt_motion(scene, seed)
-    fine_n = coarse_frame_count(scene.duration, config.fine)
     coarse_n = coarse_frame_count(scene.duration, config.coarse)
     gt_fine = [resample(m, fine_n) for m in gt]
     gt_coarse = [resample(m, coarse_n) for m in gt]

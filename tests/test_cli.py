@@ -464,9 +464,24 @@ def _huge_extend_target(tmp_path, checkpoint):
             "--target", "100000000", "--out", str(tmp_path / "out.json")]
 
 
+def _huge_stitch_total(tmp_path, checkpoint):
+    clip = tmp_path / "c0"
+    fileio.write_clip(clip, [np.zeros((6, 8), dtype=np.uint8)] * 32, fps=16.0)
+    return ["stitch", "--clips", str(clip), "--total", "1000000000",
+            "--out", str(tmp_path / "out")]
+
+
+def _huge_scene_duration(tmp_path, checkpoint):
+    scene = json.loads(scene_to_json(fixture_scene(1)))
+    scene["duration"] = 1_000_000_000
+    return _bad_run_config(json.dumps({"scene": scene}))(tmp_path, checkpoint)
+
+
 MEMORY_CASES = {
     "checkpoint-huge-layer-count": (_huge_layer_count, "InvalidConfig"),
     "extend-huge-target": (_huge_extend_target, "TooManyFrames"),
+    "stitch-huge-total": (_huge_stitch_total, "PlanMismatch"),
+    "run-huge-duration": (_huge_scene_duration, "TooManyFrames"),
 }
 
 

@@ -1,9 +1,13 @@
 from __future__ import annotations
 
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionloop import geometry as geo
 from motionloop.errors import (
@@ -306,6 +310,106 @@ def test_render_tie_broken_by_object_then_point_index():
     c = (np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0]]), np.array([2, 8]))
     grid2 = geo.render_part_masks([c], cam, 3.0)
     assert grid2[12, 15] == 2
+
+
+def _splat_loop_oracle(objects, camera, splat_radius):
+    """The per-point loop that render_part_masks replaced, kept as its
+    oracle: a worst-to-best ordered overwrite of each point's disc."""
+    w, h = camera.size
+    grid = np.zeros((h, w), dtype=np.int32)
+    us, vs, zs, obj_ids, pt_ids, labs = [], [], [], [], [], []
+    for oid, (points, labels) in enumerate(objects):
+        points = np.asarray(points, dtype=np.float64)
+        if points.size == 0:
+            continue
+        proj = geo.project(points, camera)
+        us.append(proj[:, 0])
+        vs.append(proj[:, 1])
+        zs.append(proj[:, 2])
+        obj_ids.append(np.full(points.shape[0], oid))
+        pt_ids.append(np.arange(points.shape[0]))
+        labs.append(np.asarray(labels, dtype=np.int32))
+    if not us:
+        return grid
+    u = np.concatenate(us)
+    v = np.concatenate(vs)
+    z = np.concatenate(zs)
+    oid = np.concatenate(obj_ids)
+    pid = np.concatenate(pt_ids)
+    lab = np.concatenate(labs)
+    order = np.lexsort((pid, oid, z))[::-1]
+    r = splat_radius
+    for i in order:
+        x0 = max(0, int(np.ceil(u[i] - r)))
+        x1 = min(w - 1, int(np.floor(u[i] + r)))
+        y0 = max(0, int(np.ceil(v[i] - r)))
+        y1 = min(h - 1, int(np.floor(v[i] + r)))
+        if x0 > x1 or y0 > y1:
+            continue
+        px = np.arange(x0, x1 + 1)
+        py = np.arange(y0, y1 + 1)
+        dx = (px - u[i]) ** 2
+        dy = (py - v[i]) ** 2
+        inside = dy[:, None] + dx[None, :] <= r * r
+        patch = grid[y0:y1 + 1, x0:x1 + 1]
+        patch[inside] = lab[i]
+    return grid
+
+
+@st.composite
+def _splat_frames(draw):
+    """Frames whose points project exactly where they were drawn: focal 1,
+    principal point 0 and power-of-two depths make u = x / z exact, so
+    pixel and half-pixel positions put discs exactly on their boundary."""
+    w, h = draw(st.integers(1, 40)), draw(st.integers(1, 30))
+    r = draw(st.one_of(st.floats(0.3, 60.0), st.just(1e4),
+                       st.integers(1, 8).map(lambda k: k / 2)))
+    cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=(w, h))
+    span = min(r, 60.0) + 4.0
+
+    def coord(hi):
+        free = st.floats(-span, hi + span)
+        return st.one_of(free, free.map(round), free.map(lambda c: round(2 * c) / 2))
+
+    depth = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.5, 8.0))
+    objects = []
+    for _ in range(draw(st.integers(0, 3))):
+        pts = draw(st.lists(st.tuples(coord(w - 1), coord(h - 1), depth), max_size=12))
+        pts = np.array([(u * z, v * z, z) for u, v, z in pts]).reshape(-1, 3)
+        labels = draw(st.lists(st.integers(1, 300), min_size=len(pts), max_size=len(pts)))
+        objects.append((pts, np.array(labels, dtype=np.int64)))
+    return objects, cam, r
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(frame=_splat_frames(), block=st.sampled_from([64, 1000, 2**12, 2**18, 2**20]))
+def test_render_matches_loop_oracle_bitwise(frame, block):
+    objects, cam, r = frame
+    with mock.patch.object(geo, "SPLAT_BLOCK", block):
+        fast = geo.render_part_masks(objects, cam, r)
+    slow = _splat_loop_oracle(objects, cam, r)
+    assert fast.dtype == slow.dtype == np.int32
+    np.testing.assert_array_equal(fast, slow)
+
+
+def test_render_huge_radius_stays_within_memory_bound():
+    # unblocked, 300 points x the whole 192x108 frame would hold about
+    # 6.2M candidates, several hundred MB of temporaries
+    rng = np.random.default_rng(28)
+    cam = CameraSpec.default(192, 108)
+    objects = []
+    for n in (100, 120, 80):
+        pts = np.stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n),
+                        rng.choice([2.0, 3.0, 4.5], n)], axis=1)
+        objects.append((pts, rng.integers(1, 300, n)))
+    tracemalloc.start()
+    try:
+        grid = geo.render_part_masks(objects, cam, 1e4)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 * 2**20
+    np.testing.assert_array_equal(grid, _splat_loop_oracle(objects, cam, 1e4))
 
 
 # ------------------------------------------------------------ polygon masks
