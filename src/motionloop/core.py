@@ -151,9 +151,9 @@ class Violation:
 class LabeledPoints:
     """3-D points with per-point part labels and a joint-position view."""
 
-    points: np.ndarray  # (N, 3)
+    points: np.ndarray  # (..., N, 3)
     labels: np.ndarray  # (N,) int, part labels in [1, part_count]
-    joints: np.ndarray  # (J, 3) joint positions, index = joint id
+    joints: np.ndarray  # (..., J, 3) joint positions, index = joint id
 
 
 def motion_strength(seq: MotionSequence) -> MotionStrength:
@@ -214,43 +214,43 @@ def extrapolate(seq: MotionSequence, extra: int, window: int = 4,
     return seq.with_frames(np.vstack([seq.frames, tail]))
 
 
-def _euler_xyz(a: float, b: float, c: float) -> np.ndarray:
-    """Rotation matrix Rz(c) @ Ry(b) @ Rx(a)."""
-    ca, sa = np.cos(a), np.sin(a)
-    cb, sb = np.cos(b), np.sin(b)
-    cc, sc = np.cos(c), np.sin(c)
-    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
-    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
-    rz = np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]])
+def _euler_xyz(angles: np.ndarray) -> np.ndarray:
+    """Rotation matrices Rz(c) @ Ry(b) @ Rx(a) for (..., 3) angles (a, b, c)."""
+    ca, cb, cc = np.moveaxis(np.cos(angles), -1, 0)
+    sa, sb, sc = np.moveaxis(np.sin(angles), -1, 0)
+    zero, one, shape = np.zeros_like(ca), np.ones_like(ca), ca.shape + (3, 3)
+    rx = np.stack([one, zero, zero, zero, ca, -sa, zero, sa, ca], -1).reshape(shape)
+    ry = np.stack([cb, zero, sb, zero, one, zero, -sb, zero, cb], -1).reshape(shape)
+    rz = np.stack([cc, -sc, zero, sc, cc, zero, zero, zero, one], -1).reshape(shape)
     return rz @ ry @ rx
 
 
 def fk_joints(spec: ParametricModelSpec, pose: np.ndarray,
               shape_scale: float) -> np.ndarray:
-    """Joint world positions for one pose, (J, 3)."""
+    """Joint world positions (..., J, 3) for poses (..., pose_dim); leading
+    axes such as frames are posed together, joint by joint."""
     if not spec.is_articulated:
         raise DimensionMismatch("forward kinematics needs an articulated spec")
-    pose = np.asarray(pose, dtype=np.float64).ravel()
-    if pose.shape[0] != spec.pose_dim:
-        raise DimensionMismatch(
-            f"pose length {pose.shape[0]} != pose_dim {spec.pose_dim}")
+    pose = np.asarray(pose, dtype=np.float64)
+    if pose.ndim == 0 or pose.shape[-1] != spec.pose_dim:
+        raise DimensionMismatch(f"pose shape {pose.shape} != (..., {spec.pose_dim})")
     if not np.all(np.isfinite(pose)):
         raise DimensionMismatch("pose angles must be finite")
     j = spec.joint_count
-    world_rot = np.empty((j, 3, 3))
-    pos = np.empty((j, 3))
+    local = _euler_xyz(pose.reshape(-1, j, 3))
+    world_rot = np.empty(local.shape)
+    pos = np.empty(local.shape[:-1])
     for joint in spec.skeleton:
         i = joint.joint_id
-        local = _euler_xyz(*pose[3 * i:3 * i + 3])
         offset = np.asarray(joint.rest_offset) * shape_scale
         if joint.parent_id < 0:
-            world_rot[i] = local
-            pos[i] = offset
+            world_rot[:, i] = local[:, i]
+            pos[:, i] = offset
         else:
             p = joint.parent_id
-            world_rot[i] = world_rot[p] @ local
-            pos[i] = pos[p] + world_rot[p] @ offset
-    return pos
+            world_rot[:, i] = world_rot[:, p] @ local[:, i]
+            pos[:, i] = pos[:, p] + world_rot[:, p] @ offset
+    return pos.reshape(pose.shape[:-1] + (j, 3))
 
 
 def forward_kinematics(spec: ParametricModelSpec, pose: np.ndarray,
@@ -260,21 +260,21 @@ def forward_kinematics(spec: ParametricModelSpec, pose: np.ndarray,
     Emits one point per joint (carrying the joint's part label) followed by
     BONE_SAMPLES points per bone at fractions i/BONE_SAMPLES along
     parent->child, carrying the child's part label. Point order is fixed:
-    joints by id, then bones by child id.
+    joints by id, then bones by child id. A pose of shape (..., pose_dim)
+    gives points (..., N, 3) and joints (..., J, 3); labels are (N,).
     """
     joints = fk_joints(spec, pose, shape_scale)
-    pts = [joints]
-    labels = [np.array([j.part_label for j in spec.skeleton], dtype=np.int64)]
+    bones = [j for j in spec.skeleton if j.parent_id >= 0]
+    a = joints[..., [j.parent_id for j in bones], None, :]
+    b = joints[..., [j.joint_id for j in bones], None, :]
     fractions = (np.arange(1, BONE_SAMPLES + 1) / BONE_SAMPLES)[:, None]
-    for joint in spec.skeleton:
-        if joint.parent_id < 0:
-            continue
-        a = joints[joint.parent_id]
-        b = joints[joint.joint_id]
-        pts.append(a + fractions * (b - a))
-        labels.append(np.full(BONE_SAMPLES, joint.part_label, dtype=np.int64))
-    return LabeledPoints(points=np.vstack(pts), labels=np.concatenate(labels),
-                         joints=joints)
+    samples = (a + fractions * (b - a)).reshape(
+        joints.shape[:-2] + (len(bones) * BONE_SAMPLES, 3))
+    points = np.concatenate([joints, samples], -2)
+    labels = np.array([j.part_label for j in spec.skeleton]
+                      + [j.part_label for j in bones for _ in range(BONE_SAMPLES)],
+                      dtype=np.int64)
+    return LabeledPoints(points=points, labels=labels, joints=joints)
 
 
 def validate(seq: MotionSequence) -> list[Violation]:

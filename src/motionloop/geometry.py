@@ -66,8 +66,8 @@ class CameraSpec:
     size: tuple[int, int]  # (width, height)
 
     def __post_init__(self):
-        if self.focal <= 0:
-            raise NonPositiveDepth("focal length must be positive")
+        if not 0 < self.focal < np.inf:
+            raise NonPositiveDepth("focal length must be positive and finite")
         cx, cy = self.principal
         w, h = self.size
         if not (0 <= cx < w and 0 <= cy < h):

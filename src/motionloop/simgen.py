@@ -57,8 +57,11 @@ class SceneObject:
         if pose.shape != (self.spec.pose_dim,):
             raise DimensionMismatch(
                 f"initial pose length {pose.shape} != pose_dim {self.spec.pose_dim}")
-        if self.placement[2] <= 0:
-            raise DimensionMismatch("placement depth must be positive")
+        if (len(self.placement) != 3 or not np.all(np.isfinite(self.placement))
+                or self.placement[2] <= 0):
+            raise DimensionMismatch("placement must be 3 finite numbers, depth > 0")
+        if not np.all(np.isfinite(pose)) or not math.isfinite(self.shape_scale):
+            raise DimensionMismatch("initial pose and shape_scale must be finite")
         pose.setflags(write=False)
         object.__setattr__(self, "initial_pose", pose)
 
@@ -84,8 +87,9 @@ class SceneSpec:
     def __post_init__(self):
         if len(self.objects) < 1:
             raise InvalidConfig("scene needs at least one object")
-        if self.duration < 2 or self.fps <= 0 or self.walk_period < 2:
-            raise InvalidConfig("duration >= 2, fps > 0, walk_period >= 2 required")
+        if self.duration < 2 or not 0 < self.fps < math.inf or self.walk_period < 2:
+            raise InvalidConfig(
+                "duration >= 2, finite fps > 0, walk_period >= 2 required")
 
 
 @dataclass(frozen=True)
@@ -102,11 +106,13 @@ class GeneratorConfig:
             raise InvalidConfig("resolution_scale must be in (0, 1]")
         if not 0.0 < self.frame_fraction <= 1.0:
             raise InvalidConfig("frame_fraction must be in (0, 1]")
-        if self.steps < 1 or self.splat_radius <= 0:
-            raise InvalidConfig("steps and splat_radius must be positive")
+        if self.steps < 1 or not 0.0 < self.splat_radius < math.inf:
+            raise InvalidConfig("steps and splat_radius must be positive and finite")
         fid = sorted(self.condition_fidelity)
         if not fid or any(len(pair) != 2 for pair in fid):
             raise InvalidConfig("condition_fidelity needs (level, attenuation) pairs")
+        if not np.all(np.isfinite(fid)):
+            raise InvalidConfig("condition_fidelity entries must be finite")
         for (c0, a0), (c1, a1) in zip(fid, fid[1:]):
             if a1 > a0:
                 raise InvalidConfig(
@@ -265,21 +271,22 @@ def intensity_to_label(intensity: int, part_count: int) -> int:
     return int(np.argmin(np.abs(table - intensity))) + 1
 
 
-def object_render_points(obj: SceneObject, pose_row: np.ndarray
+def object_render_points(obj: SceneObject, frames: np.ndarray
                          ) -> tuple[np.ndarray, np.ndarray]:
-    """World-space labeled points for one object at one frame."""
+    """World-space points (F, N, 3) for one object over (F, pose_dim)
+    frames, and their part labels (N,)."""
     if obj.spec.is_articulated:
-        lp = forward_kinematics(obj.spec, pose_row, obj.shape_scale)
+        lp = forward_kinematics(obj.spec, frames, obj.shape_scale)
         pts = lp.points + np.asarray(obj.placement)
         return pts, lp.labels
-    pts21 = pose_row.reshape(21, 3)
-    contour, center = pts21[:16], pts21[20]
+    pts21 = frames.reshape(-1, 21, 3)
+    contour, center = pts21[:, :16], pts21[:, 20:]
     # densify so the splatted object reads as a filled shape:
     # edge midpoints plus spokes toward the center
-    mids = 0.5 * (contour + np.roll(contour, -1, axis=0))
+    mids = 0.5 * (contour + np.roll(contour, -1, axis=1))
     spokes = [center + frac * (contour - center) for frac in (0.25, 0.5, 0.75)]
-    pts = np.vstack([pts21, mids, *spokes])
-    return pts, np.ones(pts.shape[0], dtype=np.int64)
+    pts = np.concatenate([pts21, mids, *spokes], axis=1)
+    return pts, np.ones(pts.shape[1], dtype=np.int64)
 
 
 def effective_radius(config: GeneratorConfig) -> float:
@@ -304,18 +311,17 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
         if m.model.category is not obj.spec.category:
             raise DimensionMismatch(f"a {m.model.category.value} motion for a "
                                     f"{obj.spec.category.value} scene object")
-    codes = [np.array([part_intensity(l, obj.spec.part_count) << 8 | l
-                       for l in range(obj.spec.part_count + 1)])
-             for obj in scene.objects]
+    posed = []
+    for obj, m in zip(scene.objects, motions):
+        pts, labels = object_render_points(obj, m.frames)
+        code = np.array([part_intensity(l, obj.spec.part_count) << 8 | l
+                         for l in range(obj.spec.part_count + 1)])
+        posed.append((pts, code[labels]))
     camera = scene.camera.scaled(config.resolution_scale)
     radius = effective_radius(config)
     frames, masks = [], []
     for t in range(n):
-        objects = []
-        for obj, m, code in zip(scene.objects, motions, codes):
-            pts, labels = object_render_points(obj, m.frames[t])
-            objects.append((pts, code[labels]))
-        grid = render_part_masks(objects, camera, radius)
+        grid = render_part_masks([(p[t], c) for p, c in posed], camera, radius)
         frames.append((grid >> 8).astype(np.uint8))
         masks.append(grid & 0xFF)
     return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), masks

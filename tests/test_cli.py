@@ -281,6 +281,13 @@ def _bad_run_config(text):
     return argv
 
 
+def _bad_scene(edit, fixture=1):
+    """run on a fixture (1: a walking human) as a scene block, after edit(doc)."""
+    scene = json.loads(scene_to_json(fixture_scene(fixture)))
+    edit(scene)
+    return _bad_run_config(json.dumps({"scene": scene}))
+
+
 def _bad_clip(edit):
     """eval on a two-frame clip directory after edit(directory)."""
     def argv(tmp_path, checkpoint):
@@ -393,6 +400,32 @@ BOUNDARY_CASES = {
     "run-no-checkpoint": (_run_without_checkpoint, "InvalidConfig"),
     "scene-missing-camera": (_bad_run_config('{"scene": {"objects": []}}'),
                              "InvalidConfig"),
+    "run-infinite-fine-splat-radius": (_bad_run_config(
+        '{"pipeline": {"fine": {"splat_radius": Infinity}}}'), "InvalidConfig"),
+    "run-nan-fine-splat-radius": (_bad_run_config(
+        '{"pipeline": {"fine": {"splat_radius": NaN}}}'), "InvalidConfig"),
+    "run-nan-coarse-splat-radius": (_bad_run_config(
+        '{"pipeline": {"coarse": {"splat_radius": NaN}}}'), "InvalidConfig"),
+    "run-nan-condition-attenuation": (_bad_run_config(
+        '{"pipeline": {"fine": {"condition_fidelity": '
+        '[[0.0, 1.0], [0.5, NaN], [1.0, 0.02]]}}}'), "InvalidConfig"),
+    "scene-nan-fps": (_bad_scene(lambda d: d.update(fps=float("nan"))), "InvalidConfig"),
+    "scene-infinite-depth": (_bad_scene(
+        lambda d: d["objects"][0]["placement"].__setitem__(2, float("inf"))),
+        "DimensionMismatch"),
+    "scene-two-value-placement": (_bad_scene(
+        lambda d: d["objects"][0].update(placement=[0.0, 0.0])), "DimensionMismatch"),
+    "scene-nan-placement-x": (_bad_scene(
+        lambda d: d["objects"][0]["placement"].__setitem__(0, float("nan"))),
+        "DimensionMismatch"),
+    "scene-nan-shape-scale": (_bad_scene(
+        lambda d: d["objects"][0].update(shape_scale=float("nan"))),
+        "DimensionMismatch"),
+    "scene-nan-generic-initial-pose": (_bad_scene(
+        lambda d: d["objects"][0]["initial_pose"].__setitem__(0, float("nan")), fixture=2),
+        "DimensionMismatch"),
+    "scene-nan-focal": (_bad_scene(lambda d: d["camera"].update(focal=float("nan"))),
+                        "NonPositiveDepth"),
     "clip-json-missing-resolution": (_bad_clip(lambda clip: (clip / "clip.json")
                                                .write_text('{"fps": 8.0}')),
                                      "ShapeMismatch"),

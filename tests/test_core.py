@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionloop import core
 from motionloop.core import Category, MotionSequence, preset
@@ -259,6 +261,96 @@ def test_fk_random_specs_zero_pose_property():
             else:
                 expected[j.joint_id] = np.array(j.rest_offset) * 1.3
         np.testing.assert_allclose(got, expected, atol=1e-12)
+
+
+def _euler_xyz_oracle(a, b, c):
+    ca, sa = np.cos(a), np.sin(a)
+    cb, sb = np.cos(b), np.sin(b)
+    cc, sc = np.cos(c), np.sin(c)
+    rx = np.array([[1, 0, 0], [0, ca, -sa], [0, sa, ca]])
+    ry = np.array([[cb, 0, sb], [0, 1, 0], [-sb, 0, cb]])
+    rz = np.array([[cc, -sc, 0], [sc, cc, 0], [0, 0, 1]])
+    return rz @ ry @ rx
+
+
+def _fk_loop_oracle(spec, pose, shape_scale):
+    """The per-pose joint loop that batched fk_joints replaced, kept as its
+    oracle, with forward_kinematics' per-bone densify: (points, joints)."""
+    world_rot = np.empty((spec.joint_count, 3, 3))
+    pos = np.empty((spec.joint_count, 3))
+    for joint in spec.skeleton:
+        i = joint.joint_id
+        local = _euler_xyz_oracle(*pose[3 * i:3 * i + 3])
+        offset = np.asarray(joint.rest_offset) * shape_scale
+        if joint.parent_id < 0:
+            world_rot[i] = local
+            pos[i] = offset
+        else:
+            p = joint.parent_id
+            world_rot[i] = world_rot[p] @ local
+            pos[i] = pos[p] + world_rot[p] @ offset
+    pts = [pos]
+    fractions = (np.arange(1, core.BONE_SAMPLES + 1) / core.BONE_SAMPLES)[:, None]
+    for joint in spec.skeleton:
+        if joint.parent_id >= 0:
+            a, b = pos[joint.parent_id], pos[joint.joint_id]
+            pts.append(a + fractions * (b - a))
+    return np.vstack(pts), pos
+
+
+@st.composite
+def _posed_skeletons(draw):
+    """A random parent-ordered skeleton, or a preset, with 1-64 frames of
+    angles at scales up to 100 rad, a random shape scale and an entry to
+    make NaN."""
+    spec = draw(st.sampled_from([None, preset(Category.HUMAN), preset(Category.ANIMAL)]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if spec is None:
+        n = draw(st.integers(1, 12))
+        joints = [core.Joint(0, -1, tuple(rng.normal(size=3)), 1)]
+        for i in range(1, n):
+            joints.append(core.Joint(i, int(rng.integers(0, i)),
+                                     tuple(rng.normal(size=3)), i + 1))
+        spec = core.ParametricModelSpec(
+            category=Category.HUMAN, pose_dim=3 * n, shape_dim=0,
+            expression_dim=0, part_count=n, skeleton=tuple(joints))
+    frames = draw(st.integers(1, 64))
+    scale = draw(st.sampled_from([0.01, 0.5, math.pi, 10.0, 100.0]))
+    poses = rng.uniform(-scale, scale, size=(frames, spec.pose_dim))
+    nan_at = (draw(st.integers(0, frames - 1)), draw(st.integers(0, spec.pose_dim - 1)))
+    return spec, poses, draw(st.floats(0.3, 3.0)), nan_at
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(case=_posed_skeletons())
+def test_batched_fk_matches_per_pose_loop_oracle_bitwise(case):
+    spec, poses, shape_scale, nan_at = case
+    joints = core.fk_joints(spec, poses, shape_scale)
+    posed = core.forward_kinematics(spec, poses, shape_scale)
+    assert joints.shape == (len(poses), spec.joint_count, 3)
+    assert posed.points.shape[:2] == (len(poses), posed.labels.shape[0])
+    for t, pose in enumerate(poses):
+        points, expected = _fk_loop_oracle(spec, pose, shape_scale)
+        np.testing.assert_array_equal(joints[t], expected)
+        np.testing.assert_array_equal(posed.joints[t], expected)
+        np.testing.assert_array_equal(posed.points[t], points)
+    # one bad entry in any one frame rejects the whole batch
+    bad = poses.copy()
+    bad[nan_at] = np.nan
+    with pytest.raises(DimensionMismatch):
+        core.fk_joints(spec, bad, shape_scale)
+    with pytest.raises(DimensionMismatch):
+        core.forward_kinematics(spec, bad, shape_scale)
+
+
+def test_fk_single_pose_keeps_its_shape():
+    spec = preset(Category.ANIMAL)
+    pose = np.random.default_rng(13).normal(size=spec.pose_dim)
+    posed = core.forward_kinematics(spec, pose, 1.4)
+    points, joints = _fk_loop_oracle(spec, pose, 1.4)
+    np.testing.assert_array_equal(core.fk_joints(spec, pose, 1.4), joints)
+    np.testing.assert_array_equal(posed.joints, joints)
+    np.testing.assert_array_equal(posed.points, points)
 
 
 def test_forward_kinematics_emits_joint_and_bone_points():

@@ -1,11 +1,15 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
+from motionloop import simgen
 from motionloop.core import Category, motion_strength, preset, resample
 from motionloop.errors import InvalidConfig, UnknownActionTag
 from motionloop.geometry import CameraSpec, ConditionMode
+from motionloop.scenes import fixture_scene
 from motionloop.simgen import (
     COARSE_CONFIG,
     CORRUPTION_PIN_WIDTH,
@@ -19,6 +23,7 @@ from motionloop.simgen import (
     generate,
     generic_template,
     intensity_to_label,
+    object_render_points,
     part_intensity,
     render,
     synthesize_gt_motion,
@@ -207,6 +212,73 @@ def test_render_two_objects_nearer_one_wins_the_overlap():
         assert rest.any()
         assert np.array_equal(frame[rest], thing_alone.frames[t][rest])
         assert np.array_equal(frame > 0, masks[t] > 0)
+
+
+def _fixture_objects():
+    # fixture 2 is a generic object, 1 a human and 3 an animal
+    return {name: fixture_scene(i) for name, i in
+            (("generic", 2), ("human", 1), ("animal", 3))}
+
+
+def _three_object_scene():
+    scenes = _fixture_objects()
+    return SceneSpec(objects=tuple(scenes[name].objects[0]
+                                   for name in ("human", "animal", "generic")),
+                     camera=scenes["human"].camera, duration=16, fps=16.0)
+
+
+@pytest.mark.parametrize("name", ["generic", "human", "animal"])
+def test_object_render_points_poses_every_frame_as_its_own_row(name):
+    scene = _fixture_objects()[name]
+    obj = scene.objects[0]
+    frames = synthesize_gt_motion(scene, seed=4)[0].frames
+    pts, labels = object_render_points(obj, frames)
+    assert pts.shape == (len(frames), labels.shape[0], 3)
+    for t in range(len(frames)):
+        row_pts, row_labels = object_render_points(obj, frames[t:t + 1])
+        np.testing.assert_array_equal(pts[t], row_pts[0])
+        np.testing.assert_array_equal(labels, row_labels)
+
+
+def test_render_poses_each_articulated_object_once(monkeypatch):
+    # the skeleton is posed for all frames in one call, not once per frame
+    calls = []
+    fk = simgen.forward_kinematics
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return fk(*args, **kwargs)
+
+    monkeypatch.setattr(simgen, "forward_kinematics", counted)
+    scene = _three_object_scene()
+    clip, masks = render(scene, synthesize_gt_motion(scene, seed=4), FINE_CONFIG)
+    assert clip.frame_count == len(masks) == 16
+    assert len(calls) == 2
+
+
+# sha256 of generate()'s clips, all three modes at coarse then fine
+# resolution, seed 5, pinned so that a speed-up cannot change pixels
+# silently. Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another
+# platform's trig or BLAS rounding may give other digests.
+GOLDEN_CLIP_DIGESTS = {
+    "generic": "f3bd61c8c7b4843021180ffa6a9edbfda0ffaac80c2f2374fde5c2ef3b740c95",
+    "human": "73c845bdc428991edd657cd9f188b2c928c805edcfa1e759063d72548d3cf492",
+    "animal": "a5ce081661542c149bf79b4a49f86207995e5aba99b02149dde1e29588b5baf5",
+    "composite": "e85a6506b12658d0e19f8ed95dedad4c07617f1a5e2ecebd2269fe17b814b750",
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_CLIP_DIGESTS))
+def test_generate_clips_match_golden_digests(name):
+    scene = (_three_object_scene() if name == "composite"
+             else _fixture_objects()[name])
+    digest = hashlib.sha256()
+    for mode in ConditionMode:
+        for config in (COARSE_CONFIG, FINE_CONFIG):
+            clip, _ = generate(scene, mode, config, seed=5)
+            for frame in clip.frames:
+                digest.update(frame.tobytes())
+    assert digest.hexdigest() == GOLDEN_CLIP_DIGESTS[name]
 
 
 @pytest.mark.parametrize("part_count", [1, 16, 22])
