@@ -15,6 +15,7 @@ pixel.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -24,6 +25,7 @@ from scipy import ndimage
 from .errors import (
     BoxOutOfBounds,
     DegeneratePart,
+    DimensionMismatch,
     EmptyMask,
     NonPositiveDepth,
     PayloadMismatch,
@@ -31,7 +33,8 @@ from .errors import (
 
 CONTOUR_VERTICES = 16
 OBJECT_POINTS = 21  # 16 contour + 4 bbox corners + center
-SPLAT_BLOCK = 1 << 18  # (point, pixel) candidates per splat block
+# (point, pixel) candidates per splat block, and pixels per frame group
+SPLAT_BLOCK = 1 << 16  # a group's int64 z-buffer (512 KB) stays in L2 cache
 
 
 @dataclass(frozen=True)
@@ -327,64 +330,75 @@ def object25d_from_mask(mask: BinaryMask, bbox: BBox, depth: DepthMap,
 
 def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
                       camera: CameraSpec, splat_radius: float = 3.0) -> np.ndarray:
-    """Splat labeled 3D point sets into a part-label grid with z-buffering.
+    """Splat labeled 3D point sets into part-label grids with z-buffering.
 
     This is the one splat kernel: labels are whatever codes the caller
     needs, such as simgen's packed (intensity code, part id) values.
+    Objects are ``(points, labels)`` pairs, points ``(..., N, 3)`` with the
+    same leading (frame) axes in every object and labels ``(N,)``; the
+    result is ``(..., h, w)`` int32, so ``(N, 3)`` points give one grid.
     Each projected point covers pixels within splat_radius of its image
-    position; the smallest depth wins per pixel, ties broken by lower
-    (object index, point index).
+    position; in each frame the smallest depth wins per pixel, ties broken
+    by lower (object index, point index).
 
-    One stable sort on depth ranks the points by that key. A point's
-    candidate pixels fill a fixed window at its clipped box corner; those
-    inside the frame, the box and the disc are kept, and each pixel keeps
-    the smallest rank that covers it (a scatter-min). Points go through in
-    blocks of at most SPLAT_BLOCK candidates, so memory stays bounded
-    whatever the radius.
+    One stable sort on depth per frame ranks the points by that key. A
+    point's candidate pixels fill a fixed window at its clipped box corner;
+    those inside the frame, the box and the disc are kept, and each pixel
+    keeps the smallest rank that covers it (a scatter-min), with the frames
+    laid end to end. Candidates go through in blocks of at most SPLAT_BLOCK,
+    and frames in groups whose z-buffers hold at most SPLAT_BLOCK pixels (one
+    frame at least), so memory stays bounded for any radius and frame count.
     """
     w, h = camera.size
-    us, vs, zs, labs = [], [], [], []
-    for points, labels in objects:
-        points = np.asarray(points, dtype=np.float64)
-        if points.size == 0:
-            continue
-        proj = project(points, camera)
-        us.append(proj[:, 0])
-        vs.append(proj[:, 1])
-        zs.append(proj[:, 2])
-        labs.append(np.asarray(labels, dtype=np.int32))
-    if not us:
-        return np.zeros((h, w), dtype=np.int32)
+    objs = [(np.asarray(p, dtype=np.float64), np.asarray(l, dtype=np.int32))
+            for p, l in objects]
+    leads = {p.shape[:-2] for p, _ in objs}
+    if len(leads) > 1:
+        raise DimensionMismatch(f"objects differ in their leading axes: {sorted(leads)}")
+    lead = leads.pop() if leads else ()
+    nf = math.prod(lead)
+    objs = [(p.reshape(nf, -1, 3), l) for p, l in objs if p.size]
+    if not objs:
+        return np.zeros(lead + (h, w), dtype=np.int32)
+    pts = np.concatenate([p for p, _ in objs], axis=1)
+    n = pts.shape[1]
+    u, v, z = project(pts.reshape(-1, 3), camera).reshape(nf, n, 3).transpose(2, 0, 1)
     # points are concatenated in (object, point) order, so a stable sort on
-    # depth ranks them by (z, object index, point index)
-    rank = np.argsort(np.concatenate(zs), kind="stable")
-    u = np.concatenate(us)[rank]
-    v = np.concatenate(vs)[rank]
-    lab = np.concatenate(labs)[rank]
+    # depth ranks each frame's points by (z, object index, point index);
+    # with frames end to end, a point's flat index is its rank in its frame
+    rank = np.argsort(z, axis=1, kind="stable")
+    u = np.take_along_axis(u, rank, axis=1).ravel()
+    v = np.take_along_axis(v, rank, axis=1).ravel()
+    lab = np.append(np.concatenate([l for _, l in objs])[rank], 0)  # 0: no point
     r = splat_radius
     side = 2 * int(np.ceil(r)) + 1
     ox, oy = np.arange(min(side, w)), np.arange(min(side, h))
+    offs = (oy[:, None] * w + ox).ravel()
     # box corners; clipping to w keeps far-off points' windows in int64 range
     x0 = np.clip(np.ceil(u - r), 0, w).astype(np.int64)
     y0 = np.clip(np.ceil(v - r), 0, h).astype(np.int64)
     x1 = np.minimum(np.floor(u + r), w - 1)
     y1 = np.minimum(np.floor(v + r), h - 1)
-    best = np.full(h * w, u.size)  # rank u.size: no point covers the pixel
-    step = max(1, SPLAT_BLOCK // max(1, ox.size * oy.size))
-    for s in range(0, u.size, step):
-        b = slice(s, s + step)
-        px = x0[b, None] + ox
-        py = y0[b, None] + oy
-        dx = (px - u[b, None]) ** 2
-        dy = (py - v[b, None]) ** 2
-        inside = ((dy[:, :, None] + dx[:, None, :] <= r * r)
-                  & (py <= y1[b, None])[:, :, None] & (px <= x1[b, None])[:, None, :])
-        i, jy, jx = np.nonzero(inside)
-        np.minimum.at(best, py[i, jy] * w + px[i, jx], i + s)
-    grid = np.zeros(h * w, dtype=np.int32)
-    hit = best < u.size
-    grid[hit] = lab[best[hit]]
-    return grid.reshape(h, w)
+    group = max(1, SPLAT_BLOCK // (h * w))
+    # a frame group's pixels are laid end to end: (frame in group, y, x)
+    corner = np.repeat(np.arange(nf) % group * (h * w), n) + y0 * w + x0
+    grids = np.empty((nf, h * w), dtype=np.int32)
+    step = max(1, SPLAT_BLOCK // offs.size)
+    for f in range(0, nf, group):
+        last = min(f + group, nf)
+        best = np.full((last - f) * h * w, lab.size - 1)
+        for s in range(f * n, last * n, step):
+            b = slice(s, min(s + step, last * n))
+            px = x0[b, None] + ox
+            py = y0[b, None] + oy
+            # NaN past the box corner: never inside, even if r * r overflows
+            dx = np.where(px <= x1[b, None], (px - u[b, None]) ** 2, np.nan)
+            dy = np.where(py <= y1[b, None], (py - v[b, None]) ** 2, np.nan)
+            inside = (dy[:, :, None] + dx[:, None, :] <= r * r).reshape(len(dx), -1)
+            np.minimum.at(best, (corner[b, None] + offs)[inside],
+                          np.repeat(np.arange(s, b.stop), np.count_nonzero(inside, axis=1)))
+        grids[f:f + group] = lab[best].reshape(-1, h * w)
+    return grids.reshape(lead + (h, w))
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:

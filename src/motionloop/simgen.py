@@ -60,8 +60,8 @@ class SceneObject:
         if (len(self.placement) != 3 or not np.all(np.isfinite(self.placement))
                 or self.placement[2] <= 0):
             raise DimensionMismatch("placement must be 3 finite numbers, depth > 0")
-        if not np.all(np.isfinite(pose)) or not math.isfinite(self.shape_scale):
-            raise DimensionMismatch("initial pose and shape_scale must be finite")
+        if not np.all(np.isfinite(pose)) or not 0 < self.shape_scale < math.inf:
+            raise DimensionMismatch("initial pose must be finite, shape_scale positive and finite")
         pose.setflags(write=False)
         object.__setattr__(self, "initial_pose", pose)
 
@@ -298,9 +298,10 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
     """Render motions to a grayscale clip with part-coded intensity, and
     the per-frame part-label masks of the same splat.
 
-    Each point carries its part's intensity code in bits 8-15 and its part
-    label in bits 0-7 through the one splat kernel; codes are at most 255
-    and labels fit in a byte, so both unpack exactly.
+    Every frame of every object goes through one call of the one splat
+    kernel. Each point carries its part's intensity code in bits 8-15 and
+    its part label in bits 0-7; codes are at most 255 and labels fit in a
+    byte, so both unpack exactly.
     """
     if len(motions) != len(scene.objects):
         raise DimensionMismatch("one motion per scene object required")
@@ -318,13 +319,12 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
                          for l in range(obj.spec.part_count + 1)])
         posed.append((pts, code[labels]))
     camera = scene.camera.scaled(config.resolution_scale)
-    radius = effective_radius(config)
-    frames, masks = [], []
-    for t in range(n):
-        grid = render_part_masks([(p[t], c) for p, c in posed], camera, radius)
-        frames.append((grid >> 8).astype(np.uint8))
-        masks.append(grid & 0xFF)
-    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), masks
+    grids = render_part_masks(posed, camera, effective_radius(config))
+    # unpack in place and into uint8, with no whole-clip temporary
+    frames = np.right_shift(grids, 8, out=np.empty(grids.shape, dtype=np.uint8),
+                            casting="unsafe")
+    grids &= 0xFF
+    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), list(grids)
 
 
 # ---------------------------------------------------------------- generate

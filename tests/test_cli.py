@@ -421,6 +421,10 @@ BOUNDARY_CASES = {
     "scene-nan-shape-scale": (_bad_scene(
         lambda d: d["objects"][0].update(shape_scale=float("nan"))),
         "DimensionMismatch"),
+    "scene-zero-shape-scale": (_bad_scene(
+        lambda d: d["objects"][0].update(shape_scale=0.0)), "DimensionMismatch"),
+    "scene-negative-shape-scale": (_bad_scene(
+        lambda d: d["objects"][0].update(shape_scale=-1.0)), "DimensionMismatch"),
     "scene-nan-generic-initial-pose": (_bad_scene(
         lambda d: d["objects"][0]["initial_pose"].__setitem__(0, float("nan")), fixture=2),
         "DimensionMismatch"),

@@ -13,6 +13,7 @@ from motionloop import geometry as geo
 from motionloop.errors import (
     BoxOutOfBounds,
     DegeneratePart,
+    DimensionMismatch,
     EmptyMask,
     NonPositiveDepth,
 )
@@ -356,13 +357,13 @@ def _splat_loop_oracle(objects, camera, splat_radius):
     return grid
 
 
-@st.composite
-def _splat_frames(draw):
-    """Frames whose points project exactly where they were drawn: focal 1,
-    principal point 0 and power-of-two depths make u = x / z exact, so
-    pixel and half-pixel positions put discs exactly on their boundary."""
+def _splat_view(draw):
+    """A camera, a splat radius and a strategy for one (x, y, z) point that
+    projects exactly where it was drawn: focal 1, principal point 0 and
+    power-of-two depths make u = x / z exact, so pixel and half-pixel
+    positions put discs exactly on their boundary."""
     w, h = draw(st.integers(1, 40)), draw(st.integers(1, 30))
-    r = draw(st.one_of(st.floats(0.3, 60.0), st.just(1e4),
+    r = draw(st.one_of(st.floats(0.3, 60.0), st.sampled_from([1e4, 1e200]),
                        st.integers(1, 8).map(lambda k: k / 2)))
     cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=(w, h))
     span = min(r, 60.0) + 4.0
@@ -372,12 +373,35 @@ def _splat_frames(draw):
         return st.one_of(free, free.map(round), free.map(lambda c: round(2 * c) / 2))
 
     depth = st.one_of(st.sampled_from([0.5, 1.0, 2.0, 4.0]), st.floats(0.5, 8.0))
+    point = st.tuples(coord(w - 1), coord(h - 1), depth).map(
+        lambda p: (p[0] * p[2], p[1] * p[2], p[2]))
+    return cam, r, point
+
+
+@st.composite
+def _splat_frames(draw):
+    """One frame of 0-3 objects."""
+    cam, r, point = _splat_view(draw)
     objects = []
     for _ in range(draw(st.integers(0, 3))):
-        pts = draw(st.lists(st.tuples(coord(w - 1), coord(h - 1), depth), max_size=12))
-        pts = np.array([(u * z, v * z, z) for u, v, z in pts]).reshape(-1, 3)
+        pts = np.array(draw(st.lists(point, max_size=12))).reshape(-1, 3)
         labels = draw(st.lists(st.integers(1, 300), min_size=len(pts), max_size=len(pts)))
         objects.append((pts, np.array(labels, dtype=np.int64)))
+    return objects, cam, r
+
+
+@st.composite
+def _splat_clips(draw):
+    """1-12 frames of 1-3 objects, each with a fixed point count (0-6) and
+    its own points in every frame."""
+    cam, r, point = _splat_view(draw)
+    frames = draw(st.integers(1, 12))
+    objects = []
+    for _ in range(draw(st.integers(1, 3))):
+        n = draw(st.integers(0, 6))
+        pts = draw(st.lists(point, min_size=frames * n, max_size=frames * n))
+        labels = draw(st.lists(st.integers(1, 300), min_size=n, max_size=n))
+        objects.append((np.array(pts).reshape(frames, n, 3), np.array(labels, dtype=np.int64)))
     return objects, cam, r
 
 
@@ -390,6 +414,35 @@ def test_render_matches_loop_oracle_bitwise(frame, block):
     slow = _splat_loop_oracle(objects, cam, r)
     assert fast.dtype == slow.dtype == np.int32
     np.testing.assert_array_equal(fast, slow)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(clip=_splat_clips(), block=st.sampled_from([64, 2**12, 2**18]))
+def test_render_all_frames_at_once_matches_loop_oracle_per_frame(clip, block):
+    # 64 splits every frame into its own group and blocks; 2**12 groups a
+    # few frames; 2**18 takes every frame in one group
+    objects, cam, r = clip
+    with mock.patch.object(geo, "SPLAT_BLOCK", block):
+        fast = geo.render_part_masks(objects, cam, r)
+    slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
+                     for t in range(len(objects[0][0]))])
+    assert fast.dtype == np.int32
+    np.testing.assert_array_equal(fast, slow)
+
+
+def test_render_keeps_leading_axes_and_rejects_mismatched_ones():
+    cam = CameraSpec(focal=10.0, principal=(8.0, 6.0), size=(16, 12))
+    rng = np.random.default_rng(29)
+    pts = np.concatenate([rng.uniform(-0.5, 0.5, (2, 3, 5, 2)), np.full((2, 3, 5, 1), 2.0)],
+                         axis=-1)
+    labels = np.arange(1, 6)
+    grids = geo.render_part_masks([(pts, labels)], cam, 1.5)
+    assert grids.shape == (2, 3, 12, 16)
+    np.testing.assert_array_equal(grids[1, 2], geo.render_part_masks([(pts[1, 2], labels)],
+                                                                     cam, 1.5))
+    for other in (pts[0], pts[:, :2], pts[0, 0]):
+        with pytest.raises(DimensionMismatch):
+            geo.render_part_masks([(pts, labels), (other, labels)], cam, 1.5)
 
 
 def test_render_huge_radius_stays_within_memory_bound():

@@ -356,21 +356,23 @@ def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
 
 
 def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
-    # 16 frames: 8 coarse frames, the refined-motion channels and the final
-    # clip (16 each), and the ground-truth clip with its masks plus the
-    # final clip's masks (16 each); ground truth is not splatted twice
+    # one kernel call per render, each taking all of its frames: 8 coarse
+    # frames, the refined-motion channels and the final clip (16 each), and
+    # the ground-truth clip with its masks plus the final clip's masks (16
+    # each); ground truth is not splatted twice
     from motionloop import simgen
 
     calls = []
     kernel = simgen.render_part_masks
 
     def counted(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+        grids = kernel(*args, **kwargs)
+        calls.append(grids.shape[0])
+        return grids
 
     monkeypatch.setattr(simgen, "render_part_masks", counted)
     run_pipeline(fixture_scene(1), UserCondition(), PipelineConfig(), tiny_model())
-    assert len(calls) == 8 + 16 + 16 + 16 + 16
+    assert sorted(calls) == [8, 16, 16, 16, 16]
 
 
 def test_run_pipeline_empty_condition_completes():

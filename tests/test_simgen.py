@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import hashlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -254,6 +256,21 @@ def test_render_poses_each_articulated_object_once(monkeypatch):
     clip, masks = render(scene, synthesize_gt_motion(scene, seed=4), FINE_CONFIG)
     assert clip.frame_count == len(masks) == 16
     assert len(calls) == 2
+
+
+def test_render_full_hd_clip_stays_within_memory_bound():
+    # the returned uint8 frames and int32 masks take 5 bytes a pixel; a
+    # whole-clip z-buffer or unpack temporary would add over 100 MB
+    scene = dataclasses.replace(fixture_scene(1), camera=CameraSpec.default(1920, 1080))
+    motions = synthesize_gt_motion(scene, seed=4)
+    tracemalloc.start()
+    try:
+        clip, masks = render(scene, motions, FINE_CONFIG)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clip.frame_count == len(masks) == 16
+    assert peak < 16 * 1920 * 1080 * 5 + 64 * 2**20
 
 
 # sha256 of generate()'s clips, all three modes at coarse then fine
