@@ -26,7 +26,7 @@ from .core import (
     motions_to_json,
     preset,
 )
-from .errors import InvalidConfig, MotionError, PlanMismatch
+from .errors import InvalidConfig, MotionError, PlanMismatch, TooManyFrames
 from .longvideo import plan_windows, stitch, extend_motion
 from .pipeline import (
     UserCondition,
@@ -66,9 +66,14 @@ def _load_scene(path) -> SceneSpec:
 
 
 def cmd_gen_corpus(args) -> int:
+    if args.count < 1:
+        raise InvalidConfig(f"--count must be at least 1, got {args.count}")
+    max_frames = PmpConfig().max_frames  # train-pmp refuses longer motions
+    if args.frames > max_frames:
+        raise TooManyFrames(f"--frames {args.frames} > max_frames {max_frames}")
+    records = make_corpus(args.count, seed=args.seed, frames=args.frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    records = make_corpus(args.count, seed=args.seed, frames=args.frames)
     index = []
     for i, rec in enumerate(records):
         name = f"motion_{i:05d}.json"

@@ -1,17 +1,18 @@
-"""On-disk formats: binary PGM grids, sidecar JSON, and clip directories.
+"""On-disk formats: binary PGM grids, condition channels and clip directories.
 
 Part-label grids and masks are 8-bit P5 PGMs (pixel value = part id,
-0 = background). Depth maps are 16-bit P5 PGMs (big-endian words, per the
-Netpbm convention) with a {"scale": units_per_step} sidecar. Confidence
-PGMs store the frame's conditioning mode on labeled pixels (2 full motion,
-1 target pose, 0 empty) and 0 on the background, with a
-{"triple": [full, target, empty]} sidecar. A video clip is a directory of
-frame_%04d.pgm files plus clip.json {"fps", "resolution": [w, h]}.
+0 = background). Condition channels are one such mask per frame,
+{prefix}_mask_%04d.pgm, plus a {prefix}_conf.json sidecar
+{"triple": [full, target, empty], "modes": [one ConditionMode value per
+frame]}; each frame's confidence map follows from its mask and mode. A video
+clip is a directory of frame_%04d.pgm files plus clip.json {"fps",
+"resolution": [w, h]}.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -19,7 +20,7 @@ import numpy as np
 
 from .core import load_json
 from .errors import PayloadMismatch, ShapeMismatch
-from .geometry import ConditionChannels, ConditionMode, DepthMap
+from .geometry import ConditionChannels, ConditionMode
 from .simgen import VideoClip
 
 
@@ -64,53 +65,43 @@ def read_pgm(path) -> np.ndarray:
     return grid.astype(np.int64 if maxval > 255 else np.uint8)
 
 
-def write_depth(path, depth: DepthMap) -> None:
-    steps = np.clip(np.round(depth.values / depth.scale), 0, 65535)
-    write_pgm(path, steps, maxval=65535)
-    Path(str(path) + ".json").write_text(json.dumps({"scale": depth.scale}))
-
-
-def read_depth(path) -> DepthMap:
-    steps = read_pgm(path)
-    scale = json.loads(Path(str(path) + ".json").read_text())["scale"]
-    return DepthMap(values=steps.astype(np.float64) * scale, scale=scale)
-
-
-# the conf PGM's levels are one more confidence triple
-_FILE_LEVELS = (2, 1, 0)
-
-
 def write_condition(dir_path, channels: list[ConditionChannels],
                     prefix: str = "cond") -> None:
-    """Write per-frame part masks and mode-level PGMs with the triple sidecar."""
+    """Write per-frame part masks and a sidecar with the triple and each
+    frame's mode."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
     for i, ch in enumerate(channels):
         write_pgm(d / f"{prefix}_mask_{i:04d}.pgm", ch.part_mask)
-        write_pgm(d / f"{prefix}_conf_{i:04d}.pgm",
-                  np.where(ch.part_mask != 0, ch.mode.level(_FILE_LEVELS), 0))
-    (d / f"{prefix}_conf.json").write_text(
-        json.dumps({"triple": list(channels[0].triple)}))
+    (d / f"{prefix}_conf.json").write_text(json.dumps(
+        {"triple": list(channels[0].triple), "modes": [ch.mode.value for ch in channels]}))
 
 
 def read_condition(dir_path, prefix: str = "cond") -> list[ConditionChannels]:
-    """Inverse of ``write_condition``. A frame's mode is its highest level;
-    a frame with no labeled pixel reads back as EMPTY."""
+    """Inverse of ``write_condition``: each frame from its mask and the
+    sidecar's mode and triple."""
     d = Path(dir_path)
-    triple = tuple(json.loads((d / f"{prefix}_conf.json").read_text())["triple"])
-    out = []
-    for mask_path in sorted(d.glob(f"{prefix}_mask_*.pgm")):
-        i = int(mask_path.stem.rsplit("_", 1)[1])
-        mask = read_pgm(mask_path).astype(np.int32)
-        conf_path = d / f"{prefix}_conf_{i:04d}.pgm"
-        level = read_pgm(conf_path)
-        top = int(level.max(initial=0))
-        mode = {m.level(_FILE_LEVELS): m for m in ConditionMode}.get(top)
-        if mode is None or not np.array_equal(level, np.where(mask != 0, top, 0)):
-            raise PayloadMismatch(f"{conf_path} is not one mode level on the "
-                                  f"labeled pixels of {mask_path.name} and 0 elsewhere")
-        out.append(ConditionChannels(mask, mode, triple))
-    return out
+    sidecar = d / f"{prefix}_conf.json"
+    doc = load_json(sidecar.read_text(), str(sidecar), PayloadMismatch)
+    try:
+        triple, modes = doc["triple"], [ConditionMode(name) for name in doc["modes"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise PayloadMismatch(
+            f"malformed {sidecar} ({type(exc).__name__}: {exc})") from None
+    if not (isinstance(triple, list) and len(triple) == 3 and all(
+            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
+            for v in triple)):
+        raise PayloadMismatch(f"{sidecar} triple must be three finite numbers, "
+                              f"got {triple!r}")
+    names = [f"{prefix}_mask_{i:04d}.pgm" for i in range(len(modes))]
+    found = {p.name for p in d.glob(f"{prefix}_mask_*.pgm")}
+    if found != set(names):
+        raise PayloadMismatch(f"{sidecar.name} names {len(modes)} modes, but the "
+                              f"{prefix}_mask_*.pgm files in {d} are not numbered "
+                              f"0..{len(modes) - 1}")
+    triple = tuple(float(v) for v in triple)
+    return [ConditionChannels(read_pgm(d / name).astype(np.int32), mode, triple)
+            for name, mode in zip(names, modes)]
 
 
 def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:

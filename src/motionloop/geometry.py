@@ -52,7 +52,6 @@ class BinaryMask:
 @dataclass(frozen=True)
 class DepthMap:
     values: np.ndarray  # (H, W) non-negative, scene units
-    scale: float = 1.0  # units per stored step in the 16-bit file format
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=np.float64)

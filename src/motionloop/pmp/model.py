@@ -85,8 +85,9 @@ class Conditioning:
     def __post_init__(self):
         if len(self.tokens) > MAX_TOKENS:
             raise InvalidConfig(f"at most {MAX_TOKENS} conditioning tokens")
-        if self.strength < 0:
-            raise InvalidConfig("strength must be non-negative")
+        if not 0 <= self.strength < math.inf:
+            raise InvalidConfig(f"strength must be finite and non-negative, "
+                                f"got {self.strength}")
 
 
 @dataclass

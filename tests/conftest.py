@@ -33,6 +33,13 @@ class TrainedPrior:
         self.corpus = corpus
 
 
+def pytest_collection_modifyitems(items):
+    # `pytest -m "not slow"` skips the reference training run
+    for item in items:
+        if {"trained_prior", "fixture_runs"} & set(item.fixturenames):
+            item.add_marker(pytest.mark.slow)
+
+
 @pytest.fixture(scope="session")
 def trained_prior():
     return TrainedPrior()

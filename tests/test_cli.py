@@ -139,8 +139,10 @@ def test_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
     assert run_cli("run", "--config", str(cfg_path), "--out", str(a),
                    "--checkpoint", str(tiny_checkpoint)) == 0
     assert run_cli("run", "--config", str(a / "run.json"), "--out", str(b)) == 0
-    for name in ("report.json", "run.json"):
-        assert (a / name).read_bytes() == (b / name).read_bytes()
+    files = sorted(p.relative_to(a) for p in a.rglob("*") if p.is_file())
+    assert files == sorted(p.relative_to(b) for p in b.rglob("*") if p.is_file())
+    for name in files:
+        assert (a / name).read_bytes() == (b / name).read_bytes(), name
     doc = json.loads((a / "run.json").read_text())
     assert doc["seed"] == 7
     assert doc["scene"] == json.loads(scene_to_json(fixture_scene(3)))
@@ -362,6 +364,19 @@ def _bad_corpus(index_text):
     return argv
 
 
+def _denoise_with_strength(strength):
+    def argv(tmp_path, checkpoint):
+        return [*_denoise(tmp_path, checkpoint, _motion_doc()), "--strength", strength]
+    return argv
+
+
+def _gen_corpus(count, frames):
+    def argv(tmp_path, checkpoint):
+        return ["gen-corpus", "--out", str(tmp_path / "corpus"), "--count", count,
+                "--frames", frames]
+    return argv
+
+
 def _run_without_checkpoint(tmp_path, checkpoint):
     cfg = tmp_path / "cfg.json"
     cfg.write_text('{"fixture": 1}')
@@ -452,6 +467,9 @@ BOUNDARY_CASES = {
                                             "DimensionMismatch"),
     "rasterize-motion-of-another-category": (_rasterize([_motion_doc()], objects=(1,)),
                                              "DimensionMismatch"),
+    "denoise-nan-strength": (_denoise_with_strength("nan"), "InvalidConfig"),
+    "denoise-infinite-strength": (_denoise_with_strength("inf"), "InvalidConfig"),
+    "gen-corpus-negative-count": (_gen_corpus("-5", "8"), "InvalidConfig"),
     "corpus-index-not-json": (_bad_corpus("not json"), "InvalidConfig"),
     "corpus-index-entry-without-file": (_bad_corpus('[{"tags": ["walk"]}]'),
                                         "InvalidConfig"),
@@ -519,6 +537,7 @@ MEMORY_CASES = {
     "extend-huge-target": (_huge_extend_target, "TooManyFrames"),
     "stitch-huge-total": (_huge_stitch_total, "PlanMismatch"),
     "run-huge-duration": (_huge_scene_duration, "TooManyFrames"),
+    "gen-corpus-huge-frames": (_gen_corpus("2", "1000000000"), "TooManyFrames"),
 }
 
 

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import numpy as np
 import pytest
 
@@ -25,17 +27,6 @@ def test_pgm16_is_big_endian(tmp_path):
     np.testing.assert_array_equal(fileio.read_pgm(p), grid)
 
 
-def test_depth_round_trip(tmp_path):
-    rng = np.random.default_rng(32)
-    values = rng.uniform(0, 10, size=(9, 11))
-    depth = geo.DepthMap(values, scale=10.0 / 65535)
-    p = tmp_path / "depth.pgm"
-    fileio.write_depth(p, depth)
-    back = fileio.read_depth(p)
-    assert back.scale == depth.scale
-    np.testing.assert_allclose(back.values, values, atol=depth.scale)
-
-
 def _part_mask() -> np.ndarray:
     mask = np.zeros((6, 8), dtype=np.int32)
     mask[2:4, 3:6] = 5
@@ -43,48 +34,47 @@ def _part_mask() -> np.ndarray:
 
 
 def test_condition_round_trip(tmp_path):
+    # every mode, a blank frame, and (1.0, 1.0, 0.0), whose full motion and
+    # target pose share a level: each frame reads back as written
     mask = _part_mask()
-    triple = (0.8, 0.5, 0.2)
-    for mode in geo.ConditionMode:
-        chans = geo.build_condition(mode, [mask, np.zeros_like(mask)], triple)
-        fileio.write_condition(tmp_path / mode.value, chans)
-        back = fileio.read_condition(tmp_path / mode.value)
-        assert len(back) == 2
-        assert back[0].mode is mode and back[0].triple == triple
-        np.testing.assert_array_equal(back[0].part_mask, mask)
-        np.testing.assert_array_equal(back[0].confidence,
-                                      np.where(mask != 0, mode.level(triple), 0.2))
-        # no labeled pixel: read back as EMPTY, whose map is the same
-        assert back[1].mode is geo.ConditionMode.EMPTY
-        np.testing.assert_array_equal(back[1].confidence, chans[1].confidence)
+    for triple in ((0.8, 0.5, 0.2), (1.0, 1.0, 0.0)):
+        for mode in geo.ConditionMode:
+            d = tmp_path / f"{triple[1]}-{mode.value}"
+            chans = geo.build_condition(mode, [mask, np.zeros_like(mask)], triple)
+            fileio.write_condition(d, chans)
+            back = fileio.read_condition(d)
+            assert len(back) == 2
+            for ch, written in zip(back, chans):
+                assert ch.mode is mode and ch.triple == triple
+                np.testing.assert_array_equal(ch.part_mask, written.part_mask)
+            np.testing.assert_array_equal(
+                back[0].confidence, np.where(mask != 0, mode.level(triple), triple[2]))
+            np.testing.assert_array_equal(back[1].confidence, np.full(mask.shape, triple[2]))
+    assert not list(tmp_path.rglob("*_conf_*.pgm"))
 
 
-def test_condition_full_motion_level_with_full_equal_to_target(tmp_path):
-    mask = _part_mask()
-    chans = geo.build_condition(geo.ConditionMode.FULL_MOTION, [mask], (1.0, 1.0, 0.0))
-    fileio.write_condition(tmp_path, chans)
-    level = fileio.read_pgm(tmp_path / "cond_conf_0000.pgm")
-    np.testing.assert_array_equal(level, np.where(mask != 0, 2, 0))
-    assert fileio.read_condition(tmp_path)[0].mode is geo.ConditionMode.FULL_MOTION
+# one per PayloadMismatch condition of read_condition, as an edit of the
+# parsed sidecar; the last condition, mask numbering, is a renamed mask
+SIDECAR_EDITS = {
+    "not-json": lambda doc: "triple: [1, 0.5, 0]",
+    "missing-key": lambda doc: {"triple": doc["triple"]},
+    "non-finite-triple": lambda doc: {**doc, "triple": [1.0, float("nan"), 0.0]},
+    "unknown-mode": lambda doc: {**doc, "modes": ["TargetPose", "Strong"]},
+    "mode-count-differs-from-mask-count": lambda doc: {**doc, "modes": ["TargetPose"]},
+}
 
 
-@pytest.mark.parametrize("level", ["background-set", "labeled-pixel-unset",
-                                   "two-levels", "unknown-level"])
-def test_read_condition_rejects_a_level_grid_that_disagrees_with_its_mask(
-        tmp_path, level):
+@pytest.mark.parametrize("case", sorted(SIDECAR_EDITS) + ["mask-index-gap"])
+def test_read_condition_rejects_a_malformed_sidecar(tmp_path, case):
     mask = _part_mask()
     fileio.write_condition(tmp_path, geo.build_condition(
-        geo.ConditionMode.TARGET_POSE, [mask]))
-    grid = np.where(mask != 0, 1, 0)
-    if level == "background-set":
-        grid[0, 0] = 1
-    elif level == "labeled-pixel-unset":
-        grid[2, 3] = 0
-    elif level == "two-levels":
-        grid[2, 3] = 2
+        geo.ConditionMode.TARGET_POSE, [mask, mask]))
+    sidecar = tmp_path / "cond_conf.json"
+    if case == "mask-index-gap":
+        (tmp_path / "cond_mask_0001.pgm").rename(tmp_path / "cond_mask_0002.pgm")
     else:
-        grid[mask != 0] = 3
-    fileio.write_pgm(tmp_path / "cond_conf_0000.pgm", grid)
+        doc = SIDECAR_EDITS[case](json.loads(sidecar.read_text()))
+        sidecar.write_text(doc if isinstance(doc, str) else json.dumps(doc))
     with pytest.raises(PayloadMismatch):
         fileio.read_condition(tmp_path)
 

@@ -2,27 +2,30 @@ from __future__ import annotations
 
 import json
 from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from motionloop.core import Category, MotionSequence, preset, resample
+from motionloop.core import Category, MotionSequence, motions_from_json, preset, resample
 from motionloop.errors import ExtractionFailed, InvalidConfig, ShapeMismatch
-from motionloop.fileio import read_condition
+from motionloop.fileio import read_clip, read_condition
 from motionloop.geometry import ConditionMode
 from motionloop.pipeline import (
+    EvalReport,
     PipelineConfig,
     UserCondition,
     _ssim_frame,
     eval_metrics,
     extract_motion,
+    run_from_json,
     run_pipeline,
     stage1_coarse,
     stage2_optimize,
     stage3_regenerate,
 )
 from motionloop.pmp import PmpConfig, pmp_init
-from motionloop.scenes import fixture_scene, walker_scene
+from motionloop.scenes import fixture_scene, scene_to_json, walker_scene
 from motionloop.simgen import (
     COARSE_CONFIG,
     FINE_CONFIG,
@@ -353,6 +356,49 @@ def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
     assert len(channels) == len(masks) == scene.duration
     for ch, mask in zip(channels, masks):
         np.testing.assert_array_equal(ch.part_mask, mask)
+
+
+def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
+    # each file of the run directory is read by a reader of the package and
+    # gives back what the run produced; none is written and left unread
+    scene = fixture_scene(3)
+    config = PipelineConfig(seed=7)
+    result = run_pipeline(scene, UserCondition(), config, tiny_model(), out_dir=tmp_path)
+    written = {p for p in tmp_path.rglob("*") if p.is_file()}
+    read = set()
+    for method in ("read_text", "read_bytes"):
+        def recorded(self, *args, _read=getattr(Path, method), **kwargs):
+            read.add(self)
+            return _read(self, *args, **kwargs)
+        monkeypatch.setattr(Path, method, recorded)
+
+    back_config, back_scene = run_from_json((tmp_path / "run.json").read_text())
+    assert back_config == config and scene_to_json(back_scene) == scene_to_json(scene)
+    for name, clip in (("coarse", result.coarse_clip), ("final", result.final_clip)):
+        back = read_clip(tmp_path / name)
+        assert (back.fps, back.resolution) == (clip.fps, clip.resolution)
+        assert len(back.frames) == len(clip.frames)
+        for a, b in zip(back.frames, clip.frames):
+            np.testing.assert_array_equal(a, b)
+    for name, motions in (("raw", result.raw_motions), ("refined", result.refined_motions)):
+        back = motions_from_json((tmp_path / "stage2" / f"{name}.json").read_text())
+        assert len(back) == len(motions)
+        for a, b in zip(back, motions):
+            np.testing.assert_array_equal(a.frames, b.frames)
+    assert json.loads((tmp_path / "stage2" / "strength.json").read_text()) == result.strengths
+    w, h = scene.camera.scaled(config.coarse.resolution_scale).size
+    fine_masks = render(scene, result.refined_motions, config.fine)[1]
+    for prefix, mode, masks in (
+            ("s1", ConditionMode.EMPTY, [np.zeros((h, w))] * result.coarse_clip.frame_count),
+            ("s3", ConditionMode.FULL_MOTION, fine_masks)):
+        channels = read_condition(tmp_path / "channels", prefix=prefix)
+        assert len(channels) == len(masks)
+        for ch, mask in zip(channels, masks):
+            assert ch.mode is mode and ch.triple == config.confidence_triple
+            np.testing.assert_array_equal(ch.part_mask, mask)
+    assert EvalReport(**json.loads((tmp_path / "report.json").read_text())) == result.report
+    assert not list(tmp_path.rglob("*_conf_*.pgm"))
+    assert read == written, sorted(str(p.relative_to(tmp_path)) for p in written - read)
 
 
 def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
