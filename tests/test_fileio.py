@@ -34,23 +34,36 @@ def _part_mask() -> np.ndarray:
 
 
 def test_condition_round_trip(tmp_path):
-    # every mode, a blank frame, and (1.0, 1.0, 0.0), whose full motion and
-    # target pose share a level: each frame reads back as written
+    # every mode and a blank frame: each frame reads back as written
     mask = _part_mask()
-    for triple in ((0.8, 0.5, 0.2), (1.0, 1.0, 0.0)):
-        for mode in geo.ConditionMode:
-            d = tmp_path / f"{triple[1]}-{mode.value}"
-            chans = geo.build_condition(mode, [mask, np.zeros_like(mask)], triple)
-            fileio.write_condition(d, chans)
-            back = fileio.read_condition(d)
-            assert len(back) == 2
-            for ch, written in zip(back, chans):
-                assert ch.mode is mode and ch.triple == triple
-                np.testing.assert_array_equal(ch.part_mask, written.part_mask)
-            np.testing.assert_array_equal(
-                back[0].confidence, np.where(mask != 0, mode.level(triple), triple[2]))
-            np.testing.assert_array_equal(back[1].confidence, np.full(mask.shape, triple[2]))
+    triple = (0.8, 0.5, 0.2)
+    for mode in geo.ConditionMode:
+        d = tmp_path / mode.value
+        chans = geo.build_condition(mode, [mask, np.zeros_like(mask)], triple)
+        fileio.write_condition(d, chans)
+        back = fileio.read_condition(d)
+        assert len(back) == 2
+        for ch, written in zip(back, chans):
+            assert ch.mode is mode and ch.triple == triple
+            np.testing.assert_array_equal(ch.part_mask, written.part_mask)
+        np.testing.assert_array_equal(
+            back[0].confidence, np.where(mask != 0, mode.level(triple), triple[2]))
+        np.testing.assert_array_equal(back[1].confidence, np.full(mask.shape, triple[2]))
     assert not list(tmp_path.rglob("*_conf_*.pgm"))
+
+
+def test_condition_full_motion_level_with_full_equal_to_target(tmp_path):
+    # full motion and target pose share a level, so only the sidecar's mode
+    # tells them apart
+    mask = _part_mask()
+    triple = (1.0, 1.0, 0.0)
+    chans = geo.build_condition(geo.ConditionMode.FULL_MOTION, [mask], triple)
+    fileio.write_condition(tmp_path, chans)
+    doc = json.loads((tmp_path / "cond_conf.json").read_text())
+    assert doc == {"triple": list(triple), "modes": [geo.ConditionMode.FULL_MOTION.value]}
+    (ch,) = fileio.read_condition(tmp_path)
+    assert ch.mode is geo.ConditionMode.FULL_MOTION and ch.triple == triple
+    np.testing.assert_array_equal(ch.confidence, np.where(mask != 0, 1.0, 0.0))
 
 
 # one per PayloadMismatch condition of read_condition, as an edit of the
