@@ -103,9 +103,9 @@ def cmd_train_pmp(args) -> int:
     config = PmpConfig(layers=args.layers)
     model = pmp_init(config, seed=args.seed)
     tc = TrainConfig(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
-    _log(f"training {args.steps} steps on {len(corpus)} motions")
     model, log = pmp_train(model, corpus, tc, seed=args.seed)
     save_checkpoint(model, args.out)
+    _log(f"trained {args.steps} steps on {len(corpus)} motions")
     _emit(args.out)
     if args.log_csv:
         save_log_csv(log, args.log_csv)

@@ -219,21 +219,28 @@ def pack_inputs(config: PmpConfig, seqs: list[MotionSequence],
 # ---------------------------------------------------------- forward/backward
 
 def _layer_norm_fwd(x, g, b):
-    mu = x.mean(axis=-1, keepdims=True)
-    var = x.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + _LN_EPS)
-    xhat = (x - mu) * inv
-    return g * xhat + b, (xhat, inv)
+    # one centring pass: numpy's x.var is this same sum of squared
+    # deviations from x.mean over the count, so the result is bitwise equal
+    xhat = x - x.mean(axis=-1, keepdims=True)
+    y = np.square(xhat)  # the output buffer, holding squares until below
+    inv = 1.0 / np.sqrt(y.sum(axis=-1, keepdims=True) / x.shape[-1] + _LN_EPS)
+    xhat *= inv
+    np.multiply(xhat, g, out=y)
+    y += b
+    return y, (xhat, inv)
 
 
 def _layer_norm_bwd(dy, g, cache):
     xhat, inv = cache
-    dg = (dy * xhat).reshape(-1, dy.shape[-1]).sum(axis=0)
+    t = dy * xhat
+    dg = t.reshape(-1, dy.shape[-1]).sum(axis=0)
     db = dy.reshape(-1, dy.shape[-1]).sum(axis=0)
-    dxhat = dy * g
-    m1 = dxhat.mean(axis=-1, keepdims=True)
-    m2 = (dxhat * xhat).mean(axis=-1, keepdims=True)
-    dx = inv * (dxhat - m1 - xhat * m2)
+    dx = dy * g  # dxhat, turned into dx in place below
+    m1 = dx.mean(axis=-1, keepdims=True)
+    m2 = np.multiply(dx, xhat, out=t).mean(axis=-1, keepdims=True)
+    dx -= m1
+    dx -= np.multiply(xhat, m2, out=t)
+    dx *= inv
     return dx, dg, db
 
 
@@ -247,29 +254,32 @@ def _outer_grad(x, dy):
     return x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
-def _split_heads(x, heads):
+def _heads(x, heads):
+    """A C-contiguous (b, f, d) array as a (b, heads, f, d // heads) view.
+
+    Each head's (f, hd) matrix is strided, not copied: BLAS reads and writes
+    it in place, with the same gemm shapes as a contiguous copy and a wider
+    leading dimension, so the sums are the same. ``out=`` targets must be
+    C-contiguous, or the reshape would copy and the writes would be lost.
+    """
     b, f, d = x.shape
-    return np.ascontiguousarray(x.reshape(b, f, heads, d // heads).transpose(0, 2, 1, 3))
-
-
-def _merge_heads(x):
-    b, h, f, hd = x.shape
-    return np.ascontiguousarray(x.transpose(0, 2, 1, 3)).reshape(b, f, h * hd)
+    return x.reshape(b, f, heads, d // heads).transpose(0, 2, 1, 3)
 
 
 def _attention_fwd(xq, xkv, wq, wk, wv, wo, heads, key_mask=None):
-    q = _split_heads(_lin(xq, wq), heads)
-    k = _split_heads(_lin(xkv, wk), heads)
-    v = _split_heads(_lin(xkv, wv), heads)
+    q = _heads(_lin(xq, wq), heads)
+    k = _heads(_lin(xkv, wk), heads)
+    v = _heads(_lin(xkv, wv), heads)
     scale = 1.0 / np.sqrt(q.shape[-1])
-    scores = (q @ k.swapaxes(-1, -2)) * scale
+    scores = q @ k.swapaxes(-1, -2)
+    scores *= scale
     if key_mask is not None:
         scores = np.where(key_mask[:, None, None, :] > 0, scores, -1e30)
     scores -= scores.max(axis=-1, keepdims=True)
-    e = np.exp(scores)
-    probs = e / e.sum(axis=-1, keepdims=True)
-    ctx = probs @ v
-    merged = _merge_heads(ctx)
+    probs = np.exp(scores, out=scores)
+    probs /= probs.sum(axis=-1, keepdims=True)
+    merged = np.empty(xq.shape)  # the heads' contexts, side by side
+    np.matmul(probs, v, out=_heads(merged, heads))
     out = _lin(merged, wo)
     cache = (xq, xkv, q, k, v, probs, merged, scale)
     return out, cache
@@ -278,31 +288,46 @@ def _attention_fwd(xq, xkv, wq, wk, wv, wo, heads, key_mask=None):
 def _attention_bwd(dout, wq, wk, wv, wo, heads, cache):
     xq, xkv, q, k, v, probs, merged, scale = cache
     dwo = _outer_grad(merged, dout)
-    dmerged = _lin(dout, wo.T)
-    dctx = _split_heads(dmerged, heads)
+    dctx = _heads(_lin(dout, wo.T), heads)
     dprobs = dctx @ v.swapaxes(-1, -2)
-    dv = probs.swapaxes(-1, -2) @ dctx
+    dv = np.empty(xkv.shape)
+    np.matmul(probs.swapaxes(-1, -2), dctx, out=_heads(dv, heads))
     inner = (dprobs * probs).sum(axis=-1, keepdims=True)
-    dscores = probs * (dprobs - inner)
-    dq = (dscores @ k) * scale
-    dk = (dscores.swapaxes(-1, -2) @ q) * scale
-    dq_m, dk_m, dv_m = _merge_heads(dq), _merge_heads(dk), _merge_heads(dv)
-    dwq = _outer_grad(xq, dq_m)
-    dwk = _outer_grad(xkv, dk_m)
-    dwv = _outer_grad(xkv, dv_m)
-    dxq = _lin(dq_m, wq.T)
-    dxkv = _lin(dk_m, wk.T) + _lin(dv_m, wv.T)
+    dscores = dprobs
+    dscores -= inner
+    dscores *= probs
+    dq = np.empty(xq.shape)
+    np.matmul(dscores, k, out=_heads(dq, heads))
+    dq *= scale
+    dk = np.empty(xkv.shape)
+    np.matmul(dscores.swapaxes(-1, -2), q, out=_heads(dk, heads))
+    dk *= scale
+    dwq = _outer_grad(xq, dq)
+    dwk = _outer_grad(xkv, dk)
+    dwv = _outer_grad(xkv, dv)
+    dxq = _lin(dq, wq.T)
+    dxkv = _lin(dk, wk.T)
+    dxkv += _lin(dv, wv.T)
     return dxq, dxkv, dwq, dwk, dwv, dwo
 
 
 def _gelu_fwd(u):
-    phi = 0.5 * (1.0 + erf(u / np.sqrt(2.0)))
+    phi = u / np.sqrt(2.0)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
     return u * phi, phi
 
 
 def _gelu_bwd(du_out, u, phi):
-    pdf = np.exp(-0.5 * u * u) / np.sqrt(2.0 * np.pi)
-    return du_out * (phi + u * pdf)
+    t = -0.5 * u
+    t *= u
+    np.exp(t, out=t)
+    t /= np.sqrt(2.0 * np.pi)  # the normal pdf at u
+    t *= u
+    t += phi
+    t *= du_out
+    return t
 
 
 def forward(model: PmpModel, x, onehot, tok_idx, tok_mask, feats):
@@ -321,12 +346,15 @@ def forward(model: PmpModel, x, onehot, tok_idx, tok_mask, feats):
     x = x - mu
     xc = np.concatenate([x, np.broadcast_to(onehot[:, None, :], (b, f, onehot.shape[1]))],
                         axis=2)
-    h = _lin(xc, p["in_proj_w"]) + p["in_proj_b"] + p["pos_emb"][:f]
+    # only the final residual stream is cached, so h is updated in place
+    h = _lin(xc, p["in_proj_w"])
+    h += p["in_proj_b"]
+    h += p["pos_emb"][:f]
 
     tok_rows = p["token_emb"][tok_idx]  # (B, T, d)
     strength_row = (feats @ p["strength_w"] + p["strength_b"])[:, None, :]
     memory = np.concatenate([tok_rows, strength_row], axis=1)  # (B, T+1, d)
-    memory = memory * tok_mask[:, :, None]
+    memory *= tok_mask[:, :, None]
 
     caches = []
     for i in range(cfg.layers):
@@ -334,96 +362,95 @@ def forward(model: PmpModel, x, onehot, tok_idx, tok_mask, feats):
         a, ln1c = _layer_norm_fwd(h, p[pref + "ln1_g"], p[pref + "ln1_b"])
         sa, sac = _attention_fwd(a, a, p[pref + "self_wq"], p[pref + "self_wk"],
                                  p[pref + "self_wv"], p[pref + "self_wo"], cfg.heads)
-        h = h + sa
+        h += sa
         bq, ln2c = _layer_norm_fwd(h, p[pref + "ln2_g"], p[pref + "ln2_b"])
         ca, cac = _attention_fwd(bq, memory, p[pref + "cross_wq"], p[pref + "cross_wk"],
                                  p[pref + "cross_wv"], p[pref + "cross_wo"], cfg.heads,
                                  key_mask=tok_mask)
-        h = h + ca
+        h += ca
         c, ln3c = _layer_norm_fwd(h, p[pref + "ln3_g"], p[pref + "ln3_b"])
-        u = _lin(c, p[pref + "ffn_w1"]) + p[pref + "ffn_b1"]
+        u = _lin(c, p[pref + "ffn_w1"])
+        u += p[pref + "ffn_b1"]
         g, phi = _gelu_fwd(u)
-        ff = _lin(g, p[pref + "ffn_w2"]) + p[pref + "ffn_b2"]
-        h = h + ff
+        ff = _lin(g, p[pref + "ffn_w2"])
+        ff += p[pref + "ffn_b2"]
+        h += ff
         caches.append((ln1c, sac, ln2c, cac, ln3c, (c, u, phi, g)))
 
-    y = _lin(h, p["out_proj_w"]) + p["out_proj_b"] + mu
+    y = _lin(h, p["out_proj_w"])
+    y += p["out_proj_b"]
+    y += mu
     cache = (xc, memory, tok_idx, tok_mask, feats, caches, h, f, b)
     return y, cache
 
 
 def backward(model: PmpModel, cache, dy) -> dict[str, np.ndarray]:
-    """Exact gradients of a scalar loss with upstream derivative dy."""
+    """Exact gradients of a scalar loss with upstream derivative dy.
+
+    Each gradient is a fresh array, written once; only ``pos_emb`` (rows
+    past the frame count) and ``token_emb`` (a scatter-add) start from zeros.
+    """
     cfg = model.config
     p = model.params
     xc, memory, tok_idx, tok_mask, feats, caches, h_final, f, b = cache
-    grads = {name: np.zeros_like(arr) for name, arr in p.items()}
+    grads: dict[str, np.ndarray] = {}
 
-    grads["out_proj_w"] += _outer_grad(h_final, dy)
-    grads["out_proj_b"] += dy.sum(axis=(0, 1))
+    grads["out_proj_w"] = _outer_grad(h_final, dy)
+    grads["out_proj_b"] = dy.sum(axis=(0, 1))
     dh = _lin(dy, p["out_proj_w"].T)
     dmem = np.zeros_like(memory)
 
+    # dh is updated in place: no block keeps a reference to it
     for i in reversed(range(cfg.layers)):
         pref = f"layer{i}."
         ln1c, sac, ln2c, cac, ln3c, ffnc = caches[i]
         c, u, phi, g = ffnc
         # FFN block
-        dff = dh
-        grads[pref + "ffn_w2"] += _outer_grad(g, dff)
-        grads[pref + "ffn_b2"] += dff.sum(axis=(0, 1))
-        dg = _lin(dff, p[pref + "ffn_w2"].T)
+        grads[pref + "ffn_w2"] = _outer_grad(g, dh)
+        grads[pref + "ffn_b2"] = dh.sum(axis=(0, 1))
+        dg = _lin(dh, p[pref + "ffn_w2"].T)
         du = _gelu_bwd(dg, u, phi)
-        grads[pref + "ffn_w1"] += _outer_grad(c, du)
-        grads[pref + "ffn_b1"] += du.sum(axis=(0, 1))
+        grads[pref + "ffn_w1"] = _outer_grad(c, du)
+        grads[pref + "ffn_b1"] = du.sum(axis=(0, 1))
         dc = _lin(du, p[pref + "ffn_w1"].T)
-        dx, dgn, dbn = _layer_norm_bwd(dc, p[pref + "ln3_g"], ln3c)
-        grads[pref + "ln3_g"] += dgn
-        grads[pref + "ln3_b"] += dbn
-        dh = dh + dx
+        dx, grads[pref + "ln3_g"], grads[pref + "ln3_b"] = _layer_norm_bwd(
+            dc, p[pref + "ln3_g"], ln3c)
+        dh += dx
         # cross-attention block
-        dca = dh
-        dbq, dm, dwq, dwk, dwv, dwo = _attention_bwd(
-            dca, p[pref + "cross_wq"], p[pref + "cross_wk"],
+        (dbq, dm, grads[pref + "cross_wq"], grads[pref + "cross_wk"],
+         grads[pref + "cross_wv"], grads[pref + "cross_wo"]) = _attention_bwd(
+            dh, p[pref + "cross_wq"], p[pref + "cross_wk"],
             p[pref + "cross_wv"], p[pref + "cross_wo"], cfg.heads, cac)
-        grads[pref + "cross_wq"] += dwq
-        grads[pref + "cross_wk"] += dwk
-        grads[pref + "cross_wv"] += dwv
-        grads[pref + "cross_wo"] += dwo
         dmem += dm
-        dx, dgn, dbn = _layer_norm_bwd(dbq, p[pref + "ln2_g"], ln2c)
-        grads[pref + "ln2_g"] += dgn
-        grads[pref + "ln2_b"] += dbn
-        dh = dh + dx
+        dx, grads[pref + "ln2_g"], grads[pref + "ln2_b"] = _layer_norm_bwd(
+            dbq, p[pref + "ln2_g"], ln2c)
+        dh += dx
         # self-attention block
-        dsa = dh
-        dxq, dxkv, dwq, dwk, dwv, dwo = _attention_bwd(
-            dsa, p[pref + "self_wq"], p[pref + "self_wk"],
+        (dxq, dxkv, grads[pref + "self_wq"], grads[pref + "self_wk"],
+         grads[pref + "self_wv"], grads[pref + "self_wo"]) = _attention_bwd(
+            dh, p[pref + "self_wq"], p[pref + "self_wk"],
             p[pref + "self_wv"], p[pref + "self_wo"], cfg.heads, sac)
-        grads[pref + "self_wq"] += dwq
-        grads[pref + "self_wk"] += dwk
-        grads[pref + "self_wv"] += dwv
-        grads[pref + "self_wo"] += dwo
-        da = dxq + dxkv
-        dx, dgn, dbn = _layer_norm_bwd(da, p[pref + "ln1_g"], ln1c)
-        grads[pref + "ln1_g"] += dgn
-        grads[pref + "ln1_b"] += dbn
-        dh = dh + dx
+        dxq += dxkv
+        dx, grads[pref + "ln1_g"], grads[pref + "ln1_b"] = _layer_norm_bwd(
+            dxq, p[pref + "ln1_g"], ln1c)
+        dh += dx
 
     # input projection + positional embeddings
-    grads["pos_emb"][:f] += dh.sum(axis=0)
-    grads["in_proj_w"] += _outer_grad(xc, dh)
-    grads["in_proj_b"] += dh.sum(axis=(0, 1))
+    grads["pos_emb"] = np.zeros_like(p["pos_emb"])
+    grads["pos_emb"][:f] = dh.sum(axis=0)
+    grads["in_proj_w"] = _outer_grad(xc, dh)
+    grads["in_proj_b"] = dh.sum(axis=(0, 1))
 
     # conditioning memory: masked rows received no signal by construction
-    dmem = dmem * tok_mask[:, :, None]
+    dmem *= tok_mask[:, :, None]
     drow = dmem[:, -1, :]  # strength slot
-    grads["strength_w"] += feats.T @ drow
-    grads["strength_b"] += drow.sum(axis=0)
+    grads["strength_w"] = feats.T @ drow
+    grads["strength_b"] = drow.sum(axis=0)
     dtok = dmem[:, :-1, :]
+    grads["token_emb"] = np.zeros_like(p["token_emb"])
     np.add.at(grads["token_emb"], tok_idx.ravel(),
               dtok.reshape(-1, dtok.shape[-1]))
-    return grads
+    return {name: grads[name] for name in p}  # in declaration order
 
 
 # -------------------------------------------------------------- public ops
@@ -462,10 +489,13 @@ def pmp_loss(model: PmpModel, batch: list):
         t[i, :, :dim] = target.frames
     y, cache = forward(model, x, onehot, tok_idx, tok_mask, feats)
     mask = chan_mask[:, None, :]  # (B, 1, P) broadcast over frames
-    diff = (y - t) * mask
+    diff = y
+    diff -= t
+    diff *= mask
     n_valid = float(chan_mask.sum() * x.shape[1])
     loss = float((diff ** 2).sum() / n_valid)
-    dy = 2.0 * diff / n_valid
+    dy = np.multiply(diff, 2.0, out=diff)
+    dy /= n_valid
     grads = backward(model, cache, dy)
     return loss, grads
 
@@ -475,8 +505,20 @@ def pmp_loss(model: PmpModel, batch: list):
 CHECKPOINT_MAGIC = b"PMP1"
 
 
+def _require_finite(params: dict[str, np.ndarray]) -> None:
+    """A checkpoint holds finite weights: name the first tensor that does not."""
+    for name, arr in params.items():
+        if not np.isfinite(arr).all():
+            raise InvalidConfig(f"checkpoint tensor {name} holds non-finite values")
+
+
 def save_checkpoint(model: PmpModel, path) -> None:
-    """Magic, uint32-LE config length, config JSON, tensors as LE float64."""
+    """Magic, uint32-LE config length, config JSON, tensors as LE float64.
+
+    Weights holding a NaN or an infinity raise InvalidConfig before the file
+    is opened, so a diverged training run leaves no checkpoint behind.
+    """
+    _require_finite(model.params)
     cfg_json = model.config.to_json().encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC)
@@ -487,7 +529,8 @@ def save_checkpoint(model: PmpModel, path) -> None:
 
 
 def load_checkpoint(path) -> PmpModel:
-    """Inverse of ``save_checkpoint``; any other layout raises InvalidConfig."""
+    """Inverse of ``save_checkpoint``; any other layout, or a tensor holding
+    a NaN or an infinity, raises InvalidConfig."""
     with open(path, "rb") as fh:
         header = fh.read(8)
         if header[:4] != CHECKPOINT_MAGIC or len(header) < 8:
@@ -509,6 +552,7 @@ def load_checkpoint(path) -> PmpModel:
                                 f"bytes, the file holds {left}")
         params = {name: np.frombuffer(fh.read(8 * math.prod(shape)), dtype="<f8")
                   .reshape(shape).copy() for name, shape in _param_shapes(config)}
+    _require_finite(params)
     return PmpModel(config=config, params=params)
 
 

@@ -10,6 +10,7 @@ bit-for-bit from the seed.
 from __future__ import annotations
 
 import csv
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,8 +34,9 @@ class TrainConfig:
     lr: float = 1e-3
 
     def __post_init__(self):
-        if self.steps < 0 or self.batch_size < 1 or self.lr <= 0:
-            raise InvalidConfig("steps >= 0, batch_size >= 1, lr > 0 required")
+        if self.steps < 0 or self.batch_size < 1 or not 0 < self.lr < math.inf:
+            raise InvalidConfig("steps >= 0, batch_size >= 1 and a finite lr > 0 "
+                                f"required, got lr {self.lr}")
 
 
 def conditioning_for(model: PmpModel, item: CorpusItem) -> Conditioning:
@@ -48,7 +50,12 @@ def conditioning_for(model: PmpModel, item: CorpusItem) -> Conditioning:
 def pmp_train(model: PmpModel, corpus: list[CorpusItem],
               train_config: TrainConfig, seed: int
               ) -> tuple[PmpModel, list[tuple[int, float]]]:
-    """Train in place on perturbed copies of the corpus; returns (model, log)."""
+    """Train on perturbed copies of the corpus; returns (model, log).
+
+    Adam updates the passed model's parameter arrays in place, so the
+    returned model is the passed one; take ``model.copy()`` first to keep
+    the starting weights.
+    """
     if not corpus:
         raise EmptyCorpus("training corpus is empty")
     frame_counts = {item.motion.frame_count for item in corpus}
@@ -58,6 +65,8 @@ def pmp_train(model: PmpModel, corpus: list[CorpusItem],
     rng = np.random.default_rng(seed)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     second = {k: np.zeros_like(v) for k, v in model.params.items()}
+    # one scratch buffer for every tensor; a view of it is reshaped per tensor
+    scratch = np.empty(max((v.size for v in model.params.values()), default=0))
     log: list[tuple[int, float]] = []
     conds = [conditioning_for(model, item) for item in corpus]
     perturb_config = PerturbConfig()
@@ -77,14 +86,26 @@ def pmp_train(model: PmpModel, corpus: list[CorpusItem],
             batch.append((perturbed, item.motion, conds[int(i)]))
         loss, grads = pmp_loss(model, batch)
         t = step + 1
-        for name in model.params:
-            g = grads[name]
-            velocity[name] = b1 * velocity[name] + (1 - b1) * g
-            second[name] = b2 * second[name] + (1 - b2) * g * g
-            mhat = velocity[name] / (1 - b1**t)
-            vhat = second[name] / (1 - b2**t)
-            model.params[name] = model.params[name] - \
-                train_config.lr * mhat / (np.sqrt(vhat) + eps)
+        c1, c2 = 1 - b1**t, 1 - b2**t
+        for name, w in model.params.items():
+            # in place, in the order of w -= lr * (m / c1) / (sqrt(v / c2) + eps)
+            # with m = b1 * m + (1 - b1) * g and v = b2 * v + (1 - b2) * g * g;
+            # each step's gradients are fresh arrays, so g then holds the update
+            g, m, v = grads[name], velocity[name], second[name]
+            s = scratch[:g.size].reshape(g.shape)
+            m *= b1
+            m += np.multiply(g, 1 - b1, out=s)
+            np.multiply(g, 1 - b2, out=s)
+            s *= g
+            v *= b2
+            v += s
+            np.divide(v, c2, out=s)
+            np.sqrt(s, out=s)
+            s += eps
+            np.divide(m, c1, out=g)
+            g *= train_config.lr
+            g /= s
+            w -= g
         log.append((step, loss))
     return model, log
 

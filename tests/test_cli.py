@@ -364,6 +364,32 @@ def _bad_corpus(index_text):
     return argv
 
 
+def _non_finite_tensor(raw: bytes) -> bytes:
+    """Checkpoint bytes with the first weight of the last tensor set to NaN."""
+    cfg = json.loads(raw[8:8 + struct.unpack_from("<I", raw, 4)[0]])
+    pose_dim = cfg["max_pose_dim"]
+    at = len(raw) - 8 * pose_dim
+    return raw[:at] + struct.pack("<d", float("nan")) + raw[at + 8:]
+
+
+def _run_with_checkpoint(edit):
+    """run on fixture 2 with a copy of the checkpoint edited by edit."""
+    def argv(tmp_path, checkpoint):
+        bad = tmp_path / "bad.ckpt"
+        bad.write_bytes(edit(checkpoint.read_bytes()))
+        return _bad_run_config('{"fixture": 2}')(tmp_path, bad)
+    return argv
+
+
+def _train_pmp_with_lr(lr):
+    """train-pmp for two steps on the corpus the tiny checkpoint came from."""
+    def argv(tmp_path, checkpoint):
+        return ["train-pmp", "--corpus", str(checkpoint.parent / "corpus"),
+                "--out", str(tmp_path / "p.ckpt"), "--steps", "2", "--layers", "1",
+                "--lr", lr]
+    return argv
+
+
 def _denoise_with_strength(strength):
     def argv(tmp_path, checkpoint):
         return [*_denoise(tmp_path, checkpoint, _motion_doc()), "--strength", strength]
@@ -394,6 +420,12 @@ BOUNDARY_CASES = {
     "checkpoint-config-declares-more-than-the-file": (_bad_checkpoint(_config_bytes(
         lambda c: json.dumps({**json.loads(c), "max_pose_dim": 10**11}).encode())),
         "InvalidConfig"),
+    "checkpoint-nan-weight": (_bad_checkpoint(_non_finite_tensor), "InvalidConfig"),
+    "run-checkpoint-nan-weight": (_run_with_checkpoint(_non_finite_tensor),
+                                  "InvalidConfig"),
+    "train-pmp-nan-lr": (_train_pmp_with_lr("nan"), "InvalidConfig"),
+    "train-pmp-infinite-lr": (_train_pmp_with_lr("inf"), "InvalidConfig"),
+    "train-pmp-diverging-lr": (_train_pmp_with_lr("1e300"), "InvalidConfig"),
     "motion-unknown-category": (_bad_motion(lambda d: d.update(category="Nope")),
                                 "DimensionMismatch"),
     "motion-missing-pose-dim": (_bad_motion(lambda d: d.pop("pose_dim")),
@@ -485,6 +517,13 @@ def test_malformed_input_exits_1_with_a_named_error(case, tiny_checkpoint,
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith(f"error [{name}]: "), err
     assert "Traceback" not in err
+
+
+def test_diverged_training_leaves_no_checkpoint(tiny_checkpoint, tmp_path, capsys):
+    argv = _train_pmp_with_lr("1e300")(tmp_path, tiny_checkpoint)
+    assert run_cli(*argv) == 1
+    assert "non-finite" in capsys.readouterr().err
+    assert not (tmp_path / "p.ckpt").exists()
 
 
 # ------------------------------------------------------ memory boundaries

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -305,3 +307,37 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
     path.write_bytes(b"NOPE" + b"\x00" * 16)
     with pytest.raises(InvalidConfig):
         load_checkpoint(path)
+
+
+def test_checkpoint_refuses_non_finite_weights(tmp_path):
+    model = pmp_init(SMALL, seed=42)
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(model, path)
+    model.params["layer1.ffn_b2"][3] = np.inf
+    with pytest.raises(InvalidConfig, match="layer1.ffn_b2"):
+        save_checkpoint(model, tmp_path / "diverged.ckpt")
+    assert not (tmp_path / "diverged.ckpt").exists()
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = np.array([np.nan]).astype("<f8").tobytes()
+    path.write_bytes(bytes(raw))
+    with pytest.raises(InvalidConfig, match="out_proj_b"):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("lr", [0.0, -1e-3, float("nan"), float("inf")])
+def test_train_config_rejects_a_learning_rate_outside_zero_to_inf(lr):
+    with pytest.raises(InvalidConfig):
+        TrainConfig(lr=lr)
+
+
+# sha256 of the reference prior's checkpoint (default PmpConfig, 512-motion
+# corpus, 5000 steps, seed 42), pinned so that a faster training step cannot
+# change a weight silently. Recorded with numpy 2.4 and OpenBLAS 0.3.31 on
+# x86-64; another platform's BLAS or libm rounding may give another digest.
+REFERENCE_PRIOR_DIGEST = "f973557a7faaa8d6d344bc776a65132b078ab97424a73e06a7ec30ce370c8c30"
+
+
+def test_reference_prior_matches_golden_digest(trained_prior, tmp_path):
+    path = tmp_path / "prior.ckpt"
+    save_checkpoint(trained_prior.model, path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == REFERENCE_PRIOR_DIGEST
