@@ -33,8 +33,11 @@ from .errors import (
 
 CONTOUR_VERTICES = 16
 OBJECT_POINTS = 21  # 16 contour + 4 bbox corners + center
-# (point, pixel) candidates per splat block, and pixels per frame group
-SPLAT_BLOCK = 1 << 16  # a group's int64 z-buffer (512 KB) stays in L2 cache
+# (point, pixel) candidates per splat block, and pixels per frame group in the
+# splat (a group's int64 z-buffer, 512 KB, stays in L2 cache) and in
+# pipeline's eval (five int32 planes; 2^16 to 2^19 scored the fixtures' clips
+# equally fast, 2^14 slower). Retuning it retunes both.
+SPLAT_BLOCK = 1 << 16
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from .core import (
 from .errors import ExtractionFailed, InvalidConfig, ShapeMismatch, TooManyFrames
 from .geometry import (
     DEFAULT_TRIPLE,
+    SPLAT_BLOCK,
     BinaryMask,
     ConditionMode,
     DepthMap,
@@ -387,56 +388,58 @@ def stage3_regenerate(scene: SceneSpec, refined: list[MotionSequence],
 
 # ------------------------------------------------------------------ metrics
 
-def _psnr(pred: np.ndarray, ref: np.ndarray, maxval: float = 255.0) -> float:
-    mse = float(np.mean((pred.astype(np.float64) - ref.astype(np.float64)) ** 2))
-    if mse == 0.0:
-        return 99.0
-    return min(99.0, 10.0 * math.log10(maxval * maxval / mse))
+def _window_sums(x: np.ndarray, window: int, stride: int) -> np.ndarray:
+    """Sums over window x window patches at the given stride on the last two
+    axes, rows first; a side shorter than the window sums to one value. Each
+    side adds gcd(window, stride)-wide blocks by strided slices, then
+    window / gcd consecutive blocks at the stride."""
+    for axis in (-2, -1):
+        w = min(window, x.shape[axis])
+        g = math.gcd(w, stride)
+        count = (x.shape[axis] - w) // stride + 1
+        tail = (slice(None),) * (-1 - axis)
+        for terms, step, num in ((g, g, ((count - 1) * stride + w) // g),
+                                 (w // g, stride // g, count)):
+            parts = [x[(..., slice(j, j + step * (num - 1) + 1, step)) + tail]
+                     for j in range(terms)]
+            x = sum(parts[1:], parts[0])
+    return x
 
 
-def _ssim_frame(a: np.ndarray, b: np.ndarray, maxval: float = 255.0,
-                window: int = 8, stride: int = 4) -> float:
-    """Mean SSIM over window x window patches at the given stride, in
-    row-major order; a side shorter than the window gets one truncated patch.
-
-    Patch sums come from int64 integral images of a, b, a², b² and ab, so
-    for uint8 frames every sum is exact, and with a full patch of n = 64
-    pixels S/n and (n·Sxy − Sx·Sy)/n² are exactly the mean, variance and
-    covariance a per-patch two-pass computation gives.
-    """
-    c1 = (0.01 * maxval) ** 2
-    c2 = (0.03 * maxval) ** 2
-    a = a.astype(np.int64)
-    b = b.astype(np.int64)
-    h, w = a.shape
-    wy, wx = min(window, h), min(window, w)
-    ys = np.arange(0, h - wy + 1, stride)
-    xs = np.arange(0, w - wx + 1, stride)
-    ny, nx = len(ys), len(xs)
-    tables = np.zeros((5, h + 1, w + 1), dtype=np.int64)
-    tables[:, 1:, 1:] = (a, b, a * a, b * b, a * b)
-    np.cumsum(tables, axis=1, out=tables)
-    np.cumsum(tables, axis=2, out=tables)
-    # patch corners: rows ys then ys + wy, columns xs then xs + wx
-    c = tables[:, np.r_[ys, ys + wy][:, None], np.r_[xs, xs + wx]]
-    sa, sb, saa, sbb, sab = (c[:, ny:, nx:] - c[:, :ny, nx:]
-                             - c[:, ny:, :nx] + c[:, :ny, :nx])
-    n = wy * wx
-    mu_a, mu_b = sa / n, sb / n
-    va = (n * saa - sa * sa) / (n * n)
-    vb = (n * sbb - sb * sb) / (n * n)
-    cov = (n * sab - sa * sb) / (n * n)
-    vals = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-            / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
-    return float(np.mean(vals.ravel()))
+def _frame_groups(pred, ref):
+    """Both sequences' frames, stacked in groups of SPLAT_BLOCK pixels or one frame."""
+    k = max(1, SPLAT_BLOCK // pred[0].size)
+    return ((np.stack(pred[f:f + k]), np.stack(ref[f:f + k])) for f in range(0, len(pred), k))
 
 
-def _miou_frame(pred: np.ndarray, ref: np.ndarray) -> float:
-    inter = int(np.count_nonzero((pred == ref) & (ref != 0)))
-    union = int(np.count_nonzero((pred != 0) | (ref != 0)))
-    if union == 0:
-        return 1.0
-    return inter / union
+def _frame_scores(pred, ref, maxval: float = 255.0, window: int = 8,
+                  stride: int = 4) -> tuple[list[float], list[float]]:
+    """Per-frame PSNR and SSIM (mean over window x window patches at the
+    stride, row-major) of two equal-shape sequences of uint8 frames. Patch
+    sums of a, b, a², b², ab are exact in int32 (64·255² < 2³¹), so with a
+    full 64-pixel patch S/n and (n·Sxy − Sx·Sy)/n² are exactly the two-pass
+    mean, variance and covariance; PSNR's squared error sums exactly."""
+    c1, c2 = (0.01 * maxval) ** 2, (0.03 * maxval) ** 2
+    psnr, ssim = [], []
+    for group in _frame_groups(pred, ref):
+        q = np.empty((5,) + group[0].shape, dtype=np.int32)
+        q[0], q[1] = group
+        a, b = q[:2]
+        sq = np.square(np.subtract(a, b, out=q[4]), out=q[4]).reshape(len(a), -1)
+        psnr += [min(99.0, 10.0 * math.log10(maxval * maxval / m)) if m else 99.0
+                 for m in (sq.sum(-1, dtype=np.int64) / a[0].size).tolist()]
+        np.multiply(q[:2], q[:2], out=q[2:4])
+        np.multiply(a, b, out=q[4])
+        sa, sb, saa, sbb, sab = _window_sums(q, window, stride).astype(np.int64)
+        n = min(window, a.shape[1]) * min(window, a.shape[2])
+        mu_a, mu_b = sa / n, sb / n
+        va = (n * saa - sa * sa) / (n * n)
+        vb = (n * sbb - sb * sb) / (n * n)
+        cov = (n * sab - sa * sb) / (n * n)
+        vals = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
+        ssim += [float(np.mean(v.ravel())) for v in vals]
+    return psnr, ssim
 
 
 def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
@@ -452,12 +455,14 @@ def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
     if len(pred_motions) != len(gt_motions):
         raise ShapeMismatch(f"{len(pred_motions)} predicted motions for "
                             f"{len(gt_motions)} ground-truth ones")
-    psnr = float(np.mean([_psnr(p, r) for p, r in
-                          zip(pred_clip.frames, ref_clip.frames)]))
-    ssim = float(np.mean([_ssim_frame(p, r) for p, r in
-                          zip(pred_clip.frames, ref_clip.frames)]))
-    miou = float(np.mean([_miou_frame(p, r) for p, r in
-                          zip(pred_masks, gt_masks)])) if pred_masks else 1.0
+    psnr, ssim = (float(np.mean(v)) for v in
+                  _frame_scores(pred_clip.frames, ref_clip.frames))
+    ious = []
+    for p, r in _frame_groups(pred_masks, gt_masks) if pred_masks else ():
+        inter = np.count_nonzero((p == r) & (r != 0), axis=(1, 2)).tolist()
+        union = np.count_nonzero((p != 0) | (r != 0), axis=(1, 2)).tolist()
+        ious += [i / u if u else 1.0 for i, u in zip(inter, union)]
+    miou = float(np.mean(ious)) if ious else 1.0
     errs = []
     for p, g in zip(pred_motions, gt_motions):
         if p.frames.shape != g.frames.shape:

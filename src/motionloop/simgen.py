@@ -141,7 +141,7 @@ class VideoClip:
             raise InvalidConfig("clip needs at least one frame")
         w, h = self.resolution
         for f in self.frames:
-            # SSIM's integral-image sums are exact only for uint8 pixels
+            # SSIM's int32 window sums are exact only for uint8 pixels
             if f.dtype != np.uint8:
                 raise InvalidConfig(f"clip frames must be uint8, got {f.dtype}")
             if f.shape != (h, w):

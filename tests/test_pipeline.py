@@ -1,21 +1,28 @@
 from __future__ import annotations
 
+import hashlib
 import json
-from dataclasses import fields
+import math
+import tracemalloc
+from dataclasses import fields, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from motionloop import pipeline
 from motionloop.core import Category, MotionSequence, motions_from_json, preset, resample
 from motionloop.errors import ExtractionFailed, InvalidConfig, ShapeMismatch
 from motionloop.fileio import read_clip, read_condition
-from motionloop.geometry import ConditionMode
+from motionloop.geometry import CameraSpec, ConditionMode
 from motionloop.pipeline import (
     EvalReport,
     PipelineConfig,
     UserCondition,
-    _ssim_frame,
+    _frame_scores,
     eval_metrics,
     extract_motion,
     run_from_json,
@@ -129,7 +136,7 @@ def test_ssim_symmetric():
 
 def _ssim_frame_loop(a: np.ndarray, b: np.ndarray, maxval: float = 255.0,
                      window: int = 8, stride: int = 4) -> float:
-    """The per-window loop that _ssim_frame replaced, kept as its oracle."""
+    """The per-window loop that the window-sum SSIM replaced, kept as its oracle."""
     c1 = (0.01 * maxval) ** 2
     c2 = (0.03 * maxval) ** 2
     a = a.astype(np.float64)
@@ -160,8 +167,9 @@ def test_ssim_equals_window_loop_on_fixture_frames():
             clip, _ = generate(scene, mode, config, seed=42)
             ref = render(scene, [resample(m, clip.frame_count) for m in gt],
                          config)[0]
+            ssim = _frame_scores(clip.frames, ref.frames)[1]
             for t, (a, b) in enumerate(zip(clip.frames, ref.frames)):
-                assert _ssim_frame(a, b) == _ssim_frame_loop(a, b), (index, config, t)
+                assert ssim[t] == _ssim_frame_loop(a, b), (index, config, t)
                 compared += 1
     assert compared == 20 * (16 + 8)
 
@@ -173,7 +181,7 @@ def test_ssim_equals_window_loop_on_random_and_sparse_frames():
         b = rng.integers(0, 256, size=shape, dtype=np.uint8)
         sparse = a * (rng.random(shape) < 0.03)
         for x, y in ((a, b), (sparse, b), (sparse, sparse), (sparse, 0 * a)):
-            assert _ssim_frame(x, y) == _ssim_frame_loop(x, y), shape
+            assert _frame_scores([x], [y])[1] == [_ssim_frame_loop(x, y)], shape
 
 
 def test_ssim_matches_window_loop_on_frames_smaller_than_the_window():
@@ -183,8 +191,101 @@ def test_ssim_matches_window_loop_on_frames_smaller_than_the_window():
     for shape in ((5, 7), (3, 20), (20, 3), (1, 1)):
         a = rng.integers(0, 256, size=shape, dtype=np.uint8)
         b = rng.integers(0, 256, size=shape, dtype=np.uint8)
-        assert _ssim_frame(a, b) == pytest.approx(_ssim_frame_loop(a, b),
-                                                  rel=0, abs=1e-12), shape
+        assert _frame_scores([a], [b])[1] == pytest.approx([_ssim_frame_loop(a, b)],
+                                                           rel=0, abs=1e-12), shape
+
+
+def _psnr_frame(a: np.ndarray, b: np.ndarray) -> float:
+    """The float-mean PSNR that the integer one replaced, kept as its oracle."""
+    mse = float(np.mean((a.astype(np.float64) - b.astype(np.float64)) ** 2))
+    return 99.0 if mse == 0.0 else min(99.0, 10.0 * math.log10(255.0 * 255.0 / mse))
+
+
+@st.composite
+def _frame_pairs(draw):
+    """1-12 pairs of h x w uint8 frames, 1-40 pixels a side: a dense random
+    frame against a dense, sparse, blank or identical one."""
+    n, h, w = draw(st.integers(1, 12)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    a = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
+    kind = draw(st.sampled_from(["dense", "sparse", "blank", "same"]))
+    b = {"dense": rng.integers(0, 256, size=(n, h, w), dtype=np.uint8),
+         "sparse": a * (rng.random((n, h, w)) < 0.03).astype(np.uint8),
+         "blank": np.zeros_like(a), "same": a.copy()}[kind]
+    return list(a), list(b)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(pair=_frame_pairs(), budget=st.sampled_from([1, 2**8, 2**20]))
+def test_frame_groups_score_every_frame_as_the_per_frame_oracles(pair, budget):
+    # a budget of 1 pixel scores each frame alone; 2**8 groups frames of up
+    # to 16 x 16 pixels; 2**20 takes every frame in one group
+    a, b = pair
+    with mock.patch.object(pipeline, "SPLAT_BLOCK", budget):
+        psnr, ssim = _frame_scores(a, b)
+        report = eval_metrics(clip_of(a), clip_of(b), [], [], a, b)
+    assert psnr == [_psnr_frame(x, y) for x, y in zip(a, b)]
+    oracle = [_ssim_frame_loop(x, y) for x, y in zip(a, b)]
+    if min(a[0].shape) < 8:  # one truncated window: agreement to rounding
+        assert ssim == pytest.approx(oracle, rel=0, abs=1e-12)
+    else:
+        assert ssim == oracle
+    ious = []
+    for x, y in zip(a, b):
+        union = np.count_nonzero((x != 0) | (y != 0))
+        ious.append(np.count_nonzero((x == y) & (y != 0)) / union if union else 1.0)
+    assert report.mask_miou == float(np.mean(ious))
+
+
+def test_eval_full_hd_clip_stays_within_memory_bound():
+    # one 1920 x 1080 frame's five int32 planes take 41 MB; five int64
+    # integral images of it take 83 MB, and a whole-clip group over 600 MB
+    scene = replace(fixture_scene(1), camera=CameraSpec.default(1920, 1080))
+    gt = synthesize_gt_motion(scene, seed=4)
+    ref, gt_masks = render(scene, gt, FINE_CONFIG)
+    clip, realized = generate(scene, ConditionMode.FULL_MOTION, FINE_CONFIG, seed=4)
+    pred_masks = render(scene, realized, FINE_CONFIG)[1]
+    assert clip.frame_count == 16 and clip.resolution == (1920, 1080)
+    tracemalloc.start()
+    try:
+        eval_metrics(clip, ref, realized, gt, pred_masks, gt_masks)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 128 * 2**20
+
+
+# sha256 of EvalReport.to_json() over fixtures 0-19 at seed 42, pinned so that
+# a faster metric cannot change a bit of report.json. Recorded with numpy 2.4
+# on x86-64, like GOLDEN_CLIP_DIGESTS in test_simgen.py.
+GOLDEN_EVAL_DIGESTS = {
+    "full_motion_fine": "e3f15ed7663307000b3349fadee49fa929e5985d230a859840abd53f1024495a",
+    "empty_coarse": "543397eb0b8fd420067468011898641532a6605133e46f61770f9eae3e8429c9",
+}
+
+
+def _eval_report_digests() -> dict[str, str]:
+    digests = {name: hashlib.sha256() for name in GOLDEN_EVAL_DIGESTS}
+    for index in range(20):
+        scene = fixture_scene(index)
+        gt = synthesize_gt_motion(scene, seed=42)
+        for name, mode, config in (
+                ("full_motion_fine", ConditionMode.FULL_MOTION, FINE_CONFIG),
+                ("empty_coarse", ConditionMode.EMPTY, COARSE_CONFIG)):
+            clip, realized = generate(scene, mode, config, seed=42)
+            gt_n = [resample(m, clip.frame_count) for m in gt]
+            ref, gt_masks = render(scene, gt_n, config)
+            if mode is ConditionMode.FULL_MOTION:
+                pred_masks = render(scene, realized, config)[1]
+            else:
+                pred_masks = gt_masks = []
+            report = eval_metrics(clip, ref, realized, gt_n, pred_masks, gt_masks)
+            digests[name].update(report.to_json().encode())
+    return {name: d.hexdigest() for name, d in digests.items()}
+
+
+def test_eval_reports_match_golden_digests():
+    assert _eval_report_digests() == GOLDEN_EVAL_DIGESTS
 
 
 def test_miou_counting_oracle():

@@ -1,0 +1,210 @@
+"""Benchmark a change against its parent commit in alternating pairs.
+
+    python3 tools/bench_pairs.py --slug clip_eval --seeds 721-730 \\
+        --workloads fixtures multi --seconds 20 \\
+        [--parent HEAD] [--title "..."] [--trace-seed 731] \\
+        [--claim fixtures:op_ms_p50:0.12]
+
+Run from the repository root. The parent's committed files are exported
+with ``git archive`` into a temporary directory; the change is the working
+tree as it stands. For each workload and seed, ``perfbench/run.py`` runs
+once on each side, and the side that runs first alternates from pair to
+pair, so a host that drifts slows both sides alike. Each run's record is
+read back from ``perfbench/out`` of its own checkout. The result goes to
+``BENCH_<slug>.json`` at the repository root: per workload and end-to-end
+metric, both sides' medians, quartiles, per-run values and the number of
+pairs the change won, plus the set-up records, the traced per-layer values
+of one pair per workload (``--trace-seed``), the environment and, with
+``--claim workload:metric:fraction``, whether the change improved that
+metric by at least the fraction in the median, won at least 9 of 10 pairs
+and moved the median by more than the parent's interquartile range.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import statistics
+import subprocess
+import sys
+import tarfile
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def parse_seeds(text: str) -> list[int]:
+    """``721-730`` or ``721,725,729``."""
+    if "-" in text:
+        lo, hi = (int(v) for v in text.split("-"))
+        return list(range(lo, hi + 1))
+    return [int(v) for v in text.split(",")]
+
+
+def export_commit(rev: str, dest: Path) -> str:
+    """Write the committed files of ``rev`` under ``dest``; return its hash."""
+    commit = subprocess.run(["git", "rev-parse", rev], cwd=ROOT, check=True,
+                            capture_output=True, text=True).stdout.strip()
+    archive = dest / "parent.tar"
+    with open(archive, "wb") as fh:
+        subprocess.run(["git", "archive", "--format=tar", commit], cwd=ROOT,
+                       check=True, stdout=fh)
+    with tarfile.open(archive) as tar:
+        tar.extractall(dest / "tree", filter="data")
+    archive.unlink()
+    return commit
+
+
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int) -> dict:
+    """One benchmark run; returns its record from perfbench/out."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
+           "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
+    proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit(f"{' '.join(cmd)} in {checkout} exited "
+                         f"{proc.returncode}:\n{proc.stderr}")
+    out = checkout / "perfbench" / "out" / f"{workload}-seed{seed}-trace{trace}.json"
+    return json.loads(out.read_text())
+
+
+def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
+              seconds: float, trace: int) -> list[dict[str, dict]]:
+    pairs = []
+    for i, seed in enumerate(seeds):
+        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
+        pair = {}
+        for side in order:
+            pair[side] = run_once(sides[side], workload, seed, seconds, trace)
+            value = pair[side]["result"]["metrics"].get("op_ms_p50", {}).get("value")
+            print(f"{workload} seed {seed} {side}: op_ms_p50 {value}", file=sys.stderr)
+        pairs.append(pair)
+    return pairs
+
+
+def quartiles(values: list[float]) -> list[float]:
+    q = statistics.quantiles(values, n=4, method="inclusive")
+    return [q[0], q[2]]
+
+
+def summarize(pairs: list[dict[str, dict]], seeds: list[int],
+              metrics: list[dict]) -> dict:
+    sides = ("parent", "change")
+    results = {side: [p[side]["result"] for p in pairs] for side in sides}
+    summary = {
+        "seeds": seeds, "pairs": len(pairs),
+        "attempted": {s: sum(r["attempted"] for r in results[s]) for s in sides},
+        "failed": {s: sum(r["failed"] for r in results[s]) for s in sides},
+        "correct": all(r["correct"] for s in sides for r in results[s]),
+        "metrics": {},
+        "setup_records": {s: {
+            "setup_builds_s_total": [sum(p[s]["setup_builds_s"]) for p in pairs],
+            "setup_cal_ms_mean": [statistics.fmean(p[s]["setup_cal_ms"]) for p in pairs],
+        } for s in sides},
+    }
+    for metric in metrics:
+        name = metric["name"]
+        values = {s: [r["metrics"][name]["value"] for r in results[s]] for s in sides}
+        sign = 1 if metric["better"] == "lower" else -1
+        wins = sum(sign * (c - p) < 0 for p, c in zip(values["parent"], values["change"]))
+        summary["metrics"][name] = {
+            "unit": metric["unit"], "better": metric["better"],
+            "parent_median": statistics.median(values["parent"]),
+            "change_median": statistics.median(values["change"]),
+            "parent_quartiles": quartiles(values["parent"]),
+            "change_quartiles": quartiles(values["change"]),
+            "change_wins": f"{wins}/{len(pairs)}",
+            "parent": values["parent"], "change": values["change"],
+        }
+    return summary
+
+
+def judge_claim(spec: str, workloads: dict) -> dict:
+    workload, metric, fraction = spec.split(":")
+    m = workloads[workload]["metrics"][metric]
+    wins, pairs = (int(v) for v in m["change_wins"].split("/"))
+    lo, hi = m["parent_quartiles"]
+    gap = m["parent_median"] - m["change_median"]
+    if m["better"] == "higher":
+        gap = -gap
+    return {
+        "workload": workload, "metric": metric, "min_gain": float(fraction),
+        "rule": ("the change's median is better by at least min_gain of the "
+                 "parent's, it wins at least 9 of 10 pairs and the median gap "
+                 "exceeds the parent's interquartile range"),
+        "result": {
+            "met": (gap >= float(fraction) * abs(m["parent_median"])
+                    and wins * 10 >= 9 * pairs and gap > hi - lo),
+            "change_wins": m["change_wins"],
+            "parent_median": m["parent_median"],
+            "change_median": m["change_median"],
+            "gain": gap / abs(m["parent_median"]),
+            "parent_iqr": hi - lo,
+        },
+    }
+
+
+def environment(record: dict) -> dict:
+    """A run's environment record without its workload, seed, commit and
+    the BLAS build's install directories, which name no setting."""
+    env = {k: v for k, v in record.items() if k not in ("workload", "seed", "commit")}
+    if isinstance(env.get("blas"), dict):
+        env["blas"] = {k: v for k, v in env["blas"].items() if not k.endswith("directory")}
+    return env
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--slug", required=True)
+    parser.add_argument("--seeds", required=True, type=parse_seeds)
+    parser.add_argument("--workloads", nargs="+",
+                        default=["train", "fixtures", "long", "multi"])
+    parser.add_argument("--seconds", type=float, default=20.0)
+    parser.add_argument("--parent", default="HEAD")
+    parser.add_argument("--title", default="")
+    parser.add_argument("--trace-seed", type=int)
+    parser.add_argument("--claim", help="workload:metric:fraction")
+    args = parser.parse_args(argv)
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+
+    with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
+        parent_commit = export_commit(args.parent, Path(tmp))
+        sides = {"parent": Path(tmp) / "tree", "change": ROOT}
+        workloads, traced, env = {}, {}, None
+        for workload in args.workloads:
+            pairs = run_pairs(sides, workload, args.seeds, args.seconds, 0)
+            workloads[workload] = summarize(pairs, args.seeds, metrics)
+            env = env or pairs[0]["change"]["environment"]
+            if args.trace_seed is not None:
+                pair = run_pairs(sides, workload, [args.trace_seed], args.seconds, 1)[0]
+                traced[workload] = [{"seed": args.trace_seed, **{
+                    side: {k: m["value"] for k, m in rec["result"]["metrics"].items()}
+                    for side, rec in pair.items()}}]
+
+    cmd = "python3 perfbench/run.py --workload W --seed S --seconds {:g} --trace {}"
+    doc = {
+        "title": args.title,
+        "command": cmd.format(args.seconds, 0),
+        "pairing": "parent and change alternate which runs first, pair by pair",
+        "units": "op_ms_p50 is in reference ms: perfbench scales op times to "
+                 "its host-speed kernel",
+        "parent_commit": parent_commit,
+        "workloads": workloads,
+    }
+    if traced:
+        doc["traced"] = {"command": cmd.format(args.seconds, 1),
+                         "note": "per-layer values of one traced pair per "
+                                 "workload; per-layer times are raw ms",
+                         "workloads": traced}
+    if args.claim:
+        doc["claim"] = judge_claim(args.claim, workloads)
+    doc["environment"] = environment(env)
+    out = ROOT / f"BENCH_{args.slug}.json"
+    out.write_text(json.dumps(doc, indent=1) + "\n")
+    print(out)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
