@@ -26,7 +26,7 @@ from .core import (
     motions_to_json,
     preset,
 )
-from .errors import InvalidConfig, MotionError, PlanMismatch, TooManyFrames
+from .errors import InvalidConfig, MotionError, ShapeMismatch, TooManyFrames
 from .longvideo import plan_windows, stitch, extend_motion
 from .pipeline import (
     UserCondition,
@@ -103,7 +103,9 @@ def cmd_train_pmp(args) -> int:
     config = PmpConfig(layers=args.layers)
     model = pmp_init(config, seed=args.seed)
     tc = TrainConfig(steps=args.steps, batch_size=args.batch_size, lr=args.lr)
-    model, log = pmp_train(model, corpus, tc, seed=args.seed)
+    # a diverging run is named once, by save_checkpoint's non-finite check
+    with np.errstate(over="ignore", invalid="ignore"):
+        model, log = pmp_train(model, corpus, tc, seed=args.seed)
     save_checkpoint(model, args.out)
     _log(f"trained {args.steps} steps on {len(corpus)} motions")
     _emit(args.out)
@@ -149,6 +151,9 @@ def cmd_denoise(args) -> int:
 def cmd_extract(args) -> int:
     scene = _load_scene(args.scene)
     clip = fileio.read_clip(args.clip)
+    if clip.resolution[0] > scene.camera.size[0]:
+        raise ShapeMismatch(f"clip resolution {clip.resolution} is wider than the "
+                            f"scene camera {scene.camera.size}")
     config = GeneratorConfig(
         resolution_scale=clip.resolution[0] / scene.camera.size[0],
         frame_fraction=1.0)
@@ -200,14 +205,8 @@ def cmd_extend(args) -> int:
 
 
 def cmd_stitch(args) -> int:
-    # count the windows before plan_windows builds them all; it names a bad plan
-    if args.stride >= 1 and args.total >= args.window:
-        windows = -(-(args.total - args.window) // args.stride) + 1
-        if len(args.clips) != windows:
-            raise PlanMismatch(f"{len(args.clips)} clips for {windows} windows")
-    clips = [fileio.read_clip(p) for p in args.clips]
     plan = plan_windows(args.total, window=args.window, stride=args.stride)
-    merged = stitch(clips, plan)
+    merged = stitch([fileio.read_clip(p) for p in args.clips], plan)
     fileio.write_clip(args.out, list(merged.frames), merged.fps)
     _emit(args.out)
     return 0

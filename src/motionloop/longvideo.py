@@ -27,13 +27,21 @@ DEFAULT_STRIDE = 24
 class WindowPlan:
     window: int
     stride: int
-    windows: tuple[tuple[int, int], ...]
     total: int  # padded total length
     padding: int  # frames added beyond the requested length
 
     @property
     def overlap(self) -> int:
         return self.window - self.stride
+
+    @property
+    def starts(self) -> range:
+        """First frame of each window; its len() is free for any total."""
+        return range(0, self.total - self.window + 1, self.stride)
+
+    @property
+    def windows(self) -> tuple[tuple[int, int], ...]:
+        return tuple((s, s + self.window) for s in self.starts)
 
 
 def extend_motion(seq: MotionSequence, target_len: int, pmp: PmpModel,
@@ -64,11 +72,9 @@ def plan_windows(total_len: int, window: int = DEFAULT_WINDOW,
         raise PlanMismatch("window > 2 * stride would triple-overlap frames")
     if total_len < window:
         raise TotalTooShort(f"total {total_len} < window {window}")
-    k = int(np.ceil((total_len - window) / stride))
-    padded = window + k * stride
-    windows = tuple((i * stride, i * stride + window) for i in range(k + 1))
-    return WindowPlan(window=window, stride=stride, windows=windows,
-                      total=padded, padding=padded - total_len)
+    padding = (window - total_len) % stride
+    return WindowPlan(window=window, stride=stride, total=total_len + padding,
+                      padding=padding)
 
 
 def blend_weights(overlap: int) -> np.ndarray:
@@ -76,50 +82,35 @@ def blend_weights(overlap: int) -> np.ndarray:
     return np.arange(1, overlap + 1) / (overlap + 1.0)
 
 
-def _blend_grids(grids: list, plan: WindowPlan) -> list[np.ndarray]:
-    """Copy windows verbatim, then apply the blend in each pairwise overlap:
-    out_j = (1 - w_j) * earlier + w_j * later, w = blend_weights(L)."""
-    out: list[np.ndarray | None] = [None] * plan.total
-    for (start, end), frames in zip(plan.windows, grids):
-        for j in range(plan.window):
-            out[start + j] = np.asarray(frames[j], dtype=np.float64)
-    weights = blend_weights(plan.overlap)
-    for k in range(1, len(plan.windows)):
-        s_prev = plan.windows[k - 1][0]
-        s_cur = plan.windows[k][0]
-        for j, w in enumerate(weights, start=1):
-            g = s_cur + j - 1
-            earlier = np.asarray(grids[k - 1][g - s_prev], dtype=np.float64)
-            later = np.asarray(grids[k][j - 1], dtype=np.float64)
-            out[g] = (1.0 - w) * earlier + w * later
+def _blend(windows: list, plan: WindowPlan, noun: str) -> np.ndarray:
+    """Lay the windows end to end in their own dtype. Only the overlaps are
+    computed, in float64: out_j = (1 - w_j) * earlier + w_j * later with
+    w = blend_weights(L), rounded half to even for integer data."""
+    lengths = [len(frames) for frames in windows]
+    if len(lengths) != len(plan.starts) or set(lengths) != {plan.window}:
+        raise PlanMismatch(f"{noun} lengths {lengths} for {len(plan.starts)} windows "
+                           f"of {plan.window} frames")
+    first = np.asarray(windows[0][0])
+    if any(np.shape(frames[0]) != first.shape for frames in windows):
+        raise PlanMismatch(f"{noun} frame shapes differ")
+    out = np.empty((plan.total, *first.shape), dtype=first.dtype)
+    ramp = blend_weights(plan.overlap).reshape(-1, *(1,) * first.ndim)
+    for k, (start, frames) in enumerate(zip(plan.starts, windows)):
+        lap = plan.overlap if k else 0
+        out[start + lap:start + plan.window] = frames[lap:]
+        if lap:
+            # the earlier window's tail already sits in out[start:start + lap]
+            mix = (1.0 - ramp) * out[start:start + lap] + ramp * frames[:lap]
+            out[start:start + lap] = np.rint(mix) if out.dtype.kind in "iu" else mix
     return out
 
 
 def stitch(clips: list[VideoClip], plan: WindowPlan) -> VideoClip:
-    """Cross-fade overlapping windows into one clip.
-
-    Overlap frames mix the earlier and later clip with the linear ramp; all
-    other frames are copied verbatim. Pixels round half to even.
-    """
-    if len(clips) != len(plan.windows):
-        raise PlanMismatch(f"{len(clips)} clips for {len(plan.windows)} windows")
-    for clip in clips:
-        if clip.frame_count != plan.window:
-            raise PlanMismatch("every clip must be exactly one window long")
-        if clip.resolution != clips[0].resolution:
-            raise PlanMismatch("clip resolutions differ")
-    blended = _blend_grids([clip.frames for clip in clips], plan)
-    frames = tuple(np.rint(g).astype(np.uint8) for g in blended)
-    return VideoClip(frames=frames, fps=clips[0].fps,
-                     resolution=clips[0].resolution)
+    """Cross-fade overlapping window clips into one; pixels round half to even."""
+    frames = tuple(_blend([clip.frames for clip in clips], plan, "clip"))
+    return VideoClip(frames=frames, fps=clips[0].fps, resolution=clips[0].resolution)
 
 
 def stitch_motion(seqs: list[MotionSequence], plan: WindowPlan) -> MotionSequence:
     """Same ramped blend applied in parameter space (no rounding)."""
-    if len(seqs) != len(plan.windows):
-        raise PlanMismatch(f"{len(seqs)} sequences for {len(plan.windows)} windows")
-    for seq in seqs:
-        if seq.frame_count != plan.window:
-            raise PlanMismatch("every sequence must be exactly one window long")
-    blended = _blend_grids([seq.frames for seq in seqs], plan)
-    return seqs[0].with_frames(np.vstack([row[None, :] for row in blended]))
+    return seqs[0].with_frames(_blend([seq.frames for seq in seqs], plan, "sequence"))

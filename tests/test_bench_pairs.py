@@ -1,0 +1,94 @@
+"""tools/bench_pairs.py's seed parsing, summary and claim verdict, on
+synthetic records; no benchmark runs."""
+
+from __future__ import annotations
+
+import argparse
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
+_SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
+bench_pairs = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(bench_pairs)
+
+METRICS = [{"name": "op_ms_p50", "unit": "ms", "better": "lower"},
+           {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+
+
+def test_parse_seeds_reads_ranges_and_lists():
+    assert bench_pairs.parse_seeds("721-724") == [721, 722, 723, 724]
+    assert bench_pairs.parse_seeds("721,725,729") == [721, 725, 729]
+
+
+@pytest.mark.parametrize("text", ["731", "5-3", "7-7"])
+def test_parse_seeds_rejects_fewer_than_two(text):
+    with pytest.raises(argparse.ArgumentTypeError):
+        bench_pairs.parse_seeds(text)
+
+
+def test_one_seed_exits_2_before_any_run(monkeypatch, capsys):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "export_commit", no_run)
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--slug", "x", "--seeds", "731"])
+    assert exc.value.code == 2
+    assert "--seeds" in capsys.readouterr().err
+
+
+def _record(op_ms, ops_per_s, failed=0):
+    return {"result": {"attempted": 10, "failed": failed, "correct": failed == 0,
+                       "metrics": {"op_ms_p50": {"value": op_ms},
+                                   "ops_per_s": {"value": ops_per_s}}},
+            "setup_builds_s": [0.5, 0.25], "setup_cal_ms": [2.0, 4.0]}
+
+
+def test_summarize_counts_wins_per_direction_and_ties_for_neither():
+    parent = [(10.0, 1.0), (10.0, 2.0), (12.0, 3.0), (14.0, 4.0)]
+    change = [(9.0, 2.0), (10.0, 2.0), (13.0, 1.0), (11.0, 5.0)]
+    pairs = [{"parent": _record(*p), "change": _record(*c, failed=i == 3)}
+             for i, (p, c) in enumerate(zip(parent, change))]
+    summary = bench_pairs.summarize(pairs, [1, 2, 3, 4], METRICS)
+    assert summary["pairs"] == 4
+    assert summary["attempted"] == {"parent": 40, "change": 40}
+    assert summary["failed"] == {"parent": 0, "change": 1}
+    assert summary["correct"] is False
+    assert summary["setup_records"]["change"] == {"setup_builds_s_total": [0.75] * 4,
+                                                  "setup_cal_ms_mean": [3.0] * 4}
+    op = summary["metrics"]["op_ms_p50"]
+    assert op["change_wins"] == "2/4"  # 9 < 10 and 11 < 14; 10 = 10 is a tie
+    assert op["parent_median"] == 11.0 and op["change_median"] == 10.5
+    assert op["parent_quartiles"] == [10.0, 12.5]
+    assert op["parent"] == [p[0] for p in parent]
+    rate = summary["metrics"]["ops_per_s"]
+    assert rate["better"] == "higher"
+    assert rate["change_wins"] == "2/4"  # 2 > 1 and 5 > 4; 2 = 2 is a tie
+
+
+def _workloads(better, parent_median, change_median, quartiles, wins):
+    return {"long": {"metrics": {"m": {
+        "better": better, "parent_median": parent_median,
+        "change_median": change_median, "parent_quartiles": quartiles,
+        "change_wins": wins}}}}
+
+
+@pytest.mark.parametrize("better, medians, quartiles, wins, met", [
+    ("lower", (100.0, 80.0), [95.0, 105.0], "9/10", True),
+    ("lower", (100.0, 80.0), [95.0, 105.0], "8/10", False),   # too few wins
+    ("lower", (100.0, 80.0), [85.0, 110.0], "10/10", False),  # gap within the IQR
+    ("lower", (100.0, 95.0), [99.0, 101.0], "10/10", False),  # under min_gain
+    ("higher", (10.0, 12.0), [9.5, 10.5], "10/10", True),
+    ("higher", (10.0, 8.0), [9.5, 10.5], "10/10", False),     # worse
+])
+def test_judge_claim(better, medians, quartiles, wins, met):
+    verdict = bench_pairs.judge_claim(
+        "long:m:0.1", _workloads(better, *medians, quartiles, wins))
+    assert verdict["min_gain"] == 0.1
+    assert verdict["result"]["met"] is met
+    gain = (medians[0] - medians[1]) / medians[0]
+    assert verdict["result"]["gain"] == pytest.approx(gain if better == "lower" else -gain)
+    assert verdict["result"]["parent_iqr"] == quartiles[1] - quartiles[0]

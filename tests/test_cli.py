@@ -330,16 +330,16 @@ def _eval_motions(pred, gt):
     return argv
 
 
-def _extract_cropped_clip(tmp_path, checkpoint):
-    """extract on the left half of a clip of the scene: same height, half
-    the width, so no camera scale fits it."""
-    scene = fixture_scene(2, duration=8)
-    clip, _ = generate(scene, ConditionMode.EMPTY, FINE_CONFIG, seed=5)
-    w = clip.resolution[0] // 2
-    fileio.write_clip(tmp_path / "clip", [f[:, :w] for f in clip.frames], clip.fps)
-    (tmp_path / "scene.json").write_text(scene_to_json(scene))
-    return ["extract", "--clip", str(tmp_path / "clip"), "--scene",
-            str(tmp_path / "scene.json"), "--out", str(tmp_path / "motions.json")]
+def _extract_edited_clip(fixture, edit):
+    """extract on a clip of the fixture scene whose frames edit reshapes."""
+    def argv(tmp_path, checkpoint):
+        scene = fixture_scene(fixture, duration=8)
+        clip, _ = generate(scene, ConditionMode.EMPTY, FINE_CONFIG, seed=5)
+        fileio.write_clip(tmp_path / "clip", [edit(f) for f in clip.frames], clip.fps)
+        (tmp_path / "scene.json").write_text(scene_to_json(scene))
+        return ["extract", "--clip", str(tmp_path / "clip"), "--scene",
+                str(tmp_path / "scene.json"), "--out", str(tmp_path / "motions.json")]
+    return argv
 
 
 def _rasterize(motions, objects=(0,)):
@@ -381,11 +381,11 @@ def _run_with_checkpoint(edit):
     return argv
 
 
-def _train_pmp_with_lr(lr):
-    """train-pmp for two steps on the corpus the tiny checkpoint came from."""
+def _train_pmp_with_lr(lr, steps="2"):
+    """train-pmp for a few steps on the corpus the tiny checkpoint came from."""
     def argv(tmp_path, checkpoint):
         return ["train-pmp", "--corpus", str(checkpoint.parent / "corpus"),
-                "--out", str(tmp_path / "p.ckpt"), "--steps", "2", "--layers", "1",
+                "--out", str(tmp_path / "p.ckpt"), "--steps", steps, "--layers", "1",
                 "--lr", lr]
     return argv
 
@@ -491,7 +491,11 @@ BOUNDARY_CASES = {
                                              "InvalidConfig"),
     "eval-gt-motions-without-pred-motions": (_eval_motions(None, [_motion_doc()]),
                                              "InvalidConfig"),
-    "extract-clip-aspect-differs-from-scene": (_extract_cropped_clip, "ShapeMismatch"),
+    # the left half: same height, half the width, so no camera scale fits it
+    "extract-clip-aspect-differs-from-scene": (_extract_edited_clip(
+        2, lambda f: f[:, :f.shape[1] // 2]), "ShapeMismatch"),
+    "extract-clip-wider-than-camera": (_extract_edited_clip(
+        0, lambda f: np.pad(f, ((0, 0), (0, 1)))), "ShapeMismatch"),
     "rasterize-motion-not-json": (_rasterize("not json"), "DimensionMismatch"),
     "rasterize-fewer-motions-than-objects": (_rasterize([_motion_doc()], objects=(0, 2)),
                                              "DimensionMismatch"),
@@ -542,6 +546,15 @@ def run_cli_capped(*argv, timeout=120):
     return subprocess.run([sys.executable, "-m", "motionloop.cli", *argv],
                           capture_output=True, text=True, timeout=timeout,
                           preexec_fn=cap, env=env)
+
+
+def test_diverging_training_prints_one_error_line_and_no_numpy_warning(
+        tiny_checkpoint, tmp_path):
+    proc = run_cli_capped(*_train_pmp_with_lr("1e300", steps="3")(tmp_path, tiny_checkpoint))
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error [InvalidConfig]: "), proc.stderr
+    assert "Warning" not in proc.stderr
 
 
 def _huge_layer_count(tmp_path, checkpoint):

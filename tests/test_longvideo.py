@@ -1,7 +1,11 @@
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionloop.core import Category, MotionSequence, motion_strength, preset
 from motionloop.errors import PlanMismatch, SequenceTooShort, TotalTooShort
@@ -48,6 +52,15 @@ def test_plan_pads_upward():
     assert plan.total == 152  # 32 + 5 * 24
     assert plan.padding == 22
     assert plan.windows[-1][1] == plan.total
+
+
+def test_plan_of_a_huge_total_counts_windows_without_listing_them():
+    plan = plan_windows(24 * 10**13 + 33)
+    assert len(plan.starts) == 10**13 + 2
+    assert plan.total == 32 + (10**13 + 1) * 24 and plan.padding == 23
+    assert plan.starts[-1] + plan.window == plan.total
+    with pytest.raises(PlanMismatch):
+        stitch([const_clip(0)], plan)
 
 
 def test_plan_too_short():
@@ -98,6 +111,101 @@ def test_stitch_plan_mismatch():
         stitch([const_clip(0)], plan)
     with pytest.raises(PlanMismatch):
         stitch([const_clip(0), const_clip(1, frames=30)], plan)
+
+
+def test_stitch_rejects_windows_of_differing_frame_shapes():
+    plan = plan_windows(56)
+    with pytest.raises(PlanMismatch):
+        stitch([const_clip(0), const_clip(0, size=(8, 12))], plan)
+    spec = preset(Category.GENERIC_OBJECT)
+    seqs = [MotionSequence(spec, 16.0, np.zeros((32, n))) for n in (63, 62)]
+    with pytest.raises(PlanMismatch):
+        stitch_motion(seqs, plan)
+
+
+def _blend_grids(grids: list, plan) -> list[np.ndarray]:
+    """Per-frame oracle: copy windows verbatim as float64, then apply the
+    blend in each pairwise overlap:
+    out_j = (1 - w_j) * earlier + w_j * later, w = blend_weights(L)."""
+    out: list[np.ndarray | None] = [None] * plan.total
+    for (start, end), frames in zip(plan.windows, grids):
+        for j in range(plan.window):
+            out[start + j] = np.asarray(frames[j], dtype=np.float64)
+    weights = blend_weights(plan.overlap)
+    for k in range(1, len(plan.windows)):
+        s_prev = plan.windows[k - 1][0]
+        s_cur = plan.windows[k][0]
+        for j, w in enumerate(weights, start=1):
+            g = s_cur + j - 1
+            earlier = np.asarray(grids[k - 1][g - s_prev], dtype=np.float64)
+            later = np.asarray(grids[k][j - 1], dtype=np.float64)
+            out[g] = (1.0 - w) * earlier + w * later
+    return out
+
+
+def _oracle_clip_frames(clips, plan) -> np.ndarray:
+    blended = _blend_grids([clip.frames for clip in clips], plan)
+    return np.stack([np.rint(g).astype(np.uint8) for g in blended])
+
+
+@st.composite
+def _stitch_cases(draw):
+    """A plan of 1-6 windows (stride 1-12, window in [stride, 2 * stride]),
+    uint8 clips of 1-6 x 1-6 pixels (random, or 0 and 255 only) and
+    float64 motions scaled by 1e-3 to 1e3."""
+    stride = draw(st.integers(1, 12))
+    window = draw(st.integers(stride, 2 * stride))
+    count = draw(st.integers(1, 6))
+    padding = draw(st.integers(0, stride - 1)) if count > 1 else 0
+    plan = plan_windows(window + (count - 1) * stride - padding, window, stride)
+    assert len(plan.windows) == count and plan.padding == padding
+    size = (draw(st.integers(1, 6)), draw(st.integers(1, 6)))
+    extremes = draw(st.booleans())
+    scale = 10.0 ** draw(st.floats(-3, 3))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    clips = []
+    for _ in range(count):
+        shape = (window, size[1], size[0])
+        grids = (rng.choice(np.array([0, 255], dtype=np.uint8), shape) if extremes
+                 else rng.integers(0, 256, shape, dtype=np.uint8))
+        clips.append(VideoClip(frames=tuple(grids), fps=16.0, resolution=size))
+    spec = preset(Category.GENERIC_OBJECT)
+    seqs = [MotionSequence(spec, 16.0, scale * rng.normal(size=(window, spec.pose_dim)))
+            for _ in range(count)]
+    return plan, clips, seqs
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=_stitch_cases())
+def test_stitch_matches_the_per_frame_oracle_bitwise(case):
+    plan, clips, seqs = case
+    merged = np.stack(stitch(clips, plan).frames)
+    expected = _oracle_clip_frames(clips, plan)
+    assert merged.dtype == expected.dtype == np.uint8
+    assert np.array_equal(merged, expected)
+    assert merged.tobytes() == expected.tobytes()
+    stitched = stitch_motion(seqs, plan).frames
+    expected = np.vstack([row[None, :] for row in _blend_grids([s.frames for s in seqs], plan)])
+    assert stitched.dtype == expected.dtype == np.float64
+    assert np.array_equal(stitched, expected)
+    assert stitched.tobytes() == expected.tobytes()
+
+
+def test_stitch_long_clip_stays_within_memory_bound():
+    # five 32-frame 192x108 windows: the per-frame oracle holds all 160
+    # window frames as float64, about 23 MiB
+    plan = plan_windows(128)
+    rng = np.random.default_rng(64)
+    clips = [VideoClip(frames=tuple(rng.integers(0, 256, (32, 108, 192), dtype=np.uint8)),
+                       fps=16.0, resolution=(192, 108)) for _ in plan.windows]
+    tracemalloc.start()
+    try:
+        merged = stitch(clips, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 12 * 2**20
+    np.testing.assert_array_equal(np.stack(merged.frames), _oracle_clip_frames(clips, plan))
 
 
 def test_stitch_motion_seam_transitions_bounded():

@@ -35,11 +35,17 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 def parse_seeds(text: str) -> list[int]:
-    """``721-730`` or ``721,725,729``."""
+    """``721-730`` or ``721,725,729``: at least two seeds, since each side's
+    runs are summarized by their quartiles."""
     if "-" in text:
         lo, hi = (int(v) for v in text.split("-"))
-        return list(range(lo, hi + 1))
-    return [int(v) for v in text.split(",")]
+        seeds = list(range(lo, hi + 1))
+    else:
+        seeds = [int(v) for v in text.split(",")]
+    if len(seeds) < 2:
+        raise argparse.ArgumentTypeError(f"{text!r} names {len(seeds)} seeds, "
+                                         "quartiles need at least 2")
+    return seeds
 
 
 def export_commit(rev: str, dest: Path) -> str:
