@@ -107,6 +107,9 @@ def _blend(windows: list, plan: WindowPlan, noun: str) -> np.ndarray:
 
 def stitch(clips: list[VideoClip], plan: WindowPlan) -> VideoClip:
     """Cross-fade overlapping window clips into one; pixels round half to even."""
+    rates = sorted({clip.fps for clip in clips})
+    if len(rates) > 1:
+        raise PlanMismatch(f"clip frame rates differ: {rates} fps")
     frames = tuple(_blend([clip.frames for clip in clips], plan, "clip"))
     return VideoClip(frames=frames, fps=clips[0].fps, resolution=clips[0].resolution)
 

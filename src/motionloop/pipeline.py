@@ -1,10 +1,10 @@
 """Three-stage orchestration: extract, optimize, reinforce.
 
-Stage 1 generates a coarse clip from weak conditioning (an optional target
-pose, or nothing). Stage 2 recovers per-object motion from the coarse clip
-pixels, then refines it with the motion prior. Stage 3 regenerates at full
-fidelity conditioned on the refined motion. The generator's realized motion
-is consumed only by evaluation; stage 2 works strictly from pixels.
+The scene's ground truth is synthesized once per run. Stage 1 realizes it
+under weak conditioning (a target pose, or nothing) as a coarse clip. Stage 2
+recovers per-object motion from that clip's pixels alone and refines it with
+the motion prior. Stage 3 realizes at full fidelity, conditioned on the
+refined motion; its one render gives the final clip and the masks eval scores.
 
 Depth during extraction is proxied by each object's scene placement, since
 the stand-in renderer encodes no depth in pixels; a real depth estimator
@@ -55,9 +55,9 @@ from .simgen import (
     VideoClip,
     coarse_frame_count,
     effective_radius,
-    generate,
     intensity_to_label,
     part_intensity,
+    realize,
     render,
     synthesize_gt_motion,
 )
@@ -145,10 +145,10 @@ class UserCondition:
 
 # ------------------------------------------------------------------ stage 1
 
-def stage1_coarse(scene: SceneSpec, user_condition: UserCondition,
-                  config: PipelineConfig, seed: int
-                  ) -> tuple[VideoClip, list]:
-    """Coarse generation from the user's (weak) conditioning."""
+def stage1_coarse(scene: SceneSpec, gt: list[MotionSequence],
+                  user_condition: UserCondition, config: PipelineConfig, seed: int
+                  ) -> tuple[VideoClip, list, list[MotionSequence]]:
+    """Coarse clip, channels and realized motion from weak user conditioning."""
     n = coarse_frame_count(scene.duration, config.coarse)
     w, h = scene.camera.scaled(config.coarse.resolution_scale).size
     masks = [np.zeros((h, w), dtype=np.int32) for _ in range(n)]
@@ -157,8 +157,8 @@ def stage1_coarse(scene: SceneSpec, user_condition: UserCondition,
         masks[-1] = polygon_target_mask([(label, np.asarray(pts, dtype=float) * s)
                                          for label, pts in user_condition.parts], (w, h))
     channels = build_condition(user_condition.mode, masks, config.confidence_triple)
-    clip, realized = generate(scene, user_condition.mode, config.coarse, seed)
-    return clip, [channels, realized]
+    realized = realize(gt, user_condition.mode, config.coarse, seed)
+    return render(scene, realized, config.coarse)[0], channels, realized
 
 
 # ------------------------------------------------------------------ stage 2
@@ -355,35 +355,30 @@ def stage2_optimize(clip: VideoClip, scene: SceneSpec, pmp: PmpModel,
     the fine frame count.
     """
     raw = extract_motion(clip, scene, config.coarse)
-    fine_n = coarse_frame_count(scene.duration, config.fine)
-    refined, raws, strengths = [], [], []
-    for obj, motion in zip(scene.objects, raw):
-        res = resample(motion, fine_n)
-        strength = motion_strength(res).mean
-        cond = Conditioning(tokens=tokens_for(pmp.config, list(obj.tags)),
-                            strength=strength,
-                            category=obj.spec.category)
-        refined.append(pmp_refine(pmp, res, cond))
-        raws.append(res)
-        strengths.append(strength)
+    raws = [resample(m, coarse_frame_count(scene.duration, config.fine)) for m in raw]
+    strengths = [motion_strength(res).mean for res in raws]
+    conds = [Conditioning(tokens=tokens_for(pmp.config, list(obj.tags)), strength=s,
+                          category=obj.spec.category)
+             for obj, s in zip(scene.objects, strengths)]
+    refined = [pmp_refine(pmp, res, cond) for res, cond in zip(raws, conds)]
     return refined, raws, strengths
 
 
 # ------------------------------------------------------------------ stage 3
 
-def stage3_regenerate(scene: SceneSpec, refined: list[MotionSequence],
-                      config: PipelineConfig, seed: int
-                      ) -> tuple[VideoClip, list]:
-    """Regenerate at full fidelity, conditioned on the refined full motion."""
+def stage3_regenerate(scene: SceneSpec, gt: list[MotionSequence],
+                      refined: list[MotionSequence], config: PipelineConfig, seed: int
+                      ) -> tuple[VideoClip, list[np.ndarray], list, list[MotionSequence]]:
+    """Regenerate at full fidelity, conditioned on the refined full motion:
+    the final clip, its part masks, the channels and the realized motion."""
     fine_n = coarse_frame_count(scene.duration, config.fine)
-    for m in refined:
-        if m.frame_count != fine_n:
-            raise ShapeMismatch("refined motion length != fine frame count")
+    if any(m.frame_count != fine_n for m in refined):
+        raise ShapeMismatch("refined motion length != fine frame count")
     channels = build_condition(ConditionMode.FULL_MOTION,
                                render(scene, refined, config.fine)[1],
                                config.confidence_triple)
-    clip, realized = generate(scene, ConditionMode.FULL_MOTION, config.fine, seed)
-    return clip, [channels, realized]
+    realized = realize(gt, ConditionMode.FULL_MOTION, config.fine, seed)
+    return *render(scene, realized, config.fine), channels, realized
 
 
 # ------------------------------------------------------------------ metrics
@@ -463,13 +458,16 @@ def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
         union = np.count_nonzero((p != 0) | (r != 0), axis=(1, 2)).tolist()
         ious += [i / u if u else 1.0 for i, u in zip(inter, union)]
     miou = float(np.mean(ious)) if ious else 1.0
-    errs = []
-    for p, g in zip(pred_motions, gt_motions):
-        if p.frames.shape != g.frames.shape:
-            raise ShapeMismatch("motion shapes differ")
-        errs.append(float(np.mean((p.frames - g.frames) ** 2)))
-    traj = float(np.mean(errs)) if errs else 0.0
-    return EvalReport(traj_mse=traj, mask_miou=miou, psnr=psnr, ssim=ssim)
+    return EvalReport(traj_mse=_traj_mse(pred_motions, gt_motions), mask_miou=miou,
+                      psnr=psnr, ssim=ssim)
+
+
+def _traj_mse(pred: list[MotionSequence], ref: list[MotionSequence]) -> float:
+    """Mean over objects of each motion's mean squared error; 0 for none."""
+    if any(p.frames.shape != r.frames.shape for p, r in zip(pred, ref)):
+        raise ShapeMismatch("motion shapes differ")
+    return float(np.mean([np.mean((p.frames - r.frames) ** 2)
+                          for p, r in zip(pred, ref)])) if pred else 0.0
 
 
 # ---------------------------------------------------------------- full run
@@ -496,31 +494,24 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
     if fine_n > pmp.config.max_frames:  # stage 2 would refuse it after stage 1
         raise TooManyFrames(f"{fine_n} frames > max_frames {pmp.config.max_frames}")
     seed = config.seed
-    coarse_clip, (s1_channels, coarse_realized) = stage1_coarse(
-        scene, user_condition, config, seed)
-    refined, raws, strengths = stage2_optimize(coarse_clip, scene, pmp, config)
-    final_clip, (s3_channels, final_realized) = stage3_regenerate(
-        scene, refined, config, seed)
-
     gt = synthesize_gt_motion(scene, seed)
-    coarse_n = coarse_frame_count(scene.duration, config.coarse)
+    coarse_clip, s1_channels, coarse_realized = stage1_coarse(
+        scene, gt, user_condition, config, seed)
+    refined, raws, strengths = stage2_optimize(coarse_clip, scene, pmp, config)
+    final_clip, pred_masks, s3_channels, final_realized = stage3_regenerate(
+        scene, gt, refined, config, seed)
+
     gt_fine = [resample(m, fine_n) for m in gt]
-    gt_coarse = [resample(m, coarse_n) for m in gt]
+    gt_coarse = [resample(m, coarse_clip.frame_count) for m in gt]
 
     ref_clip, gt_masks = render(scene, gt_fine, config.fine)
-    pred_masks = render(scene, final_realized, config.fine)[1]
     report = eval_metrics(final_clip, ref_clip, final_realized, gt_fine,
                           pred_masks, gt_masks)
-
-    def traj_mse(pred, ref) -> float:
-        return float(np.mean([np.mean((p.frames - r.frames) ** 2)
-                              for p, r in zip(pred, ref)]))
-
     result = RunResult(final_clip=final_clip, report=report, coarse_clip=coarse_clip,
-                       coarse_traj_mse=traj_mse(coarse_realized, gt_coarse),
+                       coarse_traj_mse=_traj_mse(coarse_realized, gt_coarse),
                        raw_motions=raws, refined_motions=refined,
-                       strengths=strengths, raw_traj_mse=traj_mse(raws, gt_fine),
-                       refined_traj_mse=traj_mse(refined, gt_fine))
+                       strengths=strengths, raw_traj_mse=_traj_mse(raws, gt_fine),
+                       refined_traj_mse=_traj_mse(refined, gt_fine))
     if out_dir is not None:
         result.run_dir = str(out_dir)
         _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,

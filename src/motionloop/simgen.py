@@ -5,10 +5,10 @@ synthesizes deterministic ground-truth motion for a scene, corrupts it in
 proportion to how weakly the generation is conditioned (empty conditioning
 corrupts fully, a target pose attenuates corruption and pins the final
 frame, full motion conditioning corrupts almost not at all), and renders
-grayscale frames whose intensity encodes the part label. The realized
-(post-corruption) motion is returned alongside the clip strictly for
-oracles; pipeline code treats the generator as a black box and recovers
-motion from pixels.
+grayscale frames whose intensity encodes the part label. ``generate`` is
+synthesize, slice, ``realize`` and ``render``; the pipeline calls the last
+two itself, so one ground-truth synthesis serves a whole run, and its
+stage 2 still recovers motion from pixels alone.
 
 The generator interface contract is ``generate()``'s signature plus its
 determinism clause; a real diffusion backend would plug in at that seam.
@@ -305,15 +305,13 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
     """
     if len(motions) != len(scene.objects):
         raise DimensionMismatch("one motion per scene object required")
-    n = motions[0].frame_count
+    n, posed = motions[0].frame_count, []
     for obj, m in zip(scene.objects, motions):
         if m.frame_count != n:
             raise DimensionMismatch("motion lengths differ")
         if m.model.category is not obj.spec.category:
             raise DimensionMismatch(f"a {m.model.category.value} motion for a "
                                     f"{obj.spec.category.value} scene object")
-    posed = []
-    for obj, m in zip(scene.objects, motions):
         pts, labels = object_render_points(obj, m.frames)
         code = np.array([part_intensity(l, obj.spec.part_count) << 8 | l
                          for l in range(obj.spec.part_count + 1)])
@@ -333,15 +331,25 @@ def coarse_frame_count(duration: int, config: GeneratorConfig) -> int:
     return int(math.ceil(duration * config.frame_fraction))
 
 
+def realize(motions: list[MotionSequence], mode: ConditionMode,
+            config: GeneratorConfig, seed: int) -> list[MotionSequence]:
+    """Resample each motion to the config's frame count, then corrupt it
+    per conditioning strength under the object's (seed, 4241, index) key."""
+    n = coarse_frame_count(motions[0].frame_count, config)
+    keys = [int(np.random.default_rng((seed, 4241, oi)).integers(2**63 - 1))
+            for oi in range(len(motions))]
+    return [corrupt_motion(resample(m, n), mode, config, key) for m, key in zip(motions, keys)]
+
+
 def generate(scene: SceneSpec, mode: ConditionMode, config: GeneratorConfig,
              seed: int, frame_window: tuple[int, int] | None = None
              ) -> tuple[VideoClip, list[MotionSequence]]:
-    """Synthesize, corrupt per conditioning strength, and render.
+    """Synthesize, slice, realize and render.
 
     Returns (clip, realized motions). ``frame_window`` restricts generation
     to a [start, end) slice of the scene's timeline, used for long-video
-    windows. The realized motion is internal generator state exposed for
-    oracles; pipeline extraction works from the clip pixels.
+    windows. ``config.steps`` is a real backend's denoising-step count;
+    the stand-in records it in run.json and does not use it.
     """
     gt = synthesize_gt_motion(scene, seed)
     if frame_window is not None:
@@ -349,10 +357,5 @@ def generate(scene: SceneSpec, mode: ConditionMode, config: GeneratorConfig,
         if not 0 <= lo < hi <= scene.duration:
             raise InvalidConfig(f"frame window {frame_window} outside scene")
         gt = [m.with_frames(m.frames[lo:hi]) for m in gt]
-    n = coarse_frame_count(gt[0].frame_count, config)
-    realized = []
-    for oi, m in enumerate(gt):
-        sub = resample(m, n) if n != m.frame_count else m
-        rng_seed = int(np.random.default_rng((seed, 4241, oi)).integers(2**63 - 1))
-        realized.append(corrupt_motion(sub, mode, config, rng_seed))
+    realized = realize(gt, mode, config, seed)
     return render(scene, realized, config)[0], realized

@@ -40,10 +40,11 @@ def test_one_seed_exits_2_before_any_run(monkeypatch, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
-def _record(op_ms, ops_per_s, failed=0):
+def _record(op_ms, ops_per_s, failed=0, op_times_s=(0.1,), cal_ms=(5.0,)):
     return {"result": {"attempted": 10, "failed": failed, "correct": failed == 0,
                        "metrics": {"op_ms_p50": {"value": op_ms},
                                    "ops_per_s": {"value": ops_per_s}}},
+            "op_times_s": list(op_times_s), "cal_ms": list(cal_ms),
             "setup_builds_s": [0.5, 0.25], "setup_cal_ms": [2.0, 4.0]}
 
 
@@ -67,6 +68,23 @@ def test_summarize_counts_wins_per_direction_and_ties_for_neither():
     rate = summary["metrics"]["ops_per_s"]
     assert rate["better"] == "higher"
     assert rate["change_wins"] == "2/4"  # 2 > 1 and 5 > 4; 2 = 2 is a tie
+
+
+def test_summarize_records_each_runs_raw_op_and_calibration_medians():
+    # equal raw op times read 118 and 181 reference ms when the host-speed
+    # kernel's median differs, 7.49 against 4.93 ms; the raw medians show it
+    raw = [0.170, 0.178, 0.190]
+    pairs = [{"parent": _record(118.0, 8.0, op_times_s=raw, cal_ms=[7.4, 7.49, 7.6]),
+              "change": _record(181.0, 5.0, op_times_s=raw[::-1], cal_ms=[4.9, 4.93, 5.1])},
+             {"parent": _record(120.0, 8.0, op_times_s=[0.2, 0.1], cal_ms=[7.0, 8.0]),
+              "change": _record(119.0, 8.0, op_times_s=[0.3], cal_ms=[7.5])}]
+    summary = bench_pairs.summarize(pairs, [1, 2], METRICS)
+    raw_records = summary["raw_records"]
+    assert raw_records["parent"]["op_ms_p50_raw"] == pytest.approx([178.0, 150.0])
+    assert raw_records["change"]["op_ms_p50_raw"] == pytest.approx([178.0, 300.0])
+    assert raw_records["parent"]["cal_ms_p50"] == [7.49, 7.5]
+    assert raw_records["change"]["cal_ms_p50"] == [4.93, 7.5]
+    assert summary["metrics"]["op_ms_p50"]["parent"] == [118.0, 120.0]
 
 
 def _workloads(better, parent_median, change_median, quartiles, wins):

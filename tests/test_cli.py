@@ -409,6 +409,14 @@ def _run_without_checkpoint(tmp_path, checkpoint):
     return ["run", "--config", str(cfg), "--out", str(tmp_path / "run")]
 
 
+def _stitch_mixed_fps(tmp_path, checkpoint):
+    dirs = []
+    for k, fps in enumerate((16.0, 8.0)):
+        dirs.append(str(tmp_path / f"w{k}"))
+        fileio.write_clip(dirs[-1], [np.zeros((6, 8), dtype=np.uint8)] * 32, fps=fps)
+    return ["stitch", "--clips", *dirs, "--total", "56", "--out", str(tmp_path / "out")]
+
+
 BOUNDARY_CASES = {
     "checkpoint-trailing-bytes": (_bad_checkpoint(lambda b: b + b"\0"), "InvalidConfig"),
     "checkpoint-unknown-config-key": (_bad_checkpoint(_config_bytes(
@@ -509,6 +517,7 @@ BOUNDARY_CASES = {
     "corpus-index-not-json": (_bad_corpus("not json"), "InvalidConfig"),
     "corpus-index-entry-without-file": (_bad_corpus('[{"tags": ["walk"]}]'),
                                         "InvalidConfig"),
+    "stitch-fps-differs": (_stitch_mixed_fps, "PlanMismatch"),
 }
 
 

@@ -349,7 +349,8 @@ def test_extraction_within_calibrated_tolerance(name, scene_builder, calibration
 def test_stage1_empty_condition_channels_all_zero():
     scene = fixture_scene(0)
     config = PipelineConfig()
-    clip, (channels, _) = stage1_coarse(scene, UserCondition(), config, seed=1)
+    gt = synthesize_gt_motion(scene, seed=1)
+    clip, channels, _ = stage1_coarse(scene, gt, UserCondition(), config, seed=1)
     assert clip.frame_count == int(np.ceil(scene.duration / 2))
     for ch in channels:
         assert not ch.part_mask.any()
@@ -361,7 +362,8 @@ def test_stage1_target_pose_final_frame_polygon():
     config = PipelineConfig()
     tri = np.array([[60.0, 40.0], [120.0, 44.0], [90.0, 80.0]])
     cond = UserCondition(mode=ConditionMode.TARGET_POSE, parts=((1, tri),))
-    clip, (channels, _) = stage1_coarse(scene, cond, config, seed=1)
+    gt = synthesize_gt_motion(scene, seed=1)
+    clip, channels, _ = stage1_coarse(scene, gt, cond, config, seed=1)
     for ch in channels[:-1]:
         assert not ch.part_mask.any()
     last = channels[-1]
@@ -372,9 +374,13 @@ def test_stage1_target_pose_final_frame_polygon():
 def test_stage1_deterministic():
     scene = fixture_scene(2)
     config = PipelineConfig()
-    a, _ = stage1_coarse(scene, UserCondition(), config, seed=9)
-    b, _ = stage1_coarse(scene, UserCondition(), config, seed=9)
+    gt = synthesize_gt_motion(scene, seed=9)
+    a = stage1_coarse(scene, gt, UserCondition(), config, seed=9)[0]
+    b = stage1_coarse(scene, gt, UserCondition(), config, seed=9)[0]
     assert all(np.array_equal(x, y) for x, y in zip(a.frames, b.frames))
+    # the stage realizes and renders what generate() does for the same seed
+    c = generate(scene, ConditionMode.EMPTY, config.coarse, seed=9)[0]
+    assert all(np.array_equal(x, y) for x, y in zip(a.frames, c.frames))
 
 
 def test_stage1_rejects_full_motion_user_condition():
@@ -388,8 +394,13 @@ def test_stage3_channels_full_confidence_and_resolution():
     scene = fixture_scene(2)
     config = PipelineConfig()
     gt = synthesize_gt_motion(scene, seed=4)
-    clip, (channels, _) = stage3_regenerate(scene, gt, config, seed=4)
+    clip, masks, channels, realized = stage3_regenerate(scene, gt, gt, config, seed=4)
     assert clip.resolution == scene.camera.size  # fine keeps base resolution
+    # the final clip's masks come from the same render as its pixels
+    again, again_masks = render(scene, realized, config.fine)
+    for a, b, m, n in zip(clip.frames, again.frames, masks, again_masks, strict=True):
+        np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(m, n)
     assert len(channels) == scene.duration
     seen = False
     for ch in channels:
@@ -407,7 +418,7 @@ def test_stage3_rejects_wrong_length():
     gt = synthesize_gt_motion(scene, seed=4)
     short = [m.with_frames(m.frames[:10]) for m in gt]
     with pytest.raises(ShapeMismatch):
-        stage3_regenerate(scene, short, config, seed=4)
+        stage3_regenerate(scene, gt, short, config, seed=4)
 
 
 # ------------------------------------------------------------------ stage 2
@@ -415,7 +426,8 @@ def test_stage3_rejects_wrong_length():
 def test_stage2_outputs_fine_length_and_strengths():
     scene = fixture_scene(0)
     config = PipelineConfig()
-    clip, _ = stage1_coarse(scene, UserCondition(), config, seed=2)
+    clip = stage1_coarse(scene, synthesize_gt_motion(scene, seed=2), UserCondition(),
+                         config, seed=2)[0]
     refined, raw, strengths = stage2_optimize(clip, scene, tiny_model(), config)
     assert len(refined) == len(raw) == len(strengths) == 1
     assert refined[0].frame_count == scene.duration
@@ -502,11 +514,47 @@ def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
     assert read == written, sorted(str(p.relative_to(tmp_path)) for p in written - read)
 
 
+# sha256 over the sorted relative paths and bytes of every file run_pipeline
+# writes, for fixtures 0-19 at seed 42 and one 3-object scene, pinned so that
+# a refactor of the stages cannot change a byte of a run directory. Recorded
+# with numpy 2.4 on x86-64, like GOLDEN_EVAL_DIGESTS.
+GOLDEN_RUN_DIGESTS = {
+    "fixtures": "cb8008254b98a010f404cbaa55172ff2fba143f28a831f3584f5f82bfc4a9fa3",
+    "three_objects": "ee589a108bf6b4123d19b2602c29663c50e5078473ae8a6fa87211758df887ce",
+}
+
+
+def _three_object_scene() -> SceneSpec:
+    return SceneSpec(objects=tuple(fixture_scene(i).objects[0] for i in (1, 2, 3)),
+                     camera=fixture_scene(1).camera, duration=16, fps=16.0)
+
+
+def _run_dir_digest(scenes, root: Path) -> str:
+    digest = hashlib.sha256()
+    model = tiny_model()
+    for index, scene in enumerate(scenes):
+        out = root / str(index)
+        run_pipeline(scene, UserCondition(), PipelineConfig(seed=42), model, out_dir=out)
+        for path in sorted(p for p in out.rglob("*") if p.is_file()):
+            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def test_run_directories_match_golden_digests(tmp_path):
+    digests = {
+        "fixtures": _run_dir_digest([fixture_scene(i) for i in range(20)],
+                                    tmp_path / "fixtures"),
+        "three_objects": _run_dir_digest([_three_object_scene()], tmp_path / "three"),
+    }
+    assert digests == GOLDEN_RUN_DIGESTS
+
+
 def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
     # one kernel call per render, each taking all of its frames: 8 coarse
-    # frames, the refined-motion channels and the final clip (16 each), and
-    # the ground-truth clip with its masks plus the final clip's masks (16
-    # each); ground truth is not splatted twice
+    # frames, the refined-motion channels, the final clip with its masks,
+    # and the ground-truth clip with its masks (16 each); neither the final
+    # clip nor the ground truth is splatted twice
     from motionloop import simgen
 
     calls = []
@@ -519,7 +567,25 @@ def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
 
     monkeypatch.setattr(simgen, "render_part_masks", counted)
     run_pipeline(fixture_scene(1), UserCondition(), PipelineConfig(), tiny_model())
-    assert sorted(calls) == [8, 16, 16, 16, 16]
+    assert sorted(calls) == [8, 16, 16, 16]
+
+
+def test_run_pipeline_synthesizes_ground_truth_once(monkeypatch):
+    # both stages realize, and eval scores against, one synthesis; counted
+    # through simgen and through pipeline, which imports the name
+    from motionloop import simgen
+
+    calls = []
+    synthesize = simgen.synthesize_gt_motion
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return synthesize(*args, **kwargs)
+
+    for module in (simgen, pipeline):
+        monkeypatch.setattr(module, "synthesize_gt_motion", counted)
+    run_pipeline(fixture_scene(1), UserCondition(), PipelineConfig(), tiny_model())
+    assert len(calls) == 1
 
 
 def test_run_pipeline_empty_condition_completes():

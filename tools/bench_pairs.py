@@ -13,7 +13,9 @@ pair, so a host that drifts slows both sides alike. Each run's record is
 read back from ``perfbench/out`` of its own checkout. The result goes to
 ``BENCH_<slug>.json`` at the repository root: per workload and end-to-end
 metric, both sides' medians, quartiles, per-run values and the number of
-pairs the change won, plus the set-up records, the traced per-layer values
+pairs the change won, plus each run's raw median op time and median
+host-speed calibration (so a gap that only the reference scaling makes shows
+in the file), the set-up records, the traced per-layer values
 of one pair per workload (``--trace-seed``), the environment and, with
 ``--claim workload:metric:fraction``, whether the change improved that
 metric by at least the fraction in the median, won at least 9 of 10 pairs
@@ -104,6 +106,10 @@ def summarize(pairs: list[dict[str, dict]], seeds: list[int],
         "failed": {s: sum(r["failed"] for r in results[s]) for s in sides},
         "correct": all(r["correct"] for s in sides for r in results[s]),
         "metrics": {},
+        "raw_records": {s: {
+            "op_ms_p50_raw": [statistics.median(p[s]["op_times_s"]) * 1e3 for p in pairs],
+            "cal_ms_p50": [statistics.median(p[s]["cal_ms"]) for p in pairs],
+        } for s in sides},
         "setup_records": {s: {
             "setup_builds_s_total": [sum(p[s]["setup_builds_s"]) for p in pairs],
             "setup_cal_ms_mean": [statistics.fmean(p[s]["setup_cal_ms"]) for p in pairs],
@@ -194,7 +200,8 @@ def main(argv=None) -> int:
         "command": cmd.format(args.seconds, 0),
         "pairing": "parent and change alternate which runs first, pair by pair",
         "units": "op_ms_p50 is in reference ms: perfbench scales op times to "
-                 "its host-speed kernel",
+                 "its host-speed kernel; raw_records holds each run's raw median "
+                 "op ms and median calibration ms, in run order",
         "parent_commit": parent_commit,
         "workloads": workloads,
     }
