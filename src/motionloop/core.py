@@ -309,7 +309,7 @@ def motion_to_json(seq: MotionSequence) -> str:
         "shape_dim": seq.model.shape_dim,
         "expression_dim": seq.model.expression_dim,
         "fps": seq.fps,
-        "frames": [[float(v) for v in row] for row in seq.frames],
+        "frames": seq.frames.tolist(),
     }
     return json.dumps(doc)
 

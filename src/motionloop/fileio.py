@@ -58,6 +58,8 @@ def read_pgm(path) -> np.ndarray:
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
     data = raw[pos + 1:]  # single whitespace byte after maxval
     dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
+    if w * h == 0:
+        raise ShapeMismatch(f"PGM of {w}x{h} pixels holds no image: {path}")
     if len(data) < w * h * dtype.itemsize:
         raise ShapeMismatch(
             f"PGM payload of {len(data)} bytes is short of {w}x{h} pixels: {path}")

@@ -34,9 +34,9 @@ from .errors import (
 CONTOUR_VERTICES = 16
 OBJECT_POINTS = 21  # 16 contour + 4 bbox corners + center
 # (point, pixel) candidates per splat block, and pixels per frame group in the
-# splat (a group's int64 z-buffer, 512 KB, stays in L2 cache) and in
-# pipeline's eval (five int32 planes; 2^16 to 2^19 scored the fixtures' clips
-# equally fast, 2^14 slower). Retuning it retunes both.
+# splat (pixels of the splats' crop; a group's int64 z-buffer, 512 KB, stays
+# in L2 cache) and in pipeline's eval (five int32 planes; 2^16 to 2^19 scored
+# the fixtures' clips equally fast, 2^14 slower). Retuning it retunes both.
 SPLAT_BLOCK = 1 << 16
 
 
@@ -343,13 +343,14 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     position; in each frame the smallest depth wins per pixel, ties broken
     by lower (object index, point index).
 
-    One stable sort on depth per frame ranks the points by that key. A
-    point's candidate pixels fill a fixed window at its clipped box corner;
-    those inside the frame, the box and the disc are kept, and each pixel
-    keeps the smallest rank that covers it (a scatter-min), with the frames
-    laid end to end. Candidates go through in blocks of at most SPLAT_BLOCK,
-    and frames in groups whose z-buffers hold at most SPLAT_BLOCK pixels (one
-    frame at least), so memory stays bounded for any radius and frame count.
+    One stable sort on depth per frame ranks the points by that key. Only
+    the crop holding every point's clipped box in every frame is splatted.
+    A point's candidate pixels fill a fixed window at its box corner; those
+    inside the box and the disc are kept, and each crop pixel keeps the
+    smallest rank that covers it (a scatter-min), with the frames' crops end
+    to end. Candidates go through in blocks of at most SPLAT_BLOCK, and
+    frames in groups of at most SPLAT_BLOCK crop pixels (one frame at least),
+    so memory stays bounded for any radius and frame count.
     """
     w, h = camera.size
     objs = [(np.asarray(p, dtype=np.float64), np.asarray(l, dtype=np.int32))
@@ -375,20 +376,27 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     r = splat_radius
     side = 2 * int(np.ceil(r)) + 1
     ox, oy = np.arange(min(side, w)), np.arange(min(side, h))
-    offs = (oy[:, None] * w + ox).ravel()
     # box corners; clipping to w keeps far-off points' windows in int64 range
     x0 = np.clip(np.ceil(u - r), 0, w).astype(np.int64)
     y0 = np.clip(np.ceil(v - r), 0, h).astype(np.int64)
     x1 = np.minimum(np.floor(u + r), w - 1)
     y1 = np.minimum(np.floor(v + r), h - 1)
-    group = max(1, SPLAT_BLOCK // (h * w))
-    # a frame group's pixels are laid end to end: (frame in group, y, x)
-    corner = np.repeat(np.arange(nf) % group * (h * w), n) + y0 * w + x0
-    grids = np.empty((nf, h * w), dtype=np.int32)
+    grids = np.zeros((nf, h, w), dtype=np.int32)
+    live = (x0 <= x1) & (y0 <= y1)
+    if not live.any():
+        return grids.reshape(lead + (h, w))
+    # splat into the crop that holds every live box of every frame: a
+    # candidate outside it is outside its own box, so it is never scattered
+    cx, cy = x0[live].min(), y0[live].min()
+    cw, ch = int(x1[live].max()) + 1 - cx, int(y1[live].max()) + 1 - cy
+    offs = (oy[:, None] * cw + ox).ravel()
+    group = max(1, SPLAT_BLOCK // (ch * cw))
+    # a frame group's crop pixels are laid end to end: (frame in group, y, x)
+    corner = np.repeat(np.arange(nf) % group * (ch * cw), n) + (y0 - cy) * cw + x0 - cx
     step = max(1, SPLAT_BLOCK // offs.size)
     for f in range(0, nf, group):
         last = min(f + group, nf)
-        best = np.full((last - f) * h * w, lab.size - 1)
+        best = np.full((last - f) * ch * cw, lab.size - 1)
         for s in range(f * n, last * n, step):
             b = slice(s, min(s + step, last * n))
             px = x0[b, None] + ox
@@ -399,7 +407,7 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
             inside = (dy[:, :, None] + dx[:, None, :] <= r * r).reshape(len(dx), -1)
             np.minimum.at(best, (corner[b, None] + offs)[inside],
                           np.repeat(np.arange(s, b.stop), np.count_nonzero(inside, axis=1)))
-        grids[f:f + group] = lab[best].reshape(-1, h * w)
+        grids[f:last, cy:cy + ch, cx:cx + cw] = lab[best].reshape(-1, ch, cw)
     return grids.reshape(lead + (h, w))
 
 

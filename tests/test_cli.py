@@ -1,16 +1,21 @@
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import resource
 import struct
 import subprocess
 import sys
+import tempfile
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import motionloop
 from motionloop import fileio
@@ -530,6 +535,54 @@ def test_malformed_input_exits_1_with_a_named_error(case, tiny_checkpoint,
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith(f"error [{name}]: "), err
     assert "Traceback" not in err
+
+
+_PGM_TOKENS = st.one_of(
+    st.sampled_from([b"P5", b"P2", b"-8", b"8.0", b"0x8", b""]),
+    st.sampled_from([0, 1, 6, 8, 255, 256, 65535, 65536, 2**63, 10**20]).map(
+        lambda n: str(n).encode()),
+    st.integers(0, 10**22).map(lambda n: str(n).encode()),
+    st.binary(max_size=4))
+
+
+@st.composite
+def _mutated_pgm(draw):
+    """A valid 8x6 frame's bytes with header tokens, separators and the
+    payload replaced, then a few bytes set, inserted or deleted anywhere."""
+    tokens = [b"P5", b"8", b"6", b"255"]
+    for i in draw(st.sets(st.integers(0, 3))):
+        tokens[i] = draw(_PGM_TOKENS)
+    seps = st.sampled_from([b" ", b"\n", b"\t", b"  ", b"\n# c\n", b"#", b"", b"\n#"])
+    raw = b"".join(tok + draw(seps) for tok in tokens)
+    payload = bytes(range(100, 148))
+    raw += draw(st.one_of(st.just(payload), st.integers(0, 47).map(lambda k: payload[:k]),
+                          st.binary(max_size=120), st.just(payload * 3)))
+    for _ in range(draw(st.integers(0, 3))):
+        at = draw(st.integers(0, len(raw)))
+        edit = draw(st.binary(max_size=3))
+        raw = raw[:at] + edit + raw[at + draw(st.integers(0, 3)):]
+    return raw
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(frame=_mutated_pgm())
+# zero width, and a height past numpy's largest dimension: once a traceback
+@example(frame=b"P5 0 100000000000000000000 255\n" + bytes(48))
+def test_fuzzed_pgm_frame_exits_0_or_names_shape_mismatch(frame):
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp:
+        clip = Path(tmp) / "clip"
+        fileio.write_clip(clip, [np.full((6, 8), 9, dtype=np.uint8)] * 2, fps=8.0)
+        (clip / "frame_0001.pgm").write_bytes(frame)
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            code = run_cli("eval", "--pred", str(clip), "--ref", str(clip))
+    err = err.getvalue()
+    assert code in (0, 1), err
+    if code == 1:
+        assert len(err.strip().splitlines()) == 1, err
+        assert err.startswith("error [ShapeMismatch]: "), err
+    else:
+        assert err == ""
 
 
 def test_diverged_training_leaves_no_checkpoint(tiny_checkpoint, tmp_path, capsys):

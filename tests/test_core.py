@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -422,6 +423,20 @@ def test_motion_json_round_trip():
     assert back.model.category is Category.ANIMAL
     assert back.fps == seq.fps
     assert np.array_equal(back.frames, seq.frames)
+
+
+def test_motion_json_frames_match_the_per_element_float_loop():
+    # frames.tolist() gives the same Python floats as the loop it replaced,
+    # so the JSON bytes (pinned by the golden run digests) do not move
+    rng = np.random.default_rng(17)
+    seq = random_seq(rng, 4, Category.HUMAN)
+    frames = seq.frames.copy()
+    frames[0, :6] = [-0.0, 5e-324, -2.225073858507203e-309, 1e16, 1 / 3, -1e16 / 3]
+    seq = seq.with_frames(frames)
+    text = core.motion_to_json(seq)
+    old = [[float(v) for v in row] for row in seq.frames]
+    assert text == json.dumps({**json.loads(text), "frames": old})
+    assert '[-0.0, 5e-324, -2.225073858507203e-309, 1e+16, 0.3333333333333333, ' in text
 
 
 def test_motion_json_rejects_bad_version_and_dims():

@@ -430,6 +430,74 @@ def test_render_all_frames_at_once_matches_loop_oracle_per_frame(clip, block):
     np.testing.assert_array_equal(fast, slow)
 
 
+def _clip_at(cam, *tracks):
+    """Objects whose points sit at the given (u, v, z) per frame under a
+    focal-1 camera at the origin: each track is ``(frames, n, 3)`` image
+    coordinates and depth, labelled 1, 2, ... in order."""
+    objects, first = [], 1
+    for track in tracks:
+        uvz = np.asarray(track, dtype=np.float64)
+        pts = np.concatenate([uvz[..., :2] * uvz[..., 2:], uvz[..., 2:]], axis=-1)
+        n = uvz.shape[1]
+        objects.append((pts, np.arange(first, first + n)))
+        first += n
+    return objects, cam
+
+
+def _edge_clips():
+    cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=(20, 14))
+    w, h = cam.size
+    # at every radius tested, frames 0, 2 and 5 put every point off the
+    # frame (left, above, far right and below), so the other frames set the crop
+    leaving = [[(-9.0, 5.0, 2.0), (-3.5, 6.0, 3.0)],
+               [(1.5, 5.0, 2.0), (3.0, 6.5, 1.0)],
+               [(8.0, -7.0, 2.0), (9.0, -3.2, 3.0)],
+               [(10.0, 7.0, 2.0), (11.5, 8.0, 2.0)],
+               [(21.5, 12.0, 2.0), (6.0, 15.5, 4.0)],
+               [(40.0, 3.0, 2.0), (5.0, 30.0, 1.0)]]
+    centre = [[(12.0, 8.5, 3.0)]] * 6
+    clips = {
+        "points-leave-and-return": _clip_at(cam, leaving, centre),
+        "all-points-off-frame": _clip_at(cam, [[(-4.0, 3.0, 1.0), (30.0, 3.0, 2.0)],
+                                               [(8.0, -5.0, 1.0), (8.0, 20.0, 2.0)]]),
+        # 1 x N and N x 1 frames, with points on, beside and beyond the line
+        "one-column": _clip_at(CameraSpec(1.0, (0.0, 0.0), (1, 9)),
+                               [[(0.0, 2.0, 1.0), (1.5, 6.0, 2.0), (-3.0, 4.0, 1.0)],
+                                [(0.4, 8.6, 1.0), (2.9, 0.0, 2.0), (0.0, -2.0, 1.0)]]),
+        "one-row": _clip_at(CameraSpec(1.0, (0.0, 0.0), (9, 1)),
+                            [[(2.0, 0.0, 1.0), (6.0, -1.5, 2.0), (4.0, 3.0, 1.0)],
+                             [(8.6, 0.4, 1.0), (0.0, 2.9, 2.0), (-2.0, 0.0, 1.0)]]),
+    }
+    # a disc over each frame edge in turn, sliding along it, then all four
+    # at once; each alone leaves the crop short of the other three edges
+    edges = {"left": [(-1.2, 4.0), (-1.2, 5.5), (-1.2, 7.0)],
+             "right": [(w - 0.5, 9.0), (w - 0.5, 10.5), (w - 0.5, 12.0)],
+             "top": [(6.0, -0.7), (7.5, -0.7), (9.0, -0.7)],
+             "bottom": [(13.0, h), (14.5, h), (16.0, h)]}
+    for name, slide in edges.items():
+        clips[f"disc-over-{name}-edge"] = _clip_at(cam, [[(u, v, 2.0)] for u, v in slide])
+    clips["discs-over-all-edges"] = _clip_at(
+        cam, [[(*slide[0], 1.0 + i) for i, slide in enumerate(edges.values())]] * 2)
+    return clips
+
+
+@pytest.mark.parametrize("block", [64, 2**12, 2**18])
+@pytest.mark.parametrize("name", sorted(_edge_clips()))
+def test_render_crop_edges_match_loop_oracle_per_frame(name, block):
+    objects, cam = _edge_clips()[name]
+    for r in (1.5, 2.5, 3.0):
+        with mock.patch.object(geo, "SPLAT_BLOCK", block):
+            fast = geo.render_part_masks(objects, cam, r)
+        slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
+                         for t in range(len(objects[0][0]))])
+        assert fast.dtype == np.int32
+        np.testing.assert_array_equal(fast, slow)
+        if name == "all-points-off-frame":
+            assert fast.shape == (2, 14, 20) and not fast.any()
+        else:
+            assert fast.any()
+
+
 def test_render_keeps_leading_axes_and_rejects_mismatched_ones():
     cam = CameraSpec(focal=10.0, principal=(8.0, 6.0), size=(16, 12))
     rng = np.random.default_rng(29)

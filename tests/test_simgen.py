@@ -273,6 +273,29 @@ def test_render_full_hd_clip_stays_within_memory_bound():
     assert peak < 16 * 1920 * 1080 * 5 + 64 * 2**20
 
 
+def test_splat_kernel_full_hd_clip_stays_within_memory_bound(monkeypatch):
+    # beyond its int32 output the kernel holds one frame group's z-buffer
+    # and candidate blocks; a whole-frame group at 1920 x 1080 is one frame
+    # of int64 ranks (16 MiB) plus its label gather, so splatting only the
+    # crop where the points land keeps the rest well under 16 MiB
+    scene = dataclasses.replace(fixture_scene(1), camera=CameraSpec.default(1920, 1080))
+    calls = []
+    kernel = simgen.render_part_masks
+    monkeypatch.setattr(simgen, "render_part_masks",
+                        lambda *args: calls.append(args) or kernel(*args))
+    render(scene, synthesize_gt_motion(scene, seed=4), FINE_CONFIG)
+    objects, camera, radius = calls[0]
+    assert camera.size == (1920, 1080) and radius == simgen.effective_radius(FINE_CONFIG)
+    tracemalloc.start()
+    try:
+        grids = kernel(objects, camera, radius)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert grids.shape == (16, 1080, 1920)
+    assert peak - 16 * 1920 * 1080 * 4 < 16 * 2**20
+
+
 # sha256 of generate()'s clips, all three modes at coarse then fine
 # resolution, seed 5, pinned so that a speed-up cannot change pixels
 # silently. Recorded with numpy 2.4 and OpenBLAS 0.3.31 on x86-64; another
