@@ -357,10 +357,11 @@ def _motion_from_doc(doc) -> MotionSequence:
 # ------------------------------------------------------------ config JSON
 
 def load_json(text, what: str, error=InvalidConfig):
-    """``json.loads``, raising ``error`` instead of a decode error."""
+    """``json.loads``, raising ``error`` instead of a decode error or the
+    ``RecursionError`` of a document nested too deeply to parse."""
     try:
         return json.loads(text)
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise error(f"{what} is not JSON: {exc}") from None
 
 

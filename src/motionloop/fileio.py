@@ -56,6 +56,8 @@ def read_pgm(path) -> np.ndarray:
     if not all(tok.isdigit() for tok in tokens[1:]):
         raise ShapeMismatch(f"non-numeric PGM header in {path}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
+    if not 0 < maxval <= 65535:
+        raise ShapeMismatch(f"PGM maxval {maxval} is outside 1..65535: {path}")
     data = raw[pos + 1:]  # single whitespace byte after maxval
     dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
     if w * h == 0:

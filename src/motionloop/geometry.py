@@ -345,12 +345,14 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
 
     One stable sort on depth per frame ranks the points by that key. Only
     the crop holding every point's clipped box in every frame is splatted.
-    A point's candidate pixels fill a fixed window at its box corner; those
-    inside the box and the disc are kept, and each crop pixel keeps the
-    smallest rank that covers it (a scatter-min), with the frames' crops end
-    to end. Candidates go through in blocks of at most SPLAT_BLOCK, and
-    frames in groups of at most SPLAT_BLOCK crop pixels (one frame at least),
-    so memory stays bounded for any radius and frame count.
+    A point's candidate pixels fill a fixed window at its box corner, laid
+    out offset-major, (window offset, point); those inside the box and the
+    disc are kept, and each crop pixel keeps the smallest rank that covers
+    it (a scatter-min, which no candidate order changes), with the frames'
+    crops end to end. Candidates go through in blocks of at most
+    SPLAT_BLOCK, and frames in groups of at most SPLAT_BLOCK crop pixels
+    (one frame at least), so memory stays bounded for any radius and frame
+    count.
     """
     w, h = camera.size
     objs = [(np.asarray(p, dtype=np.float64), np.asarray(l, dtype=np.int32))
@@ -372,13 +374,15 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     rank = np.argsort(z, axis=1, kind="stable")
     u = np.take_along_axis(u, rank, axis=1).ravel()
     v = np.take_along_axis(v, rank, axis=1).ravel()
-    lab = np.append(np.concatenate([l for _, l in objs])[rank], 0)  # 0: no point
+    lab = np.append(np.concatenate([l for _, l in objs])[rank], np.int32(0))  # 0: no point
     r = splat_radius
     side = 2 * int(np.ceil(r)) + 1
-    ox, oy = np.arange(min(side, w)), np.arange(min(side, h))
-    # box corners; clipping to w keeps far-off points' windows in int64 range
-    x0 = np.clip(np.ceil(u - r), 0, w).astype(np.int64)
-    y0 = np.clip(np.ceil(v - r), 0, h).astype(np.int64)
+    ox = np.arange(min(side, w), dtype=np.float64)[:, None]
+    oy = np.arange(min(side, h), dtype=np.float64)[:, None]
+    # box corners, exact integers kept as floats so px - u is the same
+    # float64 subtraction; clipping to w keeps far-off points' windows small
+    x0 = np.clip(np.ceil(u - r), 0, w)
+    y0 = np.clip(np.ceil(v - r), 0, h)
     x1 = np.minimum(np.floor(u + r), w - 1)
     y1 = np.minimum(np.floor(v + r), h - 1)
     grids = np.zeros((nf, h, w), dtype=np.int32)
@@ -387,26 +391,31 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
         return grids.reshape(lead + (h, w))
     # splat into the crop that holds every live box of every frame: a
     # candidate outside it is outside its own box, so it is never scattered
-    cx, cy = x0[live].min(), y0[live].min()
+    cx, cy = int(x0[live].min()), int(y0[live].min())
     cw, ch = int(x1[live].max()) + 1 - cx, int(y1[live].max()) + 1 - cy
-    offs = (oy[:, None] * cw + ox).ravel()
+    offs = (oy * cw + ox.T).astype(np.int64).reshape(-1, 1)
     group = max(1, SPLAT_BLOCK // (ch * cw))
     # a frame group's crop pixels are laid end to end: (frame in group, y, x)
-    corner = np.repeat(np.arange(nf) % group * (ch * cw), n) + (y0 - cy) * cw + x0 - cx
+    corner = (np.repeat(np.arange(nf) % group * (ch * cw), n)
+              + ((y0 - cy) * cw + x0 - cx).astype(np.int64))
     step = max(1, SPLAT_BLOCK // offs.size)
     for f in range(0, nf, group):
         last = min(f + group, nf)
         best = np.full((last - f) * ch * cw, lab.size - 1)
         for s in range(f * n, last * n, step):
-            b = slice(s, min(s + step, last * n))
-            px = x0[b, None] + ox
-            py = y0[b, None] + oy
+            e = min(s + step, last * n)
+            # offset-major (window offset, candidate): each row is a whole
+            # block of points wide, so numpy's inner loops run long
+            px = x0[s:e] + ox
+            py = y0[s:e] + oy
             # NaN past the box corner: never inside, even if r * r overflows
-            dx = np.where(px <= x1[b, None], (px - u[b, None]) ** 2, np.nan)
-            dy = np.where(py <= y1[b, None], (py - v[b, None]) ** 2, np.nan)
-            inside = (dy[:, :, None] + dx[:, None, :] <= r * r).reshape(len(dx), -1)
-            np.minimum.at(best, (corner[b, None] + offs)[inside],
-                          np.repeat(np.arange(s, b.stop), np.count_nonzero(inside, axis=1)))
+            dx = np.where(px <= x1[s:e], (px - u[s:e]) ** 2, np.nan)
+            dy = np.where(py <= y1[s:e], (py - v[s:e]) ** 2, np.nan)
+            inside = (dy[:, None] + dx[None] <= r * r).reshape(-1, e - s)
+            # the ranks are materialized 1-D: under numpy 2.4.6 ufunc.at
+            # with a 2-D index and broadcast 1-D values scatters wrong values
+            np.minimum.at(best, (offs + corner[s:e])[inside],
+                          np.broadcast_to(np.arange(s, e), inside.shape)[inside])
         grids[f:last, cy:cy + ch, cx:cx + cw] = lab[best].reshape(-1, ch, cw)
     return grids.reshape(lead + (h, w))
 

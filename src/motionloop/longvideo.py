@@ -99,9 +99,14 @@ def _blend(windows: list, plan: WindowPlan, noun: str) -> np.ndarray:
         lap = plan.overlap if k else 0
         out[start + lap:start + plan.window] = frames[lap:]
         if lap:
-            # the earlier window's tail already sits in out[start:start + lap]
-            mix = (1.0 - ramp) * out[start:start + lap] + ramp * frames[:lap]
-            out[start:start + lap] = np.rint(mix) if out.dtype.kind in "iu" else mix
+            # the earlier window's tail already sits in out[start:start + lap];
+            # equal integers blend to themselves after rounding, so integer
+            # data is computed only where the two windows differ
+            a, b = out[start:start + lap], np.asarray(frames[:lap])
+            d = a != b if out.dtype.kind in "iu" else ...
+            w = np.broadcast_to(ramp, a.shape)[d]
+            mix = (1.0 - w) * a[d] + w * b[d]
+            a[d] = np.rint(mix) if out.dtype.kind in "iu" else mix
     return out
 
 

@@ -110,3 +110,17 @@ def test_judge_claim(better, medians, quartiles, wins, met):
     gain = (medians[0] - medians[1]) / medians[0]
     assert verdict["result"]["gain"] == pytest.approx(gain if better == "lower" else -gain)
     assert verdict["result"]["parent_iqr"] == quartiles[1] - quartiles[0]
+
+
+def test_summary_lines_give_medians_wins_and_the_claim_per_workload():
+    parent = [(10.0, 1.0), (10.0, 2.0), (12.0, 3.0), (14.0, 4.0)]
+    change = [(9.0, 2.0), (10.0, 2.0), (13.0, 1.0), (11.0, 5.0)]
+    pairs = [{"parent": _record(*p), "change": _record(*c)} for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, [1, 2, 3, 4], METRICS)
+    workloads = {"long": summary, "multi": summary}
+    claim = bench_pairs.judge_claim("long:op_ms_p50:0.04", workloads)
+    lines = bench_pairs.summary_lines(workloads, claim)
+    row = "op_ms_p50 11 -> 10.5 (2/4), ops_per_s 2.5 -> 2 (2/4)"
+    # a 4.5% gain over 4 pairs, 2 of them won: under 9 of 10
+    assert lines == [f"long: {row}; claim op_ms_p50 +4.5% not met", f"multi: {row}"]
+    assert bench_pairs.summary_lines(workloads) == [f"long: {row}", f"multi: {row}"]

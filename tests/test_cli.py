@@ -314,6 +314,27 @@ def _sixteen_bit_second_frame(clip):
     fileio.write_pgm(clip / "frame_0001.pgm", np.full((6, 8), 300), maxval=65535)
 
 
+def _second_frame_bytes(header: bytes, payload: int):
+    """A clip edit that replaces the second frame with a header and
+    ``payload`` bytes of pixels."""
+    def edit(clip):
+        (clip / "frame_0001.pgm").write_bytes(header + b"\x09" * payload)
+    return edit
+
+
+# deeper than the JSON decoder's recursion limit
+_DEEP_JSON = "[" * 100_000 + "]" * 100_000
+
+
+def _denoise_text(text):
+    """denoise on a motion file holding text."""
+    def argv(tmp_path, checkpoint):
+        args = _denoise(tmp_path, checkpoint, None)
+        (tmp_path / "in.json").write_text(text)
+        return args
+    return argv
+
+
 def _motions_file(tmp_path, name, docs) -> str:
     path = tmp_path / name
     path.write_text(docs if isinstance(docs, str) else json.dumps(docs))
@@ -447,6 +468,14 @@ BOUNDARY_CASES = {
         frames=[[float("nan")] * len(row) for row in d["frames"]])),
         "DimensionMismatch"),
     "pgm-short-payload": (_bad_clip(_truncate_second_frame), "ShapeMismatch"),
+    "pgm-maxval-zero": (_bad_clip(_second_frame_bytes(b"P5 8 6 0\n", 48)),
+                        "ShapeMismatch"),
+    "pgm-maxval-above-16-bit": (_bad_clip(_second_frame_bytes(b"P5 8 6 65536\n", 96)),
+                                "ShapeMismatch"),
+    "clip-json-nested-too-deeply": (_bad_clip(lambda clip: (clip / "clip.json")
+                                              .write_text(_DEEP_JSON)), "ShapeMismatch"),
+    "run-config-nested-too-deeply": (_bad_run_config(_DEEP_JSON), "InvalidConfig"),
+    "motion-json-nested-too-deeply": (_denoise_text(_DEEP_JSON), "DimensionMismatch"),
     "run-misspelled-key": (_bad_run_config(
         '{"pipeline": {"coarse": {"splat_radus": 2.0}}}'), "InvalidConfig"),
     "run-unknown-top-level-key": (_bad_run_config('{"fixtures": 3}'), "InvalidConfig"),

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from motionloop import fileio, geometry as geo
-from motionloop.errors import PayloadMismatch
+from motionloop.errors import PayloadMismatch, ShapeMismatch
 
 
 def test_pgm8_round_trip(tmp_path):
@@ -25,6 +25,14 @@ def test_pgm16_is_big_endian(tmp_path):
     raw = p.read_bytes()
     assert raw.endswith(b"\x01\x02")
     np.testing.assert_array_equal(fileio.read_pgm(p), grid)
+
+
+@pytest.mark.parametrize("maxval", [b"0", b"65536", b"99999999999999999999999"])
+def test_read_pgm_rejects_maxval_outside_1_to_65535(tmp_path, maxval):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5 8 6 " + maxval + b"\n" + bytes(96))
+    with pytest.raises(ShapeMismatch, match="maxval"):
+        fileio.read_pgm(p)
 
 
 def _part_mask() -> np.ndarray:

@@ -498,6 +498,30 @@ def test_render_crop_edges_match_loop_oracle_per_frame(name, block):
             assert fast.any()
 
 
+@pytest.mark.parametrize("block", [64, 2**12, 2**18])
+@pytest.mark.parametrize("size", [(9, 9), (1, 9), (9, 1)], ids=["9x9", "1x9", "9x1"])
+def test_render_non_square_and_oversized_windows_match_loop_oracle(size, block):
+    # radius 7 gives a 15-pixel window, clipped to the frame: 9 x 9 on the
+    # square frame, 1 x 9 and 9 x 1 on the line frames; radii 0.5 and 1
+    # give 3 x 3 windows, clipped to 1 x 3 and 3 x 1 there
+    w, h = size
+    cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=size)
+    rng = np.random.default_rng(77)
+    # three frames of points on, between and beyond the pixel centres
+    track = np.stack([np.round(2 * rng.uniform(-3, w + 2, (3, 7))) / 2,
+                      np.round(2 * rng.uniform(-3, h + 2, (3, 7))) / 2,
+                      rng.choice([1.0, 2.0, 4.0], (3, 7))], axis=-1)
+    track[:, 0, :2] = w // 2, h // 2  # one point on a pixel centre per frame
+    objects, cam = _clip_at(cam, track)
+    for r in (0.5, 1.0, 7.0):
+        with mock.patch.object(geo, "SPLAT_BLOCK", block):
+            fast = geo.render_part_masks(objects, cam, r)
+        slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
+                         for t in range(3)])
+        assert fast.dtype == np.int32 and fast.any()
+        np.testing.assert_array_equal(fast, slow)
+
+
 def test_render_keeps_leading_axes_and_rejects_mismatched_ones():
     cam = CameraSpec(focal=10.0, principal=(8.0, 6.0), size=(16, 12))
     rng = np.random.default_rng(29)

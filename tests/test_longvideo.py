@@ -16,8 +16,10 @@ from motionloop.longvideo import (
     stitch,
     stitch_motion,
 )
+from motionloop.geometry import ConditionMode
 from motionloop.pmp import Conditioning, PmpConfig, pmp_init
-from motionloop.simgen import VideoClip
+from motionloop.scenes import walker_scene
+from motionloop.simgen import FINE_CONFIG, VideoClip, generate
 
 
 def const_clip(value, frames=32, size=(12, 8)):
@@ -189,6 +191,30 @@ def test_stitch_matches_the_per_frame_oracle_bitwise(case):
     assert stitched.dtype == expected.dtype == np.float64
     assert np.array_equal(stitched, expected)
     assert stitched.tobytes() == expected.tobytes()
+
+
+def test_equal_uint8_pixels_blend_to_themselves():
+    # the premise that lets the stitch compute only the pixels that differ:
+    # for every uint8 value and every ramp weight of overlaps 1-64,
+    # (1 - w) * a + w * a rounds back to a
+    a = np.arange(256, dtype=np.uint8)
+    for overlap in range(1, 65):
+        w = blend_weights(overlap)[:, None]
+        assert (np.rint((1.0 - w) * a + w * a) == a).all()
+
+
+def test_stitch_of_rendered_windows_of_one_motion_matches_the_oracle():
+    # windows rendered from one motion agree on most overlap pixels (the
+    # background and the figure where the windows' realizations coincide)
+    scene = walker_scene(56)
+    plan = plan_windows(56)
+    clips = [generate(scene, ConditionMode.FULL_MOTION, FINE_CONFIG, seed=8,
+                      frame_window=window)[0] for window in plan.windows]
+    earlier = np.stack(clips[0].frames[plan.stride:])
+    later = np.stack(clips[1].frames[:plan.overlap])
+    assert 0.9 < np.mean(earlier == later) < 1.0
+    merged = np.stack(stitch(clips, plan).frames)
+    assert merged.tobytes() == _oracle_clip_frames(clips, plan).tobytes()
 
 
 def test_stitch_long_clip_stays_within_memory_bound():

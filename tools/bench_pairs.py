@@ -19,7 +19,9 @@ in the file), the set-up records, the traced per-layer values
 of one pair per workload (``--trace-seed``), the environment and, with
 ``--claim workload:metric:fraction``, whether the change improved that
 metric by at least the fraction in the median, won at least 9 of 10 pairs
-and moved the median by more than the parent's interquartile range.
+and moved the median by more than the parent's interquartile range. The
+script ends with one line per workload: each end-to-end metric's parent ->
+change medians, the pairs the change won and the claim's verdict.
 """
 
 from __future__ import annotations
@@ -157,6 +159,23 @@ def judge_claim(spec: str, workloads: dict) -> dict:
     }
 
 
+def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
+    """One line per workload: each end-to-end metric's parent -> change
+    medians and the pairs the change won, then the claim's verdict on the
+    line of its workload."""
+    lines = []
+    for workload, summary in workloads.items():
+        line = f"{workload}: " + ", ".join(
+            f"{name} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
+            f"({m['change_wins']})" for name, m in summary["metrics"].items())
+        if claim and claim["workload"] == workload:
+            verdict = claim["result"]
+            line += (f"; claim {claim['metric']} {verdict['gain']:+.1%} "
+                     f"{'met' if verdict['met'] else 'not met'}")
+        lines.append(line)
+    return lines
+
+
 def environment(record: dict) -> dict:
     """A run's environment record without its workload, seed, commit and
     the BLAS build's install directories, which name no setting."""
@@ -216,6 +235,7 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
+    print("\n".join(summary_lines(workloads, doc.get("claim"))))
     return 0
 
 
