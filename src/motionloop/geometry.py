@@ -27,8 +27,10 @@ from .errors import (
     DegeneratePart,
     DimensionMismatch,
     EmptyMask,
+    InvalidConfig,
     NonPositiveDepth,
     PayloadMismatch,
+    ShapeMismatch,
 )
 
 CONTOUR_VERTICES = 16
@@ -75,6 +77,8 @@ class CameraSpec:
             raise NonPositiveDepth("focal length must be positive and finite")
         cx, cy = self.principal
         w, h = self.size
+        if not all(isinstance(v, int) and not isinstance(v, bool) and v > 0 for v in (w, h)):
+            raise InvalidConfig(f"camera size must be two positive integers, got {self.size}")
         if not (0 <= cx < w and 0 <= cy < h):
             raise BoxOutOfBounds("principal point outside image")
 
@@ -346,9 +350,11 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     One stable sort on depth per frame ranks the points by that key. Only
     the crop holding every point's clipped box in every frame is splatted.
     A point's candidate pixels fill a fixed window at its box corner, laid
-    out offset-major, (window offset, point); those inside the box and the
-    disc are kept, and each crop pixel keeps the smallest rank that covers
-    it (a scatter-min, which no candidate order changes), with the frames'
+    out offset-major, (window offset, point). One flatnonzero finds those
+    inside the box and the disc, and division by the block's point count
+    splits each flat position into window offset and point, whose index is
+    its rank. Each crop pixel keeps the smallest rank that covers it (a
+    scatter-min, which no candidate order changes), with the frames'
     crops end to end. Candidates go through in blocks of at most
     SPLAT_BLOCK, and frames in groups of at most SPLAT_BLOCK crop pixels
     (one frame at least), so memory stays bounded for any radius and frame
@@ -362,9 +368,13 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
         raise DimensionMismatch(f"objects differ in their leading axes: {sorted(leads)}")
     lead = leads.pop() if leads else ()
     nf = math.prod(lead)
+    try:
+        grids = np.zeros((nf, h, w), dtype=np.int32)
+    except (MemoryError, ValueError):  # out of memory, or past numpy's largest array
+        raise ShapeMismatch(f"{nf} frames of {w}x{h} pixels cannot be allocated") from None
     objs = [(p.reshape(nf, -1, 3), l) for p, l in objs if p.size]
     if not objs:
-        return np.zeros(lead + (h, w), dtype=np.int32)
+        return grids.reshape(lead + (h, w))
     pts = np.concatenate([p for p, _ in objs], axis=1)
     n = pts.shape[1]
     u, v, z = project(pts.reshape(-1, 3), camera).reshape(nf, n, 3).transpose(2, 0, 1)
@@ -385,7 +395,6 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     y0 = np.clip(np.ceil(v - r), 0, h)
     x1 = np.minimum(np.floor(u + r), w - 1)
     y1 = np.minimum(np.floor(v + r), h - 1)
-    grids = np.zeros((nf, h, w), dtype=np.int32)
     live = (x0 <= x1) & (y0 <= y1)
     if not live.any():
         return grids.reshape(lead + (h, w))
@@ -393,7 +402,7 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     # candidate outside it is outside its own box, so it is never scattered
     cx, cy = int(x0[live].min()), int(y0[live].min())
     cw, ch = int(x1[live].max()) + 1 - cx, int(y1[live].max()) + 1 - cy
-    offs = (oy * cw + ox.T).astype(np.int64).reshape(-1, 1)
+    offs = (oy * cw + ox.T).astype(np.int64).ravel()
     group = max(1, SPLAT_BLOCK // (ch * cw))
     # a frame group's crop pixels are laid end to end: (frame in group, y, x)
     corner = (np.repeat(np.arange(nf) % group * (ch * cw), n)
@@ -411,11 +420,12 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
             # NaN past the box corner: never inside, even if r * r overflows
             dx = np.where(px <= x1[s:e], (px - u[s:e]) ** 2, np.nan)
             dy = np.where(py <= y1[s:e], (py - v[s:e]) ** 2, np.nan)
-            inside = (dy[:, None] + dx[None] <= r * r).reshape(-1, e - s)
-            # the ranks are materialized 1-D: under numpy 2.4.6 ufunc.at
-            # with a 2-D index and broadcast 1-D values scatters wrong values
-            np.minimum.at(best, (offs + corner[s:e])[inside],
-                          np.broadcast_to(np.arange(s, e), inside.shape)[inside])
+            # inside candidates' flat positions: offset k // (e - s), point the rest
+            k = np.flatnonzero(dy[:, None] + dx[None] <= r * r)
+            row = k // (e - s)
+            k -= row * (e - s)
+            k += s
+            np.minimum.at(best, offs[row] + corner[k], k)
         grids[f:last, cy:cy + ch, cx:cx + cw] = lab[best].reshape(-1, ch, cw)
     return grids.reshape(lead + (h, w))
 

@@ -14,8 +14,8 @@ _SPEC = importlib.util.spec_from_file_location("bench_pairs", _PATH)
 bench_pairs = importlib.util.module_from_spec(_SPEC)
 _SPEC.loader.exec_module(bench_pairs)
 
-METRICS = [{"name": "op_ms_p50", "unit": "ms", "better": "lower"},
-           {"name": "ops_per_s", "unit": "1/s", "better": "higher"}]
+METRICS = [{"name": "op_ms_p50", "unit": "ms", "better": "lower", "bound": 0.25},
+           {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25}]
 
 
 def test_parse_seeds_reads_ranges_and_lists():
@@ -122,5 +122,36 @@ def test_summary_lines_give_medians_wins_and_the_claim_per_workload():
     lines = bench_pairs.summary_lines(workloads, claim)
     row = "op_ms_p50 11 -> 10.5 (2/4), ops_per_s 2.5 -> 2 (2/4)"
     # a 4.5% gain over 4 pairs, 2 of them won: under 9 of 10
+    # ops_per_s: parent quartiles 1.75-3.25 are wider than 25% of 2.5, and
+    # the change's 1 does not beat the parent's 4
+    row += "; ops_per_s unresolved"
     assert lines == [f"long: {row}; claim op_ms_p50 +4.5% not met", f"multi: {row}"]
     assert bench_pairs.summary_lines(workloads) == [f"long: {row}", f"multi: {row}"]
+
+
+@pytest.mark.parametrize("better, parent, change, expected", [
+    # median 100 -> 111: worse by more than 10 of 100
+    ("lower", [98.0, 100.0, 102.0], [109.0, 111.0, 113.0], "worse"),
+    # median 100 -> 108, inside the bound, but the parent spreads 90-110
+    ("lower", [80.0, 100.0, 120.0], [107.0, 108.0, 109.0], "unresolved"),
+    # the same spread, but every change run beats every parent run
+    ("lower", [80.0, 100.0, 120.0], [70.0, 75.0, 79.0], "ok"),
+    # inside the bound, and the parent's spread is narrower than it
+    ("lower", [98.0, 100.0, 102.0], [103.0, 105.0, 107.0], "ok"),
+    # higher is better: 20 -> 17 is worse by more than 2 of 20
+    ("higher", [19.0, 20.0, 21.0], [16.0, 17.0, 18.0], "worse"),
+    ("higher", [19.0, 20.0, 21.0], [18.0, 19.0, 20.0], "ok"),
+    ("higher", [10.0, 20.0, 30.0], [19.0, 21.0, 23.0], "unresolved"),
+    ("higher", [10.0, 20.0, 30.0], [31.0, 32.0, 33.0], "ok"),
+])
+def test_verdict_per_metric_reads_its_bound(better, parent, change, expected):
+    metric = {"name": "m", "unit": "x", "better": better, "bound": 0.1}
+    pairs = [{"parent": _record(p, p), "change": _record(c, c)}
+             for p, c in zip(parent, change)]
+    summary = bench_pairs.summarize(pairs, [1, 2, 3], [
+        {**metric, "name": "op_ms_p50"}, {**metric, "name": "ops_per_s"}])
+    for m in summary["metrics"].values():
+        assert m["bound"] == 0.1 and m["verdict"] == expected
+    line = bench_pairs.summary_lines({"long": summary})[0]
+    flagged = "" if expected == "ok" else f"; op_ms_p50 {expected}, ops_per_s {expected}"
+    assert line.endswith(f"({summary['metrics']['ops_per_s']['change_wins']}){flagged}")

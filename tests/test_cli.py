@@ -380,6 +380,18 @@ def _rasterize(motions, objects=(0,)):
     return argv
 
 
+def _rasterize_on_camera(**camera):
+    """rasterize a valid motion over fixture 0's scene with camera keys replaced."""
+    def argv(tmp_path, checkpoint):
+        args = _rasterize([_motion_doc()])(tmp_path, checkpoint)
+        scene_path = tmp_path / "scene.json"
+        doc = json.loads(scene_path.read_text())
+        doc["camera"].update(camera)
+        scene_path.write_text(json.dumps(doc))
+        return args
+    return argv
+
+
 def _bad_corpus(index_text):
     def argv(tmp_path, checkpoint):
         corpus = tmp_path / "corpus"
@@ -545,6 +557,12 @@ BOUNDARY_CASES = {
                                             "DimensionMismatch"),
     "rasterize-motion-of-another-category": (_rasterize([_motion_doc()], objects=(1,)),
                                              "DimensionMismatch"),
+    "scene-fractional-camera-size": (_rasterize_on_camera(size=[192.5, 108]),
+                                     "InvalidConfig"),
+    "scene-boolean-camera-size": (_rasterize_on_camera(size=[True, True], principal=[0, 0]),
+                                  "InvalidConfig"),
+    "scene-camera-size-past-numpy-dimension": (_rasterize_on_camera(size=[10**30, 108]),
+                                               "ShapeMismatch"),
     "denoise-nan-strength": (_denoise_with_strength("nan"), "InvalidConfig"),
     "denoise-infinite-strength": (_denoise_with_strength("inf"), "InvalidConfig"),
     "gen-corpus-negative-count": (_gen_corpus("-5", "8"), "InvalidConfig"),
@@ -681,6 +699,7 @@ MEMORY_CASES = {
     "stitch-huge-total": (_huge_stitch_total, "PlanMismatch"),
     "run-huge-duration": (_huge_scene_duration, "TooManyFrames"),
     "gen-corpus-huge-frames": (_gen_corpus("2", "1000000000"), "TooManyFrames"),
+    "rasterize-huge-camera": (_rasterize_on_camera(size=[100000, 100000]), "ShapeMismatch"),
 }
 
 

@@ -15,7 +15,9 @@ from motionloop.errors import (
     DegeneratePart,
     DimensionMismatch,
     EmptyMask,
+    InvalidConfig,
     NonPositiveDepth,
+    ShapeMismatch,
 )
 from motionloop.geometry import (
     BBox,
@@ -226,6 +228,21 @@ def test_project_rejects_nonpositive_depth():
     cam = CameraSpec.default(32, 32)
     with pytest.raises(NonPositiveDepth):
         geo.project(np.array([[0.0, 0.0, 0.0]]), cam)
+
+
+@pytest.mark.parametrize("size", [(192.5, 108), (192, 108.0), (True, True), (0, 108),
+                                  (192, -1)])
+def test_camera_size_must_be_two_positive_integers(size):
+    with pytest.raises(InvalidConfig):
+        CameraSpec(focal=1.0, principal=(0.0, 0.0), size=size)
+
+
+@pytest.mark.parametrize("size", [(10**30, 108), (2**40, 2**40)])
+def test_render_frames_past_numpys_largest_array_name_the_error(size):
+    cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=size)
+    for objects in ([], [(np.array([[1.0, 1.0, 1.0]]), np.array([1]))]):
+        with pytest.raises(ShapeMismatch):
+            geo.render_part_masks(objects, cam, 1.5)
 
 
 def test_object25d_box_out_of_bounds():
@@ -519,6 +536,31 @@ def test_render_non_square_and_oversized_windows_match_loop_oracle(size, block):
         slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
                          for t in range(3)])
         assert fast.dtype == np.int32 and fast.any()
+        np.testing.assert_array_equal(fast, slow)
+
+
+@pytest.mark.parametrize("r", [0.5, 2.5, 7.0])
+@pytest.mark.parametrize("size", [(20, 14), (1, 9), (9, 1)], ids=["20x14", "1x9", "9x1"])
+def test_render_partial_and_one_point_blocks_match_loop_oracle(size, r):
+    # a candidate's point is its flat position modulo its block's width:
+    # a block of three windows' candidates leaves a short last block in
+    # frame groups of 7, 14 or 28 points, and a block under one window's
+    # candidates holds one point; the window is clipped on the line frames
+    w, h = size
+    cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=size)
+    rng = np.random.default_rng(91)
+    track = np.stack([np.round(2 * rng.uniform(-2, w + 1, (4, 7))) / 2,
+                      np.round(2 * rng.uniform(-2, h + 1, (4, 7))) / 2,
+                      rng.choice([1.0, 2.0, 4.0], (4, 7))], axis=-1)
+    objects, cam = _clip_at(cam, track[:, :3], track[:, 3:])
+    side = 2 * math.ceil(r) + 1
+    window = min(side, w) * min(side, h)
+    slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
+                     for t in range(4)])
+    for block in (window - 1, 3 * window):
+        with mock.patch.object(geo, "SPLAT_BLOCK", block):
+            fast = geo.render_part_masks(objects, cam, r)
+        assert fast.any()
         np.testing.assert_array_equal(fast, slow)
 
 

@@ -19,9 +19,12 @@ in the file), the set-up records, the traced per-layer values
 of one pair per workload (``--trace-seed``), the environment and, with
 ``--claim workload:metric:fraction``, whether the change improved that
 metric by at least the fraction in the median, won at least 9 of 10 pairs
-and moved the median by more than the parent's interquartile range. The
-script ends with one line per workload: each end-to-end metric's parent ->
-change medians, the pairs the change won and the claim's verdict.
+and moved the median by more than the parent's interquartile range. Each
+end-to-end metric also gets a no-regression verdict against its ``bound``
+in ``BENCHMARK.json``: ``worse``, ``unresolved`` or ``ok`` (see
+``verdict``). The script ends with one line per workload: each end-to-end
+metric's parent -> change medians and the pairs the change won, every
+metric that is not ``ok``, and the claim's verdict.
 """
 
 from __future__ import annotations
@@ -98,6 +101,20 @@ def quartiles(values: list[float]) -> list[float]:
     return [q[0], q[2]]
 
 
+def verdict(better: str, bound: float, parent: list[float], change: list[float]) -> str:
+    """``worse`` when the change's median is worse than the parent's by more
+    than ``bound`` times the parent's median magnitude; ``unresolved`` when
+    it is not, but the parent's interquartile range is wider than that
+    margin and not every change run beats every parent run; else ``ok``."""
+    sign = 1 if better == "lower" else -1
+    margin = bound * abs(statistics.median(parent))
+    if sign * (statistics.median(change) - statistics.median(parent)) > margin:
+        return "worse"
+    lo, hi = quartiles(parent)
+    beats_all = max(sign * c for c in change) < min(sign * p for p in parent)
+    return "unresolved" if hi - lo > margin and not beats_all else "ok"
+
+
 def summarize(pairs: list[dict[str, dict]], seeds: list[int],
               metrics: list[dict]) -> dict:
     sides = ("parent", "change")
@@ -129,6 +146,9 @@ def summarize(pairs: list[dict[str, dict]], seeds: list[int],
             "parent_quartiles": quartiles(values["parent"]),
             "change_quartiles": quartiles(values["change"]),
             "change_wins": f"{wins}/{len(pairs)}",
+            "bound": metric["bound"],
+            "verdict": verdict(metric["better"], metric["bound"], values["parent"],
+                               values["change"]),
             "parent": values["parent"], "change": values["change"],
         }
     return summary
@@ -161,17 +181,21 @@ def judge_claim(spec: str, workloads: dict) -> dict:
 
 def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
     """One line per workload: each end-to-end metric's parent -> change
-    medians and the pairs the change won, then the claim's verdict on the
-    line of its workload."""
+    medians and the pairs the change won, every metric whose verdict is not
+    ``ok``, then the claim's verdict on the line of its workload."""
     lines = []
     for workload, summary in workloads.items():
         line = f"{workload}: " + ", ".join(
             f"{name} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
             f"({m['change_wins']})" for name, m in summary["metrics"].items())
+        flagged = [f"{name} {m['verdict']}" for name, m in summary["metrics"].items()
+                   if m["verdict"] != "ok"]
+        if flagged:
+            line += "; " + ", ".join(flagged)
         if claim and claim["workload"] == workload:
-            verdict = claim["result"]
-            line += (f"; claim {claim['metric']} {verdict['gain']:+.1%} "
-                     f"{'met' if verdict['met'] else 'not met'}")
+            result = claim["result"]
+            line += (f"; claim {claim['metric']} {result['gain']:+.1%} "
+                     f"{'met' if result['met'] else 'not met'}")
         lines.append(line)
     return lines
 
