@@ -1,18 +1,16 @@
 """On-disk formats: binary PGM grids, condition channels and clip directories.
 
 Part-label grids and masks are 8-bit P5 PGMs (pixel value = part id,
-0 = background). Condition channels are one such mask per frame,
-{prefix}_mask_%04d.pgm, plus a {prefix}_conf.json sidecar
-{"triple": [full, target, empty], "modes": [one ConditionMode value per
-frame]}; each frame's confidence map follows from its mask and mode. A video
-clip is a directory of frame_%04d.pgm files plus clip.json {"fps",
-"resolution": [w, h]}.
+0 = background). A clip's condition channels are one such mask per frame,
+{prefix}_mask_%04d.pgm, plus a {prefix}_conf.json sidecar {"mode":
+ConditionMode value, "frames": F}; the confidence maps follow from the masks,
+the mode and run.json's confidence triple. A video clip is a directory of
+frame_%04d.pgm files plus clip.json {"fps", "resolution": [w, h]}.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import re
 from pathlib import Path
 
@@ -69,43 +67,43 @@ def read_pgm(path) -> np.ndarray:
     return grid.astype(np.int64 if maxval > 255 else np.uint8)
 
 
-def write_condition(dir_path, channels: list[ConditionChannels],
+def write_condition(dir_path, channels: ConditionChannels,
                     prefix: str = "cond") -> None:
-    """Write per-frame part masks and a sidecar with the triple and each
-    frame's mode."""
+    """Write a clip's part masks, one per frame, and a sidecar with its
+    mode and frame count."""
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    for i, ch in enumerate(channels):
-        write_pgm(d / f"{prefix}_mask_{i:04d}.pgm", ch.part_mask)
+    for i, mask in enumerate(channels.part_masks):
+        write_pgm(d / f"{prefix}_mask_{i:04d}.pgm", mask)
     (d / f"{prefix}_conf.json").write_text(json.dumps(
-        {"triple": list(channels[0].triple), "modes": [ch.mode.value for ch in channels]}))
+        {"mode": channels.mode.value, "frames": len(channels.part_masks)}))
 
 
-def read_condition(dir_path, prefix: str = "cond") -> list[ConditionChannels]:
-    """Inverse of ``write_condition``: each frame from its mask and the
-    sidecar's mode and triple."""
+def read_condition(dir_path, prefix: str = "cond") -> ConditionChannels:
+    """Inverse of ``write_condition``: the sidecar's mode over masks
+    numbered 0..frames-1, all of one size."""
     d = Path(dir_path)
     sidecar = d / f"{prefix}_conf.json"
     doc = load_json(sidecar.read_text(), str(sidecar), PayloadMismatch)
+    if not isinstance(doc, dict) or set(doc) != {"mode", "frames"}:
+        raise PayloadMismatch(f"{sidecar} must hold exactly the keys mode and frames")
+    frames = doc["frames"]
+    if not (isinstance(frames, int) and not isinstance(frames, bool) and frames > 0):
+        raise PayloadMismatch(f"{sidecar} frames must be a positive integer, got {frames!r}")
     try:
-        triple, modes = doc["triple"], [ConditionMode(name) for name in doc["modes"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise PayloadMismatch(
-            f"malformed {sidecar} ({type(exc).__name__}: {exc})") from None
-    if not (isinstance(triple, list) and len(triple) == 3 and all(
-            isinstance(v, (int, float)) and not isinstance(v, bool) and math.isfinite(v)
-            for v in triple)):
-        raise PayloadMismatch(f"{sidecar} triple must be three finite numbers, "
-                              f"got {triple!r}")
-    names = [f"{prefix}_mask_{i:04d}.pgm" for i in range(len(modes))]
+        mode = ConditionMode(doc["mode"])
+    except ValueError:
+        raise PayloadMismatch(f"{sidecar} mode {doc['mode']!r} is not a ConditionMode") from None
+    # the count comes first, so a sidecar's frame count sizes nothing itself
     found = {p.name for p in d.glob(f"{prefix}_mask_*.pgm")}
-    if found != set(names):
-        raise PayloadMismatch(f"{sidecar.name} names {len(modes)} modes, but the "
+    if len(found) != frames or found != {f"{prefix}_mask_{i:04d}.pgm" for i in range(frames)}:
+        raise PayloadMismatch(f"{sidecar.name} names {frames} frames, but the "
                               f"{prefix}_mask_*.pgm files in {d} are not numbered "
-                              f"0..{len(modes) - 1}")
-    triple = tuple(float(v) for v in triple)
-    return [ConditionChannels(read_pgm(d / name).astype(np.int32), mode, triple)
-            for name, mode in zip(names, modes)]
+                              f"0..{frames - 1}")
+    masks = [read_pgm(d / f"{prefix}_mask_{i:04d}.pgm") for i in range(frames)]
+    if len({m.shape for m in masks}) > 1:
+        raise PayloadMismatch(f"the {prefix}_mask_*.pgm files in {d} differ in size")
+    return ConditionChannels(np.stack(masks), mode)
 
 
 def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:

@@ -3,9 +3,9 @@
 An object seen in a frame is summarized by 21 points: 16 vertices sampled
 from its mask contour, the 4 bounding-box corners, and the box center, each
 lifted to 3D with per-pixel depth. Going the other way, labeled 3D points
-are projected through a pinhole camera and splatted into a part-label mask
-with z-buffer occlusion, paired with the conditioning mode (full motion /
-target pose / empty) whose confidence level says how reliable the mask is.
+are projected through a pinhole camera and splatted into part-label masks
+with z-buffer occlusion; a clip's masks under one conditioning mode (full
+motion / target pose / empty) are its condition channels.
 
 Image convention: x right, y down, pixel centers at integer coordinates.
 Contours are returned counterclockwise in the y-up sense (negative shoelace
@@ -88,6 +88,8 @@ class CameraSpec:
                    size=(width, height))
 
     def scaled(self, factor: float) -> "CameraSpec":
+        if factor == 1.0:  # kept exactly: float64 would round sizes above 2**53
+            return self
         w = max(1, int(round(self.size[0] * factor)))
         h = max(1, int(round(self.size[1] * factor)))
         return CameraSpec(focal=self.focal * factor,
@@ -163,24 +165,24 @@ class ConditionMode(Enum):
 
 @dataclass(frozen=True)
 class ConditionChannels:
-    """Part-label mask + conditioning mode, the two extra generator inputs;
-    the confidence map follows from them and the triple."""
+    """One clip's two extra generator inputs: its part-label masks under one
+    mode, whose confidence maps follow from the run's confidence triple."""
 
-    part_mask: np.ndarray  # (H, W) int32, 0 = background
+    part_masks: np.ndarray  # (F, H, W) int32, 0 = background
     mode: ConditionMode
-    triple: tuple[float, float, float] = DEFAULT_TRIPLE  # (full, target, empty)
 
     def __post_init__(self):
-        mask = np.asarray(self.part_mask, dtype=np.int32)
-        mask.setflags(write=False)
-        object.__setattr__(self, "part_mask", mask)
+        masks = np.asarray(self.part_masks, dtype=np.int32)
+        if masks.ndim != 3:
+            raise ShapeMismatch(f"part masks must be (F, H, W), got shape {masks.shape}")
+        masks.setflags(write=False)
+        object.__setattr__(self, "part_masks", masks)
 
-    @property
-    def confidence(self) -> np.ndarray:
-        """(H, W) float64: the mode's level on labeled pixels, the empty
-        level on the background."""
-        return np.where(self.part_mask != 0, self.mode.level(self.triple),
-                        ConditionMode.EMPTY.level(self.triple))
+    def confidence(self, triple: tuple[float, float, float]) -> np.ndarray:
+        """(F, H, W) float64: the mode's level of the triple on labeled
+        pixels, the empty level on the background."""
+        return np.where(self.part_masks != 0, self.mode.level(triple),
+                        ConditionMode.EMPTY.level(triple))
 
 
 # ----------------------------------------------------------------- contours
@@ -478,13 +480,3 @@ def polygon_target_mask(parts: list[tuple[int, np.ndarray]],
         grid[inside] = label
     return grid
 
-
-# -------------------------------------------------------- condition channels
-
-def build_condition(mode: ConditionMode, masks: list[np.ndarray],
-                    confidence_triple: tuple[float, float, float] = DEFAULT_TRIPLE
-                    ) -> list[ConditionChannels]:
-    """Per-frame condition channels: each part-label mask under the mode,
-    whose confidence level (full, target or empty) covers its labeled
-    pixels and the empty level its background."""
-    return [ConditionChannels(grid, mode, confidence_triple) for grid in masks]

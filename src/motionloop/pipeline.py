@@ -36,10 +36,10 @@ from .geometry import (
     DEFAULT_TRIPLE,
     SPLAT_BLOCK,
     BinaryMask,
+    ConditionChannels,
     ConditionMode,
     DepthMap,
     bbox_from_mask,
-    build_condition,
     lift_points,
     object25d_from_mask,
     polygon_target_mask,
@@ -147,16 +147,16 @@ class UserCondition:
 
 def stage1_coarse(scene: SceneSpec, gt: list[MotionSequence],
                   user_condition: UserCondition, config: PipelineConfig, seed: int
-                  ) -> tuple[VideoClip, list, list[MotionSequence]]:
+                  ) -> tuple[VideoClip, ConditionChannels, list[MotionSequence]]:
     """Coarse clip, channels and realized motion from weak user conditioning."""
     n = coarse_frame_count(scene.duration, config.coarse)
     w, h = scene.camera.scaled(config.coarse.resolution_scale).size
-    masks = [np.zeros((h, w), dtype=np.int32) for _ in range(n)]
+    masks = np.zeros((n, h, w), dtype=np.int32)
     if user_condition.mode is ConditionMode.TARGET_POSE:
         s = config.coarse.resolution_scale
         masks[-1] = polygon_target_mask([(label, np.asarray(pts, dtype=float) * s)
                                          for label, pts in user_condition.parts], (w, h))
-    channels = build_condition(user_condition.mode, masks, config.confidence_triple)
+    channels = ConditionChannels(masks, user_condition.mode)
     realized = realize(gt, user_condition.mode, config.coarse, seed)
     return render(scene, realized, config.coarse)[0], channels, realized
 
@@ -368,15 +368,15 @@ def stage2_optimize(clip: VideoClip, scene: SceneSpec, pmp: PmpModel,
 
 def stage3_regenerate(scene: SceneSpec, gt: list[MotionSequence],
                       refined: list[MotionSequence], config: PipelineConfig, seed: int
-                      ) -> tuple[VideoClip, list[np.ndarray], list, list[MotionSequence]]:
+                      ) -> tuple[VideoClip, np.ndarray, ConditionChannels,
+                                 list[MotionSequence]]:
     """Regenerate at full fidelity, conditioned on the refined full motion:
     the final clip, its part masks, the channels and the realized motion."""
     fine_n = coarse_frame_count(scene.duration, config.fine)
     if any(m.frame_count != fine_n for m in refined):
         raise ShapeMismatch("refined motion length != fine frame count")
-    channels = build_condition(ConditionMode.FULL_MOTION,
-                               render(scene, refined, config.fine)[1],
-                               config.confidence_triple)
+    channels = ConditionChannels(render(scene, refined, config.fine)[1],
+                                 ConditionMode.FULL_MOTION)
     realized = realize(gt, ConditionMode.FULL_MOTION, config.fine, seed)
     return *render(scene, realized, config.fine), channels, realized
 
@@ -440,8 +440,8 @@ def _frame_scores(pred, ref, maxval: float = 255.0, window: int = 8,
 def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
                  pred_motions: list[MotionSequence],
                  gt_motions: list[MotionSequence],
-                 pred_masks: list[np.ndarray],
-                 gt_masks: list[np.ndarray]) -> EvalReport:
+                 pred_masks: np.ndarray,
+                 gt_masks: np.ndarray) -> EvalReport:
     if pred_clip.resolution != ref_clip.resolution or \
             pred_clip.frame_count != ref_clip.frame_count:
         raise ShapeMismatch("clip shapes differ")
@@ -453,7 +453,7 @@ def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
     psnr, ssim = (float(np.mean(v)) for v in
                   _frame_scores(pred_clip.frames, ref_clip.frames))
     ious = []
-    for p, r in _frame_groups(pred_masks, gt_masks) if pred_masks else ():
+    for p, r in _frame_groups(pred_masks, gt_masks) if len(pred_masks) else ():
         inter = np.count_nonzero((p == r) & (r != 0), axis=(1, 2)).tolist()
         union = np.count_nonzero((p != 0) | (r != 0), axis=(1, 2)).tolist()
         ious += [i / u if u else 1.0 for i, u in zip(inter, union)]

@@ -137,28 +137,24 @@ def _param_shapes(config: PmpConfig) -> Iterator[tuple[str, tuple[int, ...]]]:
 def pmp_init(config: PmpConfig, seed: int) -> PmpModel:
     """Scaled-uniform initialization, deterministic in the seed.
 
-    Matrices draw from U(-1/sqrt(fan_in), 1/sqrt(fan_in)); biases start at
-    zero, layer-norm scales at one, and embedding tables use their width as
-    fan-in.
+    Layer-norm scales start at one, every other vector (the biases and
+    layer-norm shifts) and the position table at zero. Other matrices draw
+    from U(-1/sqrt(fan_in), 1/sqrt(fan_in)), the token table with its width
+    as fan-in.
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
     for name, shape in _param_shapes(config):
         base = name.rsplit(".", 1)[-1]
-        if base.endswith("_b") or base == "ln1_b" or base == "ln2_b" or base == "ln3_b":
-            params[name] = np.zeros(shape)
-        elif base in ("ln1_g", "ln2_g", "ln3_g"):
+        if base in ("ln1_g", "ln2_g", "ln3_g"):
             params[name] = np.ones(shape)
-        elif base == "pos_emb":
-            # additive bias on activations: zero start degrades gracefully
-            # at frame positions the training data never visited
+        elif len(shape) == 1 or base == "pos_emb":
+            # pos_emb is an additive bias on activations: a zero start degrades
+            # gracefully at frame positions the training data never visited
             params[name] = np.zeros(shape)
-        elif len(shape) == 2:
-            fan_in = shape[0] if base != "token_emb" else shape[1]
-            scale = 1.0 / np.sqrt(fan_in)
+        else:
+            scale = 1.0 / np.sqrt(shape[1] if base == "token_emb" else shape[0])
             params[name] = rng.uniform(-scale, scale, size=shape)
-        else:  # pragma: no cover
-            params[name] = np.zeros(shape)
     return PmpModel(config=config, params=params)
 
 

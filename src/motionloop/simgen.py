@@ -294,9 +294,9 @@ def effective_radius(config: GeneratorConfig) -> float:
 
 
 def render(scene: SceneSpec, motions: list[MotionSequence],
-           config: GeneratorConfig) -> tuple[VideoClip, list[np.ndarray]]:
+           config: GeneratorConfig) -> tuple[VideoClip, np.ndarray]:
     """Render motions to a grayscale clip with part-coded intensity, and
-    the per-frame part-label masks of the same splat.
+    the (F, H, W) part-label masks of the same splat.
 
     Every frame of every object goes through one call of the one splat
     kernel. Each point carries its part's intensity code in bits 8-15 and
@@ -322,7 +322,7 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
     frames = np.right_shift(grids, 8, out=np.empty(grids.shape, dtype=np.uint8),
                             casting="unsafe")
     grids &= 0xFF
-    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), list(grids)
+    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), grids
 
 
 # ---------------------------------------------------------------- generate

@@ -87,6 +87,20 @@ def test_summarize_records_each_runs_raw_op_and_calibration_medians():
     assert summary["metrics"]["op_ms_p50"]["parent"] == [118.0, 120.0]
 
 
+
+def test_summarize_records_each_runs_calibration_quartiles():
+    # two runs with one calibration median, 6 ms, but one spread 2-10 ms
+    # within the run and the other 5.9-6.1; a run of one op has one value
+    pairs = [{"parent": _record(100.0, 8.0, cal_ms=[2.0, 4.0, 6.0, 8.0, 10.0]),
+              "change": _record(100.0, 8.0, cal_ms=[5.9, 6.0, 6.0, 6.0, 6.1])},
+             {"parent": _record(100.0, 8.0, cal_ms=[7.0, 8.0]),
+              "change": _record(100.0, 8.0, cal_ms=[7.5])}]
+    raw_records = bench_pairs.summarize(pairs, [1, 2], METRICS)["raw_records"]
+    assert raw_records["parent"]["cal_ms_p50"] == [6.0, 7.5]
+    assert raw_records["change"]["cal_ms_p50"] == [6.0, 7.5]
+    assert raw_records["parent"]["cal_ms_quartiles"] == [[4.0, 8.0], [7.25, 7.75]]
+    assert raw_records["change"]["cal_ms_quartiles"] == [[6.0, 6.0], [7.5, 7.5]]
+
 def _workloads(better, parent_median, change_median, quartiles, wins):
     return {"long": {"metrics": {"m": {
         "better": better, "parent_median": parent_median,

@@ -455,6 +455,7 @@ def _stitch_mixed_fps(tmp_path, checkpoint):
     return ["stitch", "--clips", *dirs, "--total", "56", "--out", str(tmp_path / "out")]
 
 
+# case: (argv builder, error name[, words the error line must hold])
 BOUNDARY_CASES = {
     "checkpoint-trailing-bytes": (_bad_checkpoint(lambda b: b + b"\0"), "InvalidConfig"),
     "checkpoint-unknown-config-key": (_bad_checkpoint(_config_bytes(
@@ -563,6 +564,10 @@ BOUNDARY_CASES = {
                                   "InvalidConfig"),
     "scene-camera-size-past-numpy-dimension": (_rasterize_on_camera(size=[10**30, 108]),
                                                "ShapeMismatch"),
+    # the fine render keeps the scene's camera: float64 would round the width
+    "scene-camera-width-past-float-precision": (
+        _rasterize_on_camera(size=[10**30, 108]), "ShapeMismatch",
+        "of 1000000000000000000000000000000x108 pixels"),
     "denoise-nan-strength": (_denoise_with_strength("nan"), "InvalidConfig"),
     "denoise-infinite-strength": (_denoise_with_strength("inf"), "InvalidConfig"),
     "gen-corpus-negative-count": (_gen_corpus("-5", "8"), "InvalidConfig"),
@@ -576,11 +581,12 @@ BOUNDARY_CASES = {
 @pytest.mark.parametrize("case", sorted(BOUNDARY_CASES))
 def test_malformed_input_exits_1_with_a_named_error(case, tiny_checkpoint,
                                                      tmp_path, capsys):
-    build, name = BOUNDARY_CASES[case]
+    build, name, *detail = BOUNDARY_CASES[case]
     assert run_cli(*build(tmp_path, tiny_checkpoint)) == 1
     err = capsys.readouterr().err
     assert len(err.strip().splitlines()) == 1, err
     assert err.startswith(f"error [{name}]: "), err
+    assert all(words in err for words in detail), err
     assert "Traceback" not in err
 
 

@@ -4,6 +4,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from motionloop import fileio, geometry as geo
 from motionloop.errors import PayloadMismatch, ShapeMismatch
@@ -47,16 +49,15 @@ def test_condition_round_trip(tmp_path):
     triple = (0.8, 0.5, 0.2)
     for mode in geo.ConditionMode:
         d = tmp_path / mode.value
-        chans = geo.build_condition(mode, [mask, np.zeros_like(mask)], triple)
-        fileio.write_condition(d, chans)
+        written = geo.ConditionChannels(np.stack([mask, np.zeros_like(mask)]), mode)
+        fileio.write_condition(d, written)
         back = fileio.read_condition(d)
-        assert len(back) == 2
-        for ch, written in zip(back, chans):
-            assert ch.mode is mode and ch.triple == triple
-            np.testing.assert_array_equal(ch.part_mask, written.part_mask)
+        assert back.mode is mode and back.part_masks.shape == (2, 6, 8)
+        np.testing.assert_array_equal(back.part_masks, written.part_masks)
+        confidence = back.confidence(triple)
         np.testing.assert_array_equal(
-            back[0].confidence, np.where(mask != 0, mode.level(triple), triple[2]))
-        np.testing.assert_array_equal(back[1].confidence, np.full(mask.shape, triple[2]))
+            confidence[0], np.where(mask != 0, mode.level(triple), triple[2]))
+        np.testing.assert_array_equal(confidence[1], np.full(mask.shape, triple[2]))
     assert not list(tmp_path.rglob("*_conf_*.pgm"))
 
 
@@ -65,39 +66,102 @@ def test_condition_full_motion_level_with_full_equal_to_target(tmp_path):
     # tells them apart
     mask = _part_mask()
     triple = (1.0, 1.0, 0.0)
-    chans = geo.build_condition(geo.ConditionMode.FULL_MOTION, [mask], triple)
-    fileio.write_condition(tmp_path, chans)
+    fileio.write_condition(tmp_path, geo.ConditionChannels(mask[None],
+                                                           geo.ConditionMode.FULL_MOTION))
     doc = json.loads((tmp_path / "cond_conf.json").read_text())
-    assert doc == {"triple": list(triple), "modes": [geo.ConditionMode.FULL_MOTION.value]}
-    (ch,) = fileio.read_condition(tmp_path)
-    assert ch.mode is geo.ConditionMode.FULL_MOTION and ch.triple == triple
-    np.testing.assert_array_equal(ch.confidence, np.where(mask != 0, 1.0, 0.0))
+    assert doc == {"mode": geo.ConditionMode.FULL_MOTION.value, "frames": 1}
+    back = fileio.read_condition(tmp_path)
+    assert back.mode is geo.ConditionMode.FULL_MOTION
+    np.testing.assert_array_equal(back.confidence(triple), np.where(mask != 0, 1.0, 0.0)[None])
 
 
-# one per PayloadMismatch condition of read_condition, as an edit of the
-# parsed sidecar; the last condition, mask numbering, is a renamed mask
+def _frames_over_masks(frames, kept):
+    """The sidecar's frames set to ``frames``, with only the first ``kept``
+    masks left on disk."""
+    def edit(d, doc):
+        for path in sorted(d.glob("cond_mask_*.pgm"))[kept:]:
+            path.unlink()
+        return {**doc, "frames": frames}
+    return edit
+
+
+def _renamed_mask(d, doc):
+    (d / "cond_mask_0001.pgm").rename(d / "cond_mask_0002.pgm")
+    return doc
+
+
+def _smaller_mask(d, doc):
+    fileio.write_pgm(d / "cond_mask_0001.pgm", np.zeros((5, 8), dtype=np.int32))
+    return doc
+
+
+# one per PayloadMismatch condition of read_condition, as an edit of a
+# written two-frame clip's sidecar and masks, with the words its error names;
+# each edit passes every check before its own
 SIDECAR_EDITS = {
-    "not-json": lambda doc: "triple: [1, 0.5, 0]",
-    "missing-key": lambda doc: {"triple": doc["triple"]},
-    "non-finite-triple": lambda doc: {**doc, "triple": [1.0, float("nan"), 0.0]},
-    "unknown-mode": lambda doc: {**doc, "modes": ["TargetPose", "Strong"]},
-    "mode-count-differs-from-mask-count": lambda doc: {**doc, "modes": ["TargetPose"]},
+    "not-json": (lambda d, doc: "mode: TargetPose", "not JSON"),
+    "missing-key": (lambda d, doc: {"mode": doc["mode"]}, "keys"),
+    "parent-format": (lambda d, doc: {"triple": [1.0, 0.5, 0.0],
+                                      "modes": ["TargetPose", "TargetPose"]}, "keys"),
+    "non-positive-frames": (_frames_over_masks(0, 0), "positive integer"),
+    "boolean-frames": (_frames_over_masks(True, 1), "positive integer"),
+    "unknown-mode": (lambda d, doc: {**doc, "mode": "Strong"}, "not a ConditionMode"),
+    "frame-count-differs-from-mask-count": (_frames_over_masks(1, 2), "numbered"),
+    "mask-index-gap": (_renamed_mask, "numbered"),
+    "masks-of-differing-sizes": (_smaller_mask, "differ in size"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SIDECAR_EDITS) + ["mask-index-gap"])
+@pytest.mark.parametrize("case", sorted(SIDECAR_EDITS))
 def test_read_condition_rejects_a_malformed_sidecar(tmp_path, case):
     mask = _part_mask()
-    fileio.write_condition(tmp_path, geo.build_condition(
-        geo.ConditionMode.TARGET_POSE, [mask, mask]))
+    fileio.write_condition(tmp_path, geo.ConditionChannels(
+        np.stack([mask, mask]), geo.ConditionMode.TARGET_POSE))
     sidecar = tmp_path / "cond_conf.json"
-    if case == "mask-index-gap":
-        (tmp_path / "cond_mask_0001.pgm").rename(tmp_path / "cond_mask_0002.pgm")
-    else:
-        doc = SIDECAR_EDITS[case](json.loads(sidecar.read_text()))
-        sidecar.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    with pytest.raises(PayloadMismatch):
+    edit, words = SIDECAR_EDITS[case]
+    doc = edit(tmp_path, json.loads(sidecar.read_text()))
+    sidecar.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+    with pytest.raises(PayloadMismatch, match=words):
         fileio.read_condition(tmp_path)
+
+
+_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                     lambda inner: st.lists(inner, max_size=3)
+                     | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                     max_leaves=8)
+
+
+@st.composite
+def _sidecar_docs(draw):
+    """Sidecar documents near the format: mode and frames each valid or any
+    JSON, frame counts up to 10**12, a key left out or one added, the older
+    {"triple", "modes"} format, or any JSON at all."""
+    mode = draw(st.sampled_from([m.value for m in geo.ConditionMode]) | _JSON)
+    frames = draw(st.sampled_from([2, 1, 0, True, 10**12]) | st.integers(-3, 10**12) | _JSON)
+    doc = {"mode": mode, "frames": frames}
+    for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
+        del doc[key]
+    doc.update(draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=1)))
+    older = {"triple": [1.0, 0.5, 0.0], "modes": [mode] * 2}
+    return draw(st.sampled_from([doc, doc, older]) | _JSON)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_sidecar_docs())
+def test_fuzzed_sidecar_reads_back_or_names_payload_mismatch(tmp_path_factory, doc):
+    # over a written two-frame clip, any sidecar document reads back as a
+    # record of its masks or raises PayloadMismatch; no other exception
+    d = tmp_path_factory.mktemp("sidecar")
+    mask = _part_mask()
+    fileio.write_condition(d, geo.ConditionChannels(np.stack([mask, mask]),
+                                                    geo.ConditionMode.EMPTY))
+    (d / "cond_conf.json").write_text(json.dumps(doc))
+    try:
+        back = fileio.read_condition(d)
+    except PayloadMismatch:
+        return
+    assert doc == {"mode": back.mode.value, "frames": 2}
+    np.testing.assert_array_equal(back.part_masks, np.stack([mask, mask]))
 
 
 def test_clip_round_trip(tmp_path):

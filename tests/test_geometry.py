@@ -662,36 +662,48 @@ def test_polygon_degenerate_collinear():
 # -------------------------------------------------------- condition channels
 
 def test_condition_empty_default_triple():
-    chans = geo.build_condition(ConditionMode.EMPTY,
-                                [np.zeros((12, 16), dtype=np.int32)] * 4)
-    assert len(chans) == 4
-    for ch in chans:
-        assert not ch.part_mask.any()
-        assert np.all(ch.confidence == 0.0)
+    chans = geo.ConditionChannels(np.zeros((4, 12, 16), dtype=np.int32), ConditionMode.EMPTY)
+    assert chans.part_masks.shape == (4, 12, 16) and chans.mode is ConditionMode.EMPTY
+    assert not chans.part_masks.any()
+    assert np.all(chans.confidence(geo.DEFAULT_TRIPLE) == 0.0)
 
 
 def test_condition_target_pose_half_confidence():
     tri = np.array([[2.0, 2.0], [12.0, 3.0], [6.0, 10.0]])
-    blank = np.zeros((12, 16), dtype=np.int32)
     target = geo.polygon_target_mask([(2, tri)], (16, 12))
-    chans = geo.build_condition(ConditionMode.TARGET_POSE, [blank] * 4 + [target])
-    assert len(chans) == 5
-    for ch in chans[:-1]:
-        assert not ch.part_mask.any()
-    last = chans[-1]
-    assert last.part_mask.max() == 2
-    assert np.all(last.confidence[last.part_mask != 0] == 0.5)
-    assert np.all(last.confidence[last.part_mask == 0] == 0.0)
+    masks = np.zeros((5, 12, 16), dtype=np.int32)
+    masks[-1] = target
+    chans = geo.ConditionChannels(masks, ConditionMode.TARGET_POSE)
+    assert len(chans.part_masks) == 5 and chans.mode is ConditionMode.TARGET_POSE
+    assert not chans.part_masks[:-1].any()
+    last, confidence = chans.part_masks[-1], chans.confidence(geo.DEFAULT_TRIPLE)[-1]
+    assert last.max() == 2
+    assert np.all(confidence[last != 0] == 0.5)
+    assert np.all(confidence[last == 0] == 0.0)
 
 
 def test_condition_full_motion_custom_triple():
     cam = CameraSpec.default(20, 16)
     pts = np.array([[0.0, 0.0, 3.0]])
     grid = geo.render_part_masks([(pts, np.array([4]))], cam, 2.0)
-    chans = geo.build_condition(ConditionMode.FULL_MOTION, [grid, grid], (3.0, 2.0, 1.0))
-    assert len(chans) == 2
-    for ch in chans:
-        np.testing.assert_array_equal(ch.part_mask, grid)
-        assert np.all(ch.confidence[ch.part_mask != 0] == 3.0)
-        assert np.all(ch.confidence[ch.part_mask == 0] == 1.0)
-        assert set(np.unique(ch.confidence)) <= {3.0, 1.0}
+    chans = geo.ConditionChannels(np.stack([grid, grid]), ConditionMode.FULL_MOTION)
+    assert len(chans.part_masks) == 2 and chans.mode is ConditionMode.FULL_MOTION
+    for mask, confidence in zip(chans.part_masks, chans.confidence((3.0, 2.0, 1.0)),
+                                strict=True):
+        np.testing.assert_array_equal(mask, grid)
+        assert np.all(confidence[mask != 0] == 3.0)
+        assert np.all(confidence[mask == 0] == 1.0)
+        assert set(np.unique(confidence)) <= {3.0, 1.0}
+
+
+@pytest.mark.parametrize("shape", [(12, 16), (1, 1, 12, 16), ()])
+def test_condition_masks_must_be_frames_of_grids(shape):
+    with pytest.raises(ShapeMismatch, match="F, H, W"):
+        geo.ConditionChannels(np.zeros(shape, dtype=np.int32), ConditionMode.EMPTY)
+
+
+def test_condition_masks_are_read_only_int32():
+    chans = geo.ConditionChannels(np.ones((2, 3, 4), dtype=np.uint8), ConditionMode.EMPTY)
+    assert chans.part_masks.dtype == np.int32
+    with pytest.raises(ValueError):
+        chans.part_masks[0, 0, 0] = 2

