@@ -516,14 +516,13 @@ def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
     assert read == written, sorted(str(p.relative_to(tmp_path)) for p in written - read)
 
 
-# sha256 over the sorted relative paths and bytes of every file run_pipeline
-# writes, for fixtures 0-19 at seed 42 and one 3-object scene, pinned so that
-# a refactor of the stages cannot change a byte of a run directory. Recorded
-# with numpy 2.4 on x86-64, like GOLDEN_EVAL_DIGESTS.
-GOLDEN_RUN_DIGESTS = {
-    "fixtures": "e2d11c8cb8d32c3ebf20788db700397382a55daa474eb6a5c30dd219a55b71f3",
-    "three_objects": "f5a47edf0dd767c00e60819dbb6de4d398233aefbaa4d9e14822a9966c971298",
-}
+# For each group (fixtures 0-19 at seed 42; one 3-object scene) and each
+# relative path a run writes, the sha256 of that file in every run of the
+# group, in run order (null where a run does not write it), pinned so that a
+# refactor of the stages cannot change a byte or the file set of a run
+# directory. Recorded with numpy 2.4 on x86-64, like GOLDEN_EVAL_DIGESTS;
+# re-record with `PYTHONPATH=src python tests/test_pipeline.py`.
+GOLDEN_RUNS = Path(__file__).parent / "fixtures" / "golden_runs.json"
 
 
 def _three_object_scene() -> SceneSpec:
@@ -531,25 +530,34 @@ def _three_object_scene() -> SceneSpec:
                      camera=fixture_scene(1).camera, duration=16, fps=16.0)
 
 
-def _run_dir_digest(scenes, root: Path) -> str:
-    digest = hashlib.sha256()
+def _run_file_digests(scenes, root: Path) -> dict[str, list[str | None]]:
     model = tiny_model()
+    runs = []
     for index, scene in enumerate(scenes):
         out = root / str(index)
         run_pipeline(scene, UserCondition(), PipelineConfig(seed=42), model, out_dir=out)
-        for path in sorted(p for p in out.rglob("*") if p.is_file()):
-            digest.update(path.relative_to(out).as_posix().encode() + b"\0")
-            digest.update(path.read_bytes())
-    return digest.hexdigest()
+        runs.append({p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+                     for p in out.rglob("*") if p.is_file()})
+    return {path: [run.get(path) for run in runs]
+            for path in sorted(set().union(*runs))}
+
+
+def _golden_run_groups(root: Path) -> dict[str, dict[str, list[str | None]]]:
+    return {
+        "fixtures": _run_file_digests([fixture_scene(i) for i in range(20)],
+                                      root / "fixtures"),
+        "three_objects": _run_file_digests([_three_object_scene()], root / "three"),
+    }
 
 
 def test_run_directories_match_golden_digests(tmp_path):
-    digests = {
-        "fixtures": _run_dir_digest([fixture_scene(i) for i in range(20)],
-                                    tmp_path / "fixtures"),
-        "three_objects": _run_dir_digest([_three_object_scene()], tmp_path / "three"),
-    }
-    assert digests == GOLDEN_RUN_DIGESTS
+    golden = json.loads(GOLDEN_RUNS.read_text())
+    groups = _golden_run_groups(tmp_path)
+    assert sorted(groups) == sorted(golden)
+    for name, digests in groups.items():
+        differ = sorted(path for path in {*digests, *golden[name]}
+                        if digests.get(path) != golden[name].get(path))
+        assert not differ, f"{name}: these files differ from {GOLDEN_RUNS.name}: {differ}"
 
 
 def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
@@ -608,3 +616,9 @@ def test_error_containment_on_every_fixture(fixture_runs, trained_prior):
     result = run_pipeline(scene, UserCondition(), PipelineConfig(),
                           trained_prior.model)
     assert result.refined_traj_mse <= result.raw_traj_mse
+
+
+if __name__ == "__main__":
+    import tempfile
+    with tempfile.TemporaryDirectory() as tmp:
+        GOLDEN_RUNS.write_text(json.dumps(_golden_run_groups(Path(tmp)), indent=1) + "\n")
