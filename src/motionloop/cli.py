@@ -27,6 +27,7 @@ from .core import (
     preset,
 )
 from .errors import InvalidConfig, MotionError, ShapeMismatch, TooManyFrames
+from .geometry import ConditionChannels, ConditionMode
 from .longvideo import plan_windows, stitch, extend_motion
 from .pipeline import (
     UserCondition,
@@ -169,12 +170,9 @@ def cmd_rasterize(args) -> int:
     scene = _load_scene(args.scene)
     motions = motions_from_json(Path(args.motion).read_text())
     masks = render(scene, motions, FINE_CONFIG)[1]
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
-    for i, grid in enumerate(masks):
-        fileio.write_pgm(out / f"part_{i:04d}.pgm", grid)
+    fileio.write_condition(args.out, ConditionChannels(masks, ConditionMode.FULL_MOTION))
     _log(f"wrote {len(masks)} part masks")
-    _emit(out)
+    _emit(args.out)
     return 0
 
 

@@ -1,16 +1,18 @@
-"""On-disk formats: binary PGM grids, condition channels and clip directories.
+"""On-disk formats: binary PGM grids and numbered-frame directories.
 
-Part-label grids and masks are 8-bit P5 PGMs (pixel value = part id,
-0 = background). A clip's condition channels are one such mask per frame,
-{prefix}_mask_%04d.pgm, plus a {prefix}_conf.json sidecar {"mode":
-ConditionMode value, "frames": F}; the confidence maps follow from the masks,
-the mode and run.json's confidence triple. A video clip is a directory of
-frame_%04d.pgm files plus clip.json {"fps", "resolution": [w, h]}.
+Frames and part masks are 8-bit P5 PGMs (a mask's pixel value is a part id,
+0 = background). Clips and condition records share one format: F PGMs
+{stem}_%04d.pgm, numbered 0..F-1 and of one size, plus a JSON sidecar of
+"frames": F and the format's own keys. A clip is frame_%04d.pgm plus clip.json
+{"fps", "frames", "resolution": [w, h]}; a condition record is mask_%04d.pgm
+plus condition.json {"frames", "mode"}, whose confidence maps follow from the
+masks, the mode and run.json's confidence triple.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import re
 from pathlib import Path
 
@@ -67,67 +69,61 @@ def read_pgm(path) -> np.ndarray:
     return grid.astype(np.int64 if maxval > 255 else np.uint8)
 
 
-def write_condition(dir_path, channels: ConditionChannels,
-                    prefix: str = "cond") -> None:
-    """Write a clip's part masks, one per frame, and a sidecar with its
-    mode and frame count."""
+def _write_frames(dir_path, stem: str, grids, sidecar: str, **meta) -> Path:
     d = Path(dir_path)
     d.mkdir(parents=True, exist_ok=True)
-    for i, mask in enumerate(channels.part_masks):
-        write_pgm(d / f"{prefix}_mask_{i:04d}.pgm", mask)
-    (d / f"{prefix}_conf.json").write_text(json.dumps(
-        {"mode": channels.mode.value, "frames": len(channels.part_masks)}))
-
-
-def read_condition(dir_path, prefix: str = "cond") -> ConditionChannels:
-    """Inverse of ``write_condition``: the sidecar's mode over masks
-    numbered 0..frames-1, all of one size."""
-    d = Path(dir_path)
-    sidecar = d / f"{prefix}_conf.json"
-    doc = load_json(sidecar.read_text(), str(sidecar), PayloadMismatch)
-    if not isinstance(doc, dict) or set(doc) != {"mode", "frames"}:
-        raise PayloadMismatch(f"{sidecar} must hold exactly the keys mode and frames")
-    frames = doc["frames"]
-    if not (isinstance(frames, int) and not isinstance(frames, bool) and frames > 0):
-        raise PayloadMismatch(f"{sidecar} frames must be a positive integer, got {frames!r}")
-    try:
-        mode = ConditionMode(doc["mode"])
-    except ValueError:
-        raise PayloadMismatch(f"{sidecar} mode {doc['mode']!r} is not a ConditionMode") from None
-    # the count comes first, so a sidecar's frame count sizes nothing itself
-    found = {p.name for p in d.glob(f"{prefix}_mask_*.pgm")}
-    if len(found) != frames or found != {f"{prefix}_mask_{i:04d}.pgm" for i in range(frames)}:
-        raise PayloadMismatch(f"{sidecar.name} names {frames} frames, but the "
-                              f"{prefix}_mask_*.pgm files in {d} are not numbered "
-                              f"0..{frames - 1}")
-    masks = [read_pgm(d / f"{prefix}_mask_{i:04d}.pgm") for i in range(frames)]
-    if len({m.shape for m in masks}) > 1:
-        raise PayloadMismatch(f"the {prefix}_mask_*.pgm files in {d} differ in size")
-    return ConditionChannels(np.stack(masks), mode)
-
-
-def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:
-    d = Path(dir_path)
-    d.mkdir(parents=True, exist_ok=True)
-    h, w = np.asarray(frames[0]).shape
-    for i, frame in enumerate(frames):
-        write_pgm(d / f"frame_{i:04d}.pgm", frame)
-    (d / "clip.json").write_text(json.dumps({"fps": fps, "resolution": [w, h]}))
+    for i, grid in enumerate(grids):
+        write_pgm(d / f"{stem}_{i:04d}.pgm", grid)
+    (d / sidecar).write_text(json.dumps({**meta, "frames": len(grids)}))
     return d
 
 
-def read_clip(dir_path) -> VideoClip:
-    d = Path(dir_path)
-    meta = load_json((d / "clip.json").read_text(), "clip.json", ShapeMismatch)
+def _read_frames(dir_path, stem: str, sidecar: str, error, *keys) -> tuple[dict, np.ndarray]:
+    """Inverse of ``_write_frames``: the sidecar, holding exactly ``keys`` and
+    frames, and the (F, H, W) stack; ``error`` names any other directory."""
+    d, keys = Path(dir_path), {*keys, "frames"}
+    doc = load_json((d / sidecar).read_bytes(), str(d / sidecar), error)
+    if not isinstance(doc, dict) or set(doc) != keys:
+        raise error(f"{d / sidecar} must hold exactly the keys {', '.join(sorted(keys))}")
+    frames = doc["frames"]
+    if not (isinstance(frames, int) and not isinstance(frames, bool) and frames > 0):
+        raise error(f"{d / sidecar} frames must be a positive integer, got {frames!r}")
+    # the count comes first, so a sidecar's frame count sizes nothing itself
+    found = {p.name for p in d.glob(f"{stem}_*.pgm")}
+    if len(found) != frames or found != {f"{stem}_{i:04d}.pgm" for i in range(frames)}:
+        raise error(f"{sidecar} names {frames} frames, but the {stem}_*.pgm files "
+                    f"in {d} are not numbered 0..{frames - 1}")
+    grids = [read_pgm(d / f"{stem}_{i:04d}.pgm") for i in range(frames)]
+    if len({g.shape for g in grids}) > 1:
+        raise error(f"the {stem}_*.pgm files in {d} differ in size")
+    return doc, np.stack(grids)
+
+
+def write_condition(dir_path, channels: ConditionChannels) -> None:
+    _write_frames(dir_path, "mask", channels.part_masks, "condition.json",
+                  mode=channels.mode.value)
+
+
+def read_condition(dir_path) -> ConditionChannels:
+    doc, masks = _read_frames(dir_path, "mask", "condition.json", PayloadMismatch, "mode")
     try:
-        (w, h), fps = meta["resolution"], float(meta["fps"])
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ShapeMismatch(
-            f"malformed clip.json in {d} ({type(exc).__name__}: {exc})") from None
-    frames = [read_pgm(p) for p in sorted(d.glob("frame_*.pgm"))]
-    for f in frames:
-        if f.dtype != np.uint8:
-            raise ShapeMismatch(f"clip frames must be 8-bit PGMs, {d} holds 16-bit ones")
-        if f.shape != (h, w):
-            raise ShapeMismatch("frame resolution differs from clip.json")
-    return VideoClip(frames=tuple(frames), fps=fps, resolution=(w, h))
+        return ConditionChannels(masks, ConditionMode(doc["mode"]))
+    except ValueError:
+        raise PayloadMismatch(f"{dir_path} mode {doc['mode']!r} is not a ConditionMode") from None
+
+
+def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:
+    h, w = np.asarray(frames[0]).shape
+    return _write_frames(dir_path, "frame", frames, "clip.json", fps=fps, resolution=[w, h])
+
+
+def read_clip(dir_path) -> VideoClip:
+    doc, frames = _read_frames(dir_path, "frame", "clip.json", ShapeMismatch, "fps", "resolution")
+    h, w = frames.shape[1:]
+    if frames.dtype != np.uint8:
+        raise ShapeMismatch(f"clip frames must be 8-bit PGMs, {dir_path} holds 16-bit ones")
+    if doc["resolution"] != [w, h]:
+        raise ShapeMismatch(f"frame resolution {w}x{h} differs from clip.json {doc['resolution']}")
+    if type(doc["fps"]) not in (int, float) or not 0 < doc["fps"] < math.inf:
+        raise ShapeMismatch(f"clip.json fps must be a positive number, got {doc['fps']!r}")
+    return VideoClip(frames=tuple(frames), fps=float(doc["fps"]), resolution=(w, h))

@@ -531,6 +531,6 @@ def _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
     (stage2 / "raw.json").write_text(motions_to_json(raws))
     (stage2 / "refined.json").write_text(motions_to_json(refined))
     (stage2 / "strength.json").write_text(json.dumps(strengths))
-    fileio.write_condition(d / "channels", s1_channels, prefix="s1")
-    fileio.write_condition(d / "channels", s3_channels, prefix="s3")
+    fileio.write_condition(d / "channels" / "s1", s1_channels)
+    fileio.write_condition(d / "channels" / "s3", s3_channels)
     (d / "report.json").write_text(report.to_json())

@@ -22,7 +22,7 @@ from motionloop import fileio
 from motionloop.cli import main
 from motionloop.core import motion_from_json, motion_to_json
 from motionloop.scenes import fixture_scene, scene_to_json
-from motionloop.simgen import FINE_CONFIG, generate, synthesize_gt_motion
+from motionloop.simgen import FINE_CONFIG, generate, render, synthesize_gt_motion
 from motionloop.geometry import ConditionMode
 
 
@@ -117,9 +117,12 @@ def test_rasterize_command(tmp_path):
     out = tmp_path / "masks"
     assert run_cli("rasterize", "--motion", str(motion_path), "--scene",
                    str(scene_path), "--out", str(out)) == 0
-    files = sorted(out.glob("part_*.pgm"))
-    assert len(files) == 6
-    assert fileio.read_pgm(files[0]).max() >= 1
+    # a condition record of the full motion's masks, as stage 3 writes it
+    channels = fileio.read_condition(out)
+    assert channels.mode is ConditionMode.FULL_MOTION
+    masks = render(scene, motions, FINE_CONFIG)[1]
+    assert masks.shape[0] == 6 and masks.max() >= 1
+    np.testing.assert_array_equal(channels.part_masks, masks)
 
 
 def test_run_command_deterministic(tiny_checkpoint, tmp_path):
@@ -575,6 +578,12 @@ BOUNDARY_CASES = {
     "corpus-index-entry-without-file": (_bad_corpus('[{"tags": ["walk"]}]'),
                                         "InvalidConfig"),
     "stitch-fps-differs": (_stitch_mixed_fps, "PlanMismatch"),
+    # a clip is numbered 0..frames-1, with exactly the keys fps, frames and resolution
+    "clip-stray-frame": (_bad_clip(lambda clip: (clip / "frame_extra.pgm").write_bytes(
+        (clip / "frame_0000.pgm").read_bytes())), "ShapeMismatch", "numbered"),
+    "clip-unknown-key": (_bad_clip(lambda clip: (clip / "clip.json").write_text(
+        '{"fps": 8.0, "frames": 2, "resolution": [8, 6], "note": 1}')), "ShapeMismatch",
+        "keys"),
 }
 
 

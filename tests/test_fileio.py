@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -68,61 +70,132 @@ def test_condition_full_motion_level_with_full_equal_to_target(tmp_path):
     triple = (1.0, 1.0, 0.0)
     fileio.write_condition(tmp_path, geo.ConditionChannels(mask[None],
                                                            geo.ConditionMode.FULL_MOTION))
-    doc = json.loads((tmp_path / "cond_conf.json").read_text())
+    doc = json.loads((tmp_path / "condition.json").read_text())
     assert doc == {"mode": geo.ConditionMode.FULL_MOTION.value, "frames": 1}
     back = fileio.read_condition(tmp_path)
     assert back.mode is geo.ConditionMode.FULL_MOTION
     np.testing.assert_array_equal(back.confidence(triple), np.where(mask != 0, 1.0, 0.0)[None])
 
 
+def _stack(frames: int) -> np.ndarray:
+    """``frames`` distinct 8-bit frames, each a scaled part mask."""
+    return np.stack([_part_mask() * (k + 1) for k in range(frames)]).astype(np.uint8)
+
+
+def _read_condition_back(d):
+    back = fileio.read_condition(d)
+    return {"mode": back.mode.value, "frames": len(back.part_masks)}, back.part_masks
+
+
+def _read_clip_back(d):
+    back = fileio.read_clip(d)
+    return ({"fps": back.fps, "frames": back.frame_count,
+             "resolution": list(back.resolution)}, np.stack(back.frames))
+
+
+@dataclass(frozen=True)
+class StackFormat:
+    """A numbered-frame format as the tests below drive it."""
+    sidecar: str
+    error: type
+    write: Callable  # (directory, (F, H, W) uint8 stack)
+    read: Callable  # directory -> (the sidecar it stands for, the stack)
+    valid: dict  # valid values of each of the format's own keys
+    older: dict  # the sidecar of the format's layout before this one
+    edits: dict  # SIDECAR_EDITS-like cases of the format's own keys
+
+
+FORMATS = {
+    "condition": StackFormat(
+        "condition.json", PayloadMismatch,
+        lambda d, stack: fileio.write_condition(
+            d, geo.ConditionChannels(stack, geo.ConditionMode.TARGET_POSE)),
+        _read_condition_back, {"mode": [m.value for m in geo.ConditionMode]},
+        {"triple": [1.0, 0.5, 0.0], "modes": ["TargetPose", "TargetPose"]},
+        {"unknown-mode": (lambda d, doc: {**doc, "mode": "Strong"}, "not a ConditionMode")}),
+    "clip": StackFormat(
+        "clip.json", ShapeMismatch, lambda d, stack: fileio.write_clip(d, list(stack), 8.0),
+        _read_clip_back, {"fps": [8.0, 8, 0.5], "resolution": [[8, 6]]},
+        {"fps": 8.0, "resolution": [8, 6]},
+        {"resolution-differs-from-frames": (lambda d, doc: {**doc, "resolution": [6, 8]},
+                                            "differs"),
+         "infinite-fps": (lambda d, doc: {**doc, "fps": float("inf")}, "positive number"),
+         "boolean-fps": (lambda d, doc: {**doc, "fps": True}, "positive number")}),
+}
+
+
 def _frames_over_masks(frames, kept):
     """The sidecar's frames set to ``frames``, with only the first ``kept``
-    masks left on disk."""
+    frames left on disk."""
     def edit(d, doc):
-        for path in sorted(d.glob("cond_mask_*.pgm"))[kept:]:
+        for path in sorted(d.glob("*.pgm"))[kept:]:
             path.unlink()
         return {**doc, "frames": frames}
     return edit
 
 
 def _renamed_mask(d, doc):
-    (d / "cond_mask_0001.pgm").rename(d / "cond_mask_0002.pgm")
+    second = sorted(d.glob("*.pgm"))[1]
+    second.rename(second.with_name(second.name.replace("0001", "0003")))
+    return doc
+
+
+def _missing_middle_frame(d, doc):
+    sorted(d.glob("*.pgm"))[1].unlink()
+    return doc
+
+
+def _stray_frame(d, doc):
+    first = sorted(d.glob("*.pgm"))[0]
+    first.with_name(first.name.replace("0000", "extra")).write_bytes(first.read_bytes())
     return doc
 
 
 def _smaller_mask(d, doc):
-    fileio.write_pgm(d / "cond_mask_0001.pgm", np.zeros((5, 8), dtype=np.int32))
+    fileio.write_pgm(sorted(d.glob("*.pgm"))[1], np.zeros((5, 8), dtype=np.uint8))
     return doc
 
 
-# one per PayloadMismatch condition of read_condition, as an edit of a
-# written two-frame clip's sidecar and masks, with the words its error names;
-# each edit passes every check before its own
+# one per error of the numbered-frame reader, as an edit of a written
+# three-frame stack's sidecar and frames, with the words its error names;
+# each edit passes every check before its own. Every format runs these and
+# its own ``edits``, under its own error class.
 SIDECAR_EDITS = {
-    "not-json": (lambda d, doc: "mode: TargetPose", "not JSON"),
-    "missing-key": (lambda d, doc: {"mode": doc["mode"]}, "keys"),
-    "parent-format": (lambda d, doc: {"triple": [1.0, 0.5, 0.0],
-                                      "modes": ["TargetPose", "TargetPose"]}, "keys"),
+    "not-json": (lambda d, doc: "frames: 3", "not JSON"),
+    "non-utf8": (lambda d, doc: b'{"a": 1}\xff', "not JSON"),
+    "missing-key": (lambda d, doc: {k: v for k, v in doc.items() if k != "frames"}, "keys"),
+    "unknown-key": (lambda d, doc: {**doc, "note": "x"}, "keys"),
+    "parent-format": (None, "keys"),  # the format's ``older`` sidecar
     "non-positive-frames": (_frames_over_masks(0, 0), "positive integer"),
     "boolean-frames": (_frames_over_masks(True, 1), "positive integer"),
-    "unknown-mode": (lambda d, doc: {**doc, "mode": "Strong"}, "not a ConditionMode"),
     "frame-count-differs-from-mask-count": (_frames_over_masks(1, 2), "numbered"),
     "mask-index-gap": (_renamed_mask, "numbered"),
+    "missing-middle-frame": (_missing_middle_frame, "numbered"),
+    "stray-frame": (_stray_frame, "numbered"),
     "masks-of-differing-sizes": (_smaller_mask, "differ in size"),
 }
 
 
-@pytest.mark.parametrize("case", sorted(SIDECAR_EDITS))
-def test_read_condition_rejects_a_malformed_sidecar(tmp_path, case):
-    mask = _part_mask()
-    fileio.write_condition(tmp_path, geo.ConditionChannels(
-        np.stack([mask, mask]), geo.ConditionMode.TARGET_POSE))
-    sidecar = tmp_path / "cond_conf.json"
-    edit, words = SIDECAR_EDITS[case]
-    doc = edit(tmp_path, json.loads(sidecar.read_text()))
-    sidecar.write_text(doc if isinstance(doc, str) else json.dumps(doc))
-    with pytest.raises(PayloadMismatch, match=words):
-        fileio.read_condition(tmp_path)
+def _write_sidecar(path, doc) -> None:
+    if isinstance(doc, bytes):
+        path.write_bytes(doc)
+    else:
+        path.write_text(doc if isinstance(doc, str) else json.dumps(doc))
+
+
+# the condition record's cases keep their names; a clip's are clip-<case>
+@pytest.mark.parametrize("fmt, case", [
+    pytest.param(fmt, case, id=case if fmt == "condition" else f"{fmt}-{case}")
+    for fmt, spec in FORMATS.items() for case in sorted({**SIDECAR_EDITS, **spec.edits})])
+def test_read_condition_rejects_a_malformed_sidecar(tmp_path, fmt, case):
+    spec = FORMATS[fmt]
+    spec.write(tmp_path, _stack(3))
+    sidecar = tmp_path / spec.sidecar
+    edit, words = {**SIDECAR_EDITS, **spec.edits}[case]
+    doc = json.loads(sidecar.read_text())
+    _write_sidecar(sidecar, spec.older if edit is None else edit(tmp_path, doc))
+    with pytest.raises(spec.error, match=words):
+        spec.read(tmp_path)
 
 
 _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
@@ -132,42 +205,45 @@ _JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | s
 
 
 @st.composite
-def _sidecar_docs(draw):
-    """Sidecar documents near the format: mode and frames each valid or any
-    JSON, frame counts up to 10**12, a key left out or one added, the older
-    {"triple", "modes"} format, or any JSON at all."""
-    mode = draw(st.sampled_from([m.value for m in geo.ConditionMode]) | _JSON)
-    frames = draw(st.sampled_from([2, 1, 0, True, 10**12]) | st.integers(-3, 10**12) | _JSON)
-    doc = {"mode": mode, "frames": frames}
+def _sidecar_docs(draw, spec: StackFormat):
+    """Sidecar documents near a format: each key valid or any JSON, frame
+    counts up to 10**12, a key left out or one added, the format's older
+    layout, or any JSON at all."""
+    doc = {key: draw(st.sampled_from(values) | _JSON) for key, values in spec.valid.items()}
+    doc["frames"] = draw(st.sampled_from([2, 1, 0, True, 10**12])
+                         | st.integers(-3, 10**12) | _JSON)
     for key in draw(st.sets(st.sampled_from(sorted(doc)), max_size=1)):
         del doc[key]
     doc.update(draw(st.dictionaries(st.text(max_size=6), _JSON, max_size=1)))
-    older = {"triple": [1.0, 0.5, 0.0], "modes": [mode] * 2}
-    return draw(st.sampled_from([doc, doc, older]) | _JSON)
+    return draw(st.sampled_from([doc, doc, spec.older]) | _JSON)
 
 
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(doc=_sidecar_docs())
-def test_fuzzed_sidecar_reads_back_or_names_payload_mismatch(tmp_path_factory, doc):
-    # over a written two-frame clip, any sidecar document reads back as a
-    # record of its masks or raises PayloadMismatch; no other exception
+@settings(max_examples=600, deadline=None, derandomize=True, database=None)
+@given(case=st.sampled_from(sorted(FORMATS)).flatmap(
+    lambda fmt: st.tuples(st.just(fmt), _sidecar_docs(FORMATS[fmt]))))
+def test_fuzzed_sidecar_reads_back_or_names_payload_mismatch(tmp_path_factory, case):
+    # over a written two-frame stack of either format, any sidecar document
+    # reads back as that sidecar over its frames or raises the format's error
+    # (PayloadMismatch for a condition record); no other exception
+    fmt, doc = case
+    spec = FORMATS[fmt]
     d = tmp_path_factory.mktemp("sidecar")
-    mask = _part_mask()
-    fileio.write_condition(d, geo.ConditionChannels(np.stack([mask, mask]),
-                                                    geo.ConditionMode.EMPTY))
-    (d / "cond_conf.json").write_text(json.dumps(doc))
+    spec.write(d, _stack(2))
+    (d / spec.sidecar).write_text(json.dumps(doc))
     try:
-        back = fileio.read_condition(d)
-    except PayloadMismatch:
+        back, stack = spec.read(d)
+    except spec.error:
         return
-    assert doc == {"mode": back.mode.value, "frames": 2}
-    np.testing.assert_array_equal(back.part_masks, np.stack([mask, mask]))
+    assert doc == back
+    np.testing.assert_array_equal(stack, _stack(2))
 
 
 def test_clip_round_trip(tmp_path):
     rng = np.random.default_rng(33)
     frames = [rng.integers(0, 255, size=(10, 14)).astype(np.uint8) for _ in range(3)]
     fileio.write_clip(tmp_path / "clip", frames, fps=12.0)
+    doc = json.loads((tmp_path / "clip" / "clip.json").read_text())
+    assert doc == {"fps": 12.0, "resolution": [14, 10], "frames": 3}
     back = fileio.read_clip(tmp_path / "clip")
     assert back.fps == 12.0 and back.resolution == (14, 10)
     for a, b in zip(back.frames, frames):

@@ -451,8 +451,8 @@ def test_run_pipeline_persists_layout_and_is_deterministic(tmp_path):
                       out_dir=tmp_path / "b")
     for sub in ("run.json", "report.json", "coarse/clip.json",
                 "final/clip.json", "stage2/raw.json", "stage2/refined.json",
-                "stage2/strength.json", "channels/s1_conf.json",
-                "channels/s3_conf.json"):
+                "stage2/strength.json", "channels/s1/condition.json",
+                "channels/s3/condition.json"):
         assert (tmp_path / "a" / sub).exists(), sub
     for sub in ("report.json", "stage2/raw.json", "stage2/refined.json",
                 "run.json"):
@@ -468,7 +468,7 @@ def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
                       camera=fixture_scene(1).camera, duration=16, fps=16.0)
     config = PipelineConfig()
     result = run_pipeline(scene, UserCondition(), config, tiny_model(), out_dir=tmp_path)
-    channels = read_condition(tmp_path / "channels", prefix="s3")
+    channels = read_condition(tmp_path / "channels" / "s3")
     masks = render(scene, result.refined_motions, config.fine)[1]
     assert len(channels.part_masks) == len(masks) == scene.duration
     assert channels.mode is ConditionMode.FULL_MOTION
@@ -505,10 +505,10 @@ def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
     assert json.loads((tmp_path / "stage2" / "strength.json").read_text()) == result.strengths
     w, h = scene.camera.scaled(config.coarse.resolution_scale).size
     fine_masks = render(scene, result.refined_motions, config.fine)[1]
-    for prefix, mode, masks in (
+    for stage, mode, masks in (
             ("s1", ConditionMode.EMPTY, np.zeros((result.coarse_clip.frame_count, h, w))),
             ("s3", ConditionMode.FULL_MOTION, fine_masks)):
-        channels = read_condition(tmp_path / "channels", prefix=prefix)
+        channels = read_condition(tmp_path / "channels" / stage)
         assert channels.mode is mode and channels.part_masks.shape == masks.shape
         np.testing.assert_array_equal(channels.part_masks, masks)
     assert EvalReport(**json.loads((tmp_path / "report.json").read_text())) == result.report
