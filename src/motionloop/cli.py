@@ -63,7 +63,7 @@ def _emit(path) -> None:
 
 
 def _load_scene(path) -> SceneSpec:
-    return scene_from_json(Path(path).read_text())
+    return scene_from_json(Path(path).read_bytes())
 
 
 def cmd_gen_corpus(args) -> int:
@@ -89,13 +89,13 @@ def cmd_gen_corpus(args) -> int:
 
 def _load_corpus(corpus_dir) -> list[CorpusItem]:
     d = Path(corpus_dir)
-    index = load_json((d / "index.json").read_text(), "corpus index.json")
+    index = load_json((d / "index.json").read_bytes(), "corpus index.json")
     try:
         entries = [(d / e["file"], tuple(e["tags"])) for e in index]
     except (KeyError, TypeError) as exc:
         raise InvalidConfig(f"corpus index.json entries need \"file\" and \"tags\" "
                             f"({type(exc).__name__}: {exc})") from None
-    return [CorpusItem(motion=motion_from_json(path.read_text()), tags=tags)
+    return [CorpusItem(motion=motion_from_json(path.read_bytes()), tags=tags)
             for path, tags in entries]
 
 
@@ -142,7 +142,7 @@ def _conditioning(model, seq, tokens: str, strength=None) -> Conditioning:
 
 def cmd_denoise(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    seq = motion_from_json(Path(args.infile).read_text())
+    seq = motion_from_json(Path(args.infile).read_bytes())
     out = pmp_refine(model, seq, _conditioning(model, seq, args.tokens, args.strength))
     Path(args.out).write_text(motion_to_json(out))
     _emit(args.out)
@@ -168,7 +168,7 @@ def cmd_extract(args) -> int:
 
 def cmd_rasterize(args) -> int:
     scene = _load_scene(args.scene)
-    motions = motions_from_json(Path(args.motion).read_text())
+    motions = motions_from_json(Path(args.motion).read_bytes())
     masks = render(scene, motions, FINE_CONFIG)[1]
     fileio.write_condition(args.out, ConditionChannels(masks, ConditionMode.FULL_MOTION))
     _log(f"wrote {len(masks)} part masks")
@@ -177,7 +177,7 @@ def cmd_rasterize(args) -> int:
 
 
 def cmd_run(args) -> int:
-    config, scene = run_from_json(Path(args.config).read_text(), args.seed)
+    config, scene = run_from_json(Path(args.config).read_bytes(), args.seed)
     # the checkpoint in use (flag, else file) is recorded as an absolute
     # path, so the run replays from its run.json alone
     checkpoint = args.checkpoint or config.pmp_checkpoint
@@ -195,7 +195,7 @@ def cmd_run(args) -> int:
 
 def cmd_extend(args) -> int:
     model = load_checkpoint(args.checkpoint)
-    seq = motion_from_json(Path(args.infile).read_text())
+    seq = motion_from_json(Path(args.infile).read_bytes())
     out = extend_motion(seq, args.target, model, _conditioning(model, seq, args.tokens))
     Path(args.out).write_text(motion_to_json(out))
     _emit(args.out)
@@ -217,8 +217,8 @@ def cmd_eval(args) -> int:
     if (args.pred_motions is None) != (args.gt_motions is None):
         raise InvalidConfig("--pred-motions and --gt-motions go together")
     if args.pred_motions is not None:
-        pred_motions = motions_from_json(Path(args.pred_motions).read_text())
-        gt_motions = motions_from_json(Path(args.gt_motions).read_text())
+        pred_motions = motions_from_json(Path(args.pred_motions).read_bytes())
+        gt_motions = motions_from_json(Path(args.gt_motions).read_bytes())
     report = eval_metrics(pred, ref, pred_motions, gt_motions, [], [])
     print(report.to_json())
     if args.out:

@@ -286,6 +286,8 @@ def validate(seq: MotionSequence) -> list[Violation]:
         out.append(Violation("DimensionMismatch"))
     if not seq.fps > 0:
         out.append(Violation("NonPositiveFps"))
+    elif not np.isfinite(seq.fps):
+        out.append(Violation("NonFiniteFps"))
     bad = ~np.isfinite(seq.frames)
     if bad.any():
         for frame, channel in zip(*np.nonzero(bad)):
@@ -314,7 +316,7 @@ def motion_to_json(seq: MotionSequence) -> str:
     return json.dumps(doc)
 
 
-def motion_from_json(text: str) -> MotionSequence:
+def motion_from_json(text: str | bytes) -> MotionSequence:
     """Inverse of ``motion_to_json``. A malformed document, or frames that
     ``validate`` rejects (e.g. non-finite entries), raise DimensionMismatch."""
     return _motion_from_doc(load_json(text, "motion JSON", DimensionMismatch))
@@ -325,7 +327,7 @@ def motions_to_json(motions: list[MotionSequence]) -> str:
     return "[" + ", ".join(motion_to_json(m) for m in motions) + "]"
 
 
-def motions_from_json(text: str) -> list[MotionSequence]:
+def motions_from_json(text: str | bytes) -> list[MotionSequence]:
     """Inverse of ``motions_to_json``; a single motion document reads as a
     one-item list. Malformed input raises DimensionMismatch."""
     doc = load_json(text, "motion JSON", DimensionMismatch)

@@ -96,7 +96,7 @@ def run_to_json(config: PipelineConfig, scene: SceneSpec) -> str:
                        "scene": json.loads(scene_to_json(scene))}, sort_keys=True)
 
 
-def run_from_json(text: str, seed: int | None = None
+def run_from_json(text: str | bytes, seed: int | None = None
                   ) -> tuple[PipelineConfig, SceneSpec]:
     """Parse run.json, or a user config that leaves keys out or names a
     fixture scene; the seed resolves as argument, then file, then 42."""

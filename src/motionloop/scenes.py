@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Category, load_json, preset
+from .core import Category, json_like, load_json, preset
 from .errors import InvalidConfig
 from .geometry import CameraSpec, ConditionMode
 from .pmp import CorpusItem
@@ -133,7 +133,7 @@ def scene_to_json(scene: SceneSpec) -> str:
     }, sort_keys=True)
 
 
-def scene_from_json(text: str) -> SceneSpec:
+def scene_from_json(text: str | bytes) -> SceneSpec:
     """Inverse of ``scene_to_json``; a malformed document raises InvalidConfig."""
     doc = load_json(text, "scene JSON")
     try:
@@ -149,8 +149,9 @@ def scene_from_json(text: str) -> SceneSpec:
                          camera=CameraSpec(focal=cam["focal"],
                                            principal=tuple(cam["principal"]),
                                            size=tuple(cam["size"])),
-                         duration=int(doc["duration"]), fps=float(doc["fps"]),
-                         walk_period=int(doc.get("walk_period", 16)))
+                         duration=json_like(doc["duration"], 16, "scene duration"),
+                         fps=float(doc["fps"]), walk_period=json_like(
+                             doc.get("walk_period", 16), 16, "scene walk_period"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(
             f"malformed scene JSON ({type(exc).__name__}: {exc})") from None

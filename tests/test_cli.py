@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import os
+import re
 import resource
 import struct
 import subprocess
@@ -383,16 +385,48 @@ def _rasterize(motions, objects=(0,)):
     return argv
 
 
-def _rasterize_on_camera(**camera):
-    """rasterize a valid motion over fixture 0's scene with camera keys replaced."""
+def _rasterize_on_scene(edit):
+    """rasterize a valid motion over fixture 0's scene after edit(doc)."""
     def argv(tmp_path, checkpoint):
         args = _rasterize([_motion_doc()])(tmp_path, checkpoint)
         scene_path = tmp_path / "scene.json"
         doc = json.loads(scene_path.read_text())
-        doc["camera"].update(camera)
+        edit(doc)
         scene_path.write_text(json.dumps(doc))
         return args
     return argv
+
+
+def _rasterize_on_camera(**camera):
+    """rasterize a valid motion over fixture 0's scene with camera keys replaced."""
+    return _rasterize_on_scene(lambda doc: doc["camera"].update(camera))
+
+
+# a JSON document followed by a byte that is not UTF-8
+_NOT_UTF8 = b'{"a": 1}\xff'
+
+
+def _not_utf8(build, name):
+    """build's argv, with the file it names ``name`` under tmp_path
+    overwritten by _NOT_UTF8."""
+    def argv(tmp_path, checkpoint):
+        args = build(tmp_path, checkpoint)
+        (tmp_path / name).write_bytes(_NOT_UTF8)
+        return args
+    return argv
+
+
+def _extend(tmp_path, checkpoint):
+    src = tmp_path / "in.json"
+    src.write_text(json.dumps(_motion_doc()))
+    return ["extend", "--checkpoint", str(checkpoint), "--in", str(src),
+            "--target", "12", "--out", str(tmp_path / "out.json")]
+
+
+def _corpus_motion_not_utf8(tmp_path, checkpoint):
+    args = _bad_corpus('[{"file": "m.json", "tags": ["walk"]}]')(tmp_path, checkpoint)
+    (tmp_path / "corpus" / "m.json").write_bytes(_NOT_UTF8)
+    return args
 
 
 def _bad_corpus(index_text):
@@ -578,12 +612,40 @@ BOUNDARY_CASES = {
     "corpus-index-entry-without-file": (_bad_corpus('[{"tags": ["walk"]}]'),
                                         "InvalidConfig"),
     "stitch-fps-differs": (_stitch_mixed_fps, "PlanMismatch"),
+    # every JSON reader reads bytes, so a byte that is not UTF-8 is named
+    "scene-not-utf8": (_not_utf8(_rasterize([_motion_doc()]), "scene.json"),
+                       "InvalidConfig"),
+    "run-config-not-utf8": (_not_utf8(_bad_run_config('{"fixture": 1}'), "cfg.json"),
+                            "InvalidConfig"),
+    "corpus-index-not-utf8": (_not_utf8(_bad_corpus("[]"), "corpus/index.json"),
+                              "InvalidConfig"),
+    "corpus-motion-not-utf8": (_corpus_motion_not_utf8, "DimensionMismatch"),
+    "denoise-motion-not-utf8": (_not_utf8(_bad_motion(lambda d: None), "in.json"),
+                                "DimensionMismatch"),
+    "extend-motion-not-utf8": (_not_utf8(_extend, "in.json"), "DimensionMismatch"),
+    "rasterize-motion-not-utf8": (_not_utf8(_rasterize([_motion_doc()]), "motions.json"),
+                                  "DimensionMismatch"),
+    "eval-pred-motions-not-utf8": (_not_utf8(_eval_motions([_motion_doc()], [_motion_doc()]),
+                                             "pred.json"), "DimensionMismatch"),
+    "eval-gt-motions-not-utf8": (_not_utf8(_eval_motions([_motion_doc()], [_motion_doc()]),
+                                           "gt.json"), "DimensionMismatch"),
+    "clip-json-not-utf8": (_bad_clip(lambda clip: (clip / "clip.json").write_bytes(_NOT_UTF8)),
+                           "ShapeMismatch"),
     # a clip is numbered 0..frames-1, with exactly the keys fps, frames and resolution
     "clip-stray-frame": (_bad_clip(lambda clip: (clip / "frame_extra.pgm").write_bytes(
         (clip / "frame_0000.pgm").read_bytes())), "ShapeMismatch", "numbered"),
     "clip-unknown-key": (_bad_clip(lambda clip: (clip / "clip.json").write_text(
         '{"fps": 8.0, "frames": 2, "resolution": [8, 6], "note": 1}')), "ShapeMismatch",
         "keys"),
+    # scene durations and walk periods are JSON integers
+    "scene-infinite-duration": (_rasterize_on_scene(lambda d: d.update(duration=float("inf"))),
+                                "InvalidConfig", "duration"),
+    "scene-fractional-duration": (_rasterize_on_scene(lambda d: d.update(duration=2.7)),
+                                  "InvalidConfig", "duration"),
+    "scene-infinite-walk-period": (_rasterize_on_scene(
+        lambda d: d.update(walk_period=float("inf"))), "InvalidConfig", "walk_period"),
+    "motion-infinite-fps": (_bad_motion(lambda d: d.update(fps=float("inf"))),
+                            "DimensionMismatch"),
 }
 
 
@@ -645,6 +707,100 @@ def test_fuzzed_pgm_frame_exits_0_or_names_shape_mismatch(frame):
         assert err.startswith("error [ShapeMismatch]: "), err
     else:
         assert err == ""
+
+
+# numbers set to 0, negative, huge, fractional, NaN or infinite
+_ODD_NUMBERS = st.sampled_from([0, -1, 2.7, 10**30, 1e300, float("nan"), float("inf")])
+
+
+@st.composite
+def _near(draw, doc):
+    """``doc`` after one to three edits, each at a node reached by a walk
+    from one of the root's entries: the node set to an odd number or other
+    JSON, dropped from its parent, or, if an object, given another key."""
+    doc = copy.deepcopy(doc)
+    for _ in range(draw(st.integers(1, 3))):
+        parent, key, node = None, None, doc
+        while (isinstance(node, (dict, list)) and node
+               and (parent is None or draw(st.booleans()))):
+            parent, key = node, draw(st.sampled_from(
+                list(node) if isinstance(node, dict) else range(len(node))))
+            node = node[key]
+        edit = draw(st.sampled_from(["number", "json", "drop", "add"]))
+        if parent is None:  # an edit before left the root empty or not a container
+            doc = draw(_ANY_JSON)
+        elif edit == "add" and isinstance(node, dict):
+            node[draw(st.text(max_size=6))] = draw(_ANY_JSON)
+        elif edit == "drop":
+            del parent[key]
+        else:
+            parent[key] = draw(_ODD_NUMBERS if edit == "number" else _ANY_JSON)
+    return doc
+
+
+_ANY_JSON = st.recursive(st.none() | st.booleans() | st.integers() | st.floats() | st.text(),
+                         lambda inner: st.lists(inner, max_size=3)
+                         | st.dictionaries(st.text(max_size=5), inner, max_size=3),
+                         max_leaves=6)
+
+
+def _run_in_process(*argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        code = run_cli(*argv)
+    return code, err.getvalue()
+
+
+def _assert_exit_0_or_one_named_error(code: int, err: str) -> None:
+    assert code in (0, 1), err
+    assert "Traceback" not in err, err
+    if code == 1:
+        assert len(err.strip().splitlines()) == 1, err
+        assert re.match(r"error \[\w+\]: ", err), err
+
+
+def _strict_json(text: str):
+    def refuse(token):
+        raise ValueError(f"{token} is not JSON")
+    return json.loads(text, parse_constant=refuse)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(doc=_near(_motion_doc()))
+def test_fuzzed_motion_json_exits_0_or_names_one_error(doc, tiny_checkpoint, tmp_path_factory):
+    # denoise reads any document near a motion: it refines it, writing
+    # strict JSON, or names one error
+    d = tmp_path_factory.mktemp("motion")
+    code, err = _run_in_process(*_denoise(d, tiny_checkpoint, doc))
+    _assert_exit_0_or_one_named_error(code, err)
+    if code == 0:
+        _strict_json((d / "out.json").read_text())
+
+
+def _large_camera(doc) -> bool:
+    """Whether a scene document's camera size holds a number of 1024 or more,
+    which could ask for frames too large to render in the test process (the
+    rest of a scene sizes nothing that rasterize allocates)."""
+    camera = doc.get("camera") if isinstance(doc, dict) else None
+    size = camera.get("size") if isinstance(camera, dict) else None
+    return isinstance(size, list) and any(
+        isinstance(v, (int, float)) and not abs(v) < 1024 for v in size)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True, database=None)
+@given(doc=_near(json.loads(scene_to_json(fixture_scene(0, duration=8)))))
+def test_fuzzed_scene_json_exits_0_or_names_one_error(doc, tiny_checkpoint, tmp_path_factory):
+    # rasterize reads any document near a scene: it writes the masks or
+    # names one error; a large camera runs in a child with capped memory
+    d = tmp_path_factory.mktemp("scene")
+    argv = _rasterize([_motion_doc()])(d, tiny_checkpoint)
+    (d / "scene.json").write_text(json.dumps(doc))
+    if _large_camera(doc):
+        proc = run_cli_capped(*argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = _run_in_process(*argv)
+    _assert_exit_0_or_one_named_error(code, err)
 
 
 def test_diverged_training_leaves_no_checkpoint(tiny_checkpoint, tmp_path, capsys):

@@ -397,6 +397,14 @@ def test_validate_width_mismatch():
     assert "DimensionMismatch" in kinds
 
 
+@pytest.mark.parametrize("fps, kind", [(0.0, "NonPositiveFps"), (-1.0, "NonPositiveFps"),
+                                       (np.nan, "NonPositiveFps"), (np.inf, "NonFiniteFps")])
+def test_validate_names_an_fps_that_is_not_positive_and_finite(fps, kind):
+    rng = np.random.default_rng(15)
+    seq = make_seq(rng.normal(size=(3, preset(Category.GENERIC_OBJECT).pose_dim)), fps=fps)
+    assert [v.kind for v in core.validate(seq)] == [kind]
+
+
 def test_ragged_frames_rejected_at_construction():
     spec = preset(Category.GENERIC_OBJECT)
     with pytest.raises((DimensionMismatch, ValueError)):
