@@ -100,11 +100,13 @@ def _read_frames(dir_path, stem: str, sidecar: str, error, *keys) -> tuple[dict,
 
 
 def write_condition(dir_path, channels: ConditionChannels) -> None:
+    """Write a clip's part masks and their mode as a condition record."""
     _write_frames(dir_path, "mask", channels.part_masks, "condition.json",
                   mode=channels.mode.value)
 
 
 def read_condition(dir_path) -> ConditionChannels:
+    """Inverse of ``write_condition``; PayloadMismatch names a malformed record."""
     doc, masks = _read_frames(dir_path, "mask", "condition.json", PayloadMismatch, "mode")
     try:
         return ConditionChannels(masks, ConditionMode(doc["mode"]))

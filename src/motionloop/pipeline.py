@@ -104,7 +104,7 @@ def run_from_json(text: str | bytes, seed: int | None = None
     keys = {"pipeline", "scene", "fixture", "seed"}
     if not isinstance(doc, dict) or not set(doc) <= keys:
         raise InvalidConfig(f"run config must be a JSON object with keys among "
-                            f"{sorted(keys)}, got {text[:80]!r}")
+                            f"{sorted(keys)}, got {json.dumps(doc)[:80]}")
     if "scene" in doc and "fixture" in doc:
         raise InvalidConfig("give a scene or a fixture, not both")
     file_seed, fixture = (json_like(doc.get(key, value), 0, key)
