@@ -423,12 +423,6 @@ def _extend(tmp_path, checkpoint):
             "--target", "12", "--out", str(tmp_path / "out.json")]
 
 
-def _corpus_motion_not_utf8(tmp_path, checkpoint):
-    args = _bad_corpus('[{"file": "m.json", "tags": ["walk"]}]')(tmp_path, checkpoint)
-    (tmp_path / "corpus" / "m.json").write_bytes(_NOT_UTF8)
-    return args
-
-
 def _bad_corpus(index_text):
     def argv(tmp_path, checkpoint):
         corpus = tmp_path / "corpus"
@@ -619,7 +613,8 @@ BOUNDARY_CASES = {
                             "InvalidConfig"),
     "corpus-index-not-utf8": (_not_utf8(_bad_corpus("[]"), "corpus/index.json"),
                               "InvalidConfig"),
-    "corpus-motion-not-utf8": (_corpus_motion_not_utf8, "DimensionMismatch"),
+    "corpus-motion-not-utf8": (_not_utf8(_bad_corpus('[{"file": "m.json", "tags": ["walk"]}]'),
+                                         "corpus/m.json"), "DimensionMismatch"),
     "denoise-motion-not-utf8": (_not_utf8(_bad_motion(lambda d: None), "in.json"),
                                 "DimensionMismatch"),
     "extend-motion-not-utf8": (_not_utf8(_extend, "in.json"), "DimensionMismatch"),
