@@ -24,6 +24,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig, SequenceTooShort
 
 BONE_SAMPLES = 8  # densified points per bone so part masks have area
+EXTRAPOLATE_WINDOW, EXTRAPOLATE_DECAY = 4, 0.9  # frame deltas averaged; damping per frame
 
 
 class Category(Enum):
@@ -190,25 +191,24 @@ def resample(seq: MotionSequence, new_len: int) -> MotionSequence:
     return seq.with_frames(out)
 
 
-def extrapolate(seq: MotionSequence, extra: int, window: int = 4,
-                decay: float = 0.9) -> MotionSequence:
+def extrapolate(seq: MotionSequence, extra: int) -> MotionSequence:
     """Append frames continuing the mean velocity of the last transitions.
 
-    The continuation velocity is the mean of the last ``window`` frame
-    deltas, damped by ``decay`` per appended frame so long extrapolations
-    settle instead of diverging.
+    The continuation velocity is the mean of the last EXTRAPOLATE_WINDOW
+    frame deltas, damped by EXTRAPOLATE_DECAY per appended frame so long
+    extrapolations settle instead of diverging.
     """
     if seq.frame_count < 2:
         raise SequenceTooShort("extrapolate needs at least 2 frames")
     if extra < 1:
         raise DimensionMismatch("extra must be positive")
-    w = min(window, seq.frame_count - 1)
+    w = min(EXTRAPOLATE_WINDOW, seq.frame_count - 1)
     vel = np.diff(seq.frames[-(w + 1):], axis=0).mean(axis=0)
     tail = np.empty((extra, seq.frames.shape[1]))
     prev = seq.frames[-1]
     step = vel
     for k in range(extra):
-        step = step * decay
+        step = step * EXTRAPOLATE_DECAY
         prev = prev + step
         tail[k] = prev
     return seq.with_frames(np.vstack([seq.frames, tail]))
@@ -344,9 +344,9 @@ def _motion_from_doc(doc) -> MotionSequence:
             if doc[key] != getattr(spec, key):
                 raise DimensionMismatch(
                     f"{key} {doc[key]} does not match the {spec.category.value} preset")
-        seq = MotionSequence(model=spec, fps=float(doc["fps"]),
-                             frames=np.asarray(doc["frames"], dtype=np.float64))
-    except (AttributeError, KeyError, TypeError, ValueError) as exc:
+        seq = MotionSequence(model=spec, fps=json_like(doc["fps"], 0.0, "motion fps"),
+                             frames=json_like(doc["frames"], ((0.0,),), "motion frames"))
+    except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise DimensionMismatch(
             f"malformed motion JSON ({type(exc).__name__}: {exc})") from None
     violations = validate(seq)
@@ -376,7 +376,10 @@ def json_like(value, default, where: str):
         return tuple(json_like(v, default[0], where) for v in value)
     accepted = {float: (int, float), int: int, str: str}.get(type(default))
     if accepted and isinstance(value, accepted) and not isinstance(value, bool):
-        return type(default)(value)
+        try:
+            return type(default)(value)
+        except OverflowError:  # an integer past the float range
+            pass
     raise InvalidConfig(f"{where} must be like {default!r}, got {value!r}")
 
 

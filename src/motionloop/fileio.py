@@ -25,9 +25,15 @@ from .simgen import VideoClip
 
 
 def write_pgm(path, grid: np.ndarray, maxval: int = 255) -> None:
+    """Write a 2-D grid of values in 0..maxval; any other value is refused,
+    not wrapped into range."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ShapeMismatch("PGM grids are 2-D")
+    if (grid.size and not (grid.dtype == np.uint8 and maxval >= 255)
+            and not 0 <= grid.min() <= grid.max() <= maxval):
+        raise ShapeMismatch(f"PGM values must lie in 0..{maxval}, "
+                            f"got {grid.min()}..{grid.max()}: {path}")
     h, w = grid.shape
     if maxval <= 255:
         data = grid.astype(np.uint8).tobytes()

@@ -151,15 +151,16 @@ DEFAULT_TRIPLE = (1.0, 0.5, 0.0)
 
 
 class ConditionMode(Enum):
-    """Conditioning strength. The member order is the order of a confidence
-    triple's entries: (full motion, target pose, empty)."""
+    """Conditioning strength. The member order is the order of every per-mode
+    triple's entries, a confidence triple's or a generator's attenuation:
+    (full motion, target pose, empty)."""
 
     FULL_MOTION = "FullMotion"
     TARGET_POSE = "TargetPose"
     EMPTY = "Empty"
 
-    def level(self, triple: tuple[float, float, float] = DEFAULT_TRIPLE) -> float:
-        """This mode's entry of the confidence triple."""
+    def level(self, triple: tuple[float, float, float]) -> float:
+        """This mode's entry of a per-mode triple."""
         return triple[list(ConditionMode).index(self)]
 
 

@@ -9,7 +9,7 @@ original length. Every perturbation is replayable from a small record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -31,20 +31,17 @@ class NoiseSchedule:
     """
 
     gamma: np.ndarray  # (T,)
-    alpha_bar: np.ndarray  # (T,)
+    alpha_bar: np.ndarray = field(init=False)  # (T,), from gamma
 
     def __post_init__(self):
         gamma = np.asarray(self.gamma, dtype=np.float64)
-        abar = np.asarray(self.alpha_bar, dtype=np.float64)
-        if gamma.ndim != 1 or gamma.shape != abar.shape or gamma.size < 1:
-            raise InvalidConfig("gamma and alpha_bar must be equal-length vectors")
+        if gamma.ndim != 1 or gamma.size < 1:
+            raise InvalidConfig("gamma must be a non-empty vector")
         if np.any(gamma <= 0.0) or np.any(gamma >= 1.0):
             raise InvalidConfig("gamma entries must lie in (0, 1)")
+        abar = np.cumprod(1.0 - gamma)
         if np.any(abar <= 0.0) or np.any(abar >= 1.0) or np.any(np.diff(abar) >= 0.0):
             raise InvalidConfig("alpha_bar must be strictly decreasing in (0, 1)")
-        expected = np.cumprod(1.0 - gamma)
-        if not np.allclose(abar, expected, rtol=1e-12, atol=0.0):
-            raise InvalidConfig("alpha_bar must equal cumprod(1 - gamma)")
         gamma.setflags(write=False)
         abar.setflags(write=False)
         object.__setattr__(self, "gamma", gamma)
@@ -56,8 +53,7 @@ class NoiseSchedule:
 
     @classmethod
     def linear(cls, steps: int = 1000, lo: float = 1e-4, hi: float = 0.02) -> "NoiseSchedule":
-        gamma = np.linspace(lo, hi, steps)
-        return cls(gamma=gamma, alpha_bar=np.cumprod(1.0 - gamma))
+        return cls(gamma=np.linspace(lo, hi, steps))
 
 
 DEFAULT_SCHEDULE = NoiseSchedule.linear()
@@ -134,12 +130,8 @@ def shuffle_segment(seq: MotionSequence, lo: int, hi: int, seed: int) -> MotionS
     return seq.with_frames(out)
 
 
-def drop_repeat(seq: MotionSequence, lo: int, hi: int, seed: int = 0) -> MotionSequence:
-    """Drop frames [lo, hi) and tile the remainder back to the original length.
-
-    The seed is accepted for record symmetry; the operation itself is
-    deterministic in its range.
-    """
+def drop_repeat(seq: MotionSequence, lo: int, hi: int) -> MotionSequence:
+    """Drop frames [lo, hi) and tile the remainder back to the original length."""
     f = seq.frame_count
     if not 0 <= lo < hi <= f:
         raise RangeOutOfBounds(f"[{lo}, {hi}) outside [0, {f})")
@@ -158,7 +150,7 @@ def apply_record(seq: MotionSequence, record: PerturbationRecord) -> MotionSeque
         lo, hi = record.params
         return shuffle_segment(seq, int(lo), int(hi), record.seed)
     lo, hi = record.params
-    return drop_repeat(seq, int(lo), int(hi), record.seed)
+    return drop_repeat(seq, int(lo), int(hi))
 
 
 def _draw_record(kind: Kind, f: int, rng: np.random.Generator) -> PerturbationRecord:

@@ -483,7 +483,6 @@ class RunResult:
     strengths: list[float]
     raw_traj_mse: float = 0.0
     refined_traj_mse: float = 0.0
-    run_dir: str = ""
 
 
 def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
@@ -513,7 +512,6 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
                        strengths=strengths, raw_traj_mse=_traj_mse(raws, gt_fine),
                        refined_traj_mse=_traj_mse(refined, gt_fine))
     if out_dir is not None:
-        result.run_dir = str(out_dir)
         _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
                      strengths, s1_channels, s3_channels, report, scene)
     return result

@@ -140,17 +140,19 @@ def scene_from_json(text: str | bytes) -> SceneSpec:
         cam = doc["camera"]
         objects = tuple(
             SceneObject(spec=preset(Category(o["category"])),
-                        initial_pose=np.asarray(o["initial_pose"]),
-                        shape_scale=float(o["shape_scale"]),
-                        placement=tuple(o["placement"]),
+                        initial_pose=json_like(o["initial_pose"], (0.0,), "scene initial_pose"),
+                        shape_scale=json_like(o["shape_scale"], 0.0, "scene shape_scale"),
+                        placement=json_like(o["placement"], (0.0,), "scene placement"),
                         tags=tuple(o["tags"]))
             for o in doc["objects"])
         return SceneSpec(objects=objects,
-                         camera=CameraSpec(focal=cam["focal"],
-                                           principal=tuple(cam["principal"]),
-                                           size=tuple(cam["size"])),
+                         camera=CameraSpec(
+                             focal=json_like(cam["focal"], 0.0, "scene camera focal"),
+                             principal=json_like(cam["principal"], (0.0,),
+                                                 "scene camera principal"),
+                             size=tuple(cam["size"])),
                          duration=json_like(doc["duration"], 16, "scene duration"),
-                         fps=float(doc["fps"]), walk_period=json_like(
+                         fps=json_like(doc["fps"], 0.0, "scene fps"), walk_period=json_like(
                              doc.get("walk_period", 16), 16, "scene walk_period"))
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise InvalidConfig(

@@ -87,18 +87,19 @@ class SceneSpec:
     def __post_init__(self):
         if len(self.objects) < 1:
             raise InvalidConfig("scene needs at least one object")
-        if self.duration < 2 or not 0 < self.fps < math.inf or self.walk_period < 2:
+        # frame counts are scaled in float64, which holds integers to 2**53
+        if not (2 <= self.duration <= 2**53 and 2 <= self.walk_period <= 2**53
+                and 0 < self.fps < math.inf):
             raise InvalidConfig(
-                "duration >= 2, finite fps > 0, walk_period >= 2 required")
+                "duration and walk_period in 2..2**53 frames, finite fps > 0 required")
 
 
 @dataclass(frozen=True)
 class GeneratorConfig:
     resolution_scale: float = 1.0
     frame_fraction: float = 1.0
-    steps: int = 50  # denoising-step analog; recorded, no pixel effect here
-    condition_fidelity: tuple[tuple[float, float], ...] = (
-        (0.0, 1.0), (0.5, 0.4), (1.0, 0.02))
+    # corruption attenuation per ConditionMode, in member order
+    attenuation: tuple[float, float, float] = (0.02, 0.4, 1.0)
     splat_radius: float = 3.0
 
     def __post_init__(self):
@@ -106,28 +107,17 @@ class GeneratorConfig:
             raise InvalidConfig("resolution_scale must be in (0, 1]")
         if not 0.0 < self.frame_fraction <= 1.0:
             raise InvalidConfig("frame_fraction must be in (0, 1]")
-        if self.steps < 1 or not 0.0 < self.splat_radius < math.inf:
-            raise InvalidConfig("steps and splat_radius must be positive and finite")
-        fid = sorted(self.condition_fidelity)
-        if not fid or any(len(pair) != 2 for pair in fid):
-            raise InvalidConfig("condition_fidelity needs (level, attenuation) pairs")
-        if not np.all(np.isfinite(fid)):
-            raise InvalidConfig("condition_fidelity entries must be finite")
-        for (c0, a0), (c1, a1) in zip(fid, fid[1:]):
-            if a1 > a0:
-                raise InvalidConfig(
-                    "attenuation must be non-increasing in confidence")
-
-    def attenuation(self, mode: ConditionMode) -> float:
-        """Keyed on the mode's default-triple level, whatever triple the
-        pipeline's confidence maps use."""
-        table = dict(self.condition_fidelity)
-        keys = sorted(table)  # monotone interpolation between known levels
-        return float(np.interp(mode.level(), keys, [table[k] for k in keys]))
+        if not 0.0 < self.splat_radius < math.inf:
+            raise InvalidConfig("splat_radius must be positive and finite")
+        if len(self.attenuation) != 3 or not np.all(np.isfinite(self.attenuation)):
+            raise InvalidConfig("attenuation needs three finite values, one per mode")
+        full, target, empty = self.attenuation
+        if not full <= target <= empty:
+            raise InvalidConfig("attenuation must satisfy full <= target <= empty")
 
 
-COARSE_CONFIG = GeneratorConfig(resolution_scale=0.25, frame_fraction=0.5, steps=32)
-FINE_CONFIG = GeneratorConfig(resolution_scale=1.0, frame_fraction=1.0, steps=50)
+COARSE_CONFIG = GeneratorConfig(resolution_scale=0.25, frame_fraction=0.5)
+FINE_CONFIG = GeneratorConfig(resolution_scale=1.0, frame_fraction=1.0)
 
 
 @dataclass(frozen=True)
@@ -239,7 +229,7 @@ def corrupt_motion(gt: MotionSequence, mode: ConditionMode,
     """
     from . import perturb  # local import keeps module load cheap
 
-    att = config.attenuation(mode)
+    att = mode.level(config.attenuation)
     if att <= 0.0:
         return gt
     pconf = perturb.PerturbConfig(
@@ -348,8 +338,7 @@ def generate(scene: SceneSpec, mode: ConditionMode, config: GeneratorConfig,
 
     Returns (clip, realized motions). ``frame_window`` restricts generation
     to a [start, end) slice of the scene's timeline, used for long-video
-    windows. ``config.steps`` is a real backend's denoising-step count;
-    the stand-in records it in run.json and does not use it.
+    windows.
     """
     gt = synthesize_gt_motion(scene, seed)
     if frame_window is not None:

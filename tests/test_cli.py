@@ -23,6 +23,7 @@ import motionloop
 from motionloop import fileio
 from motionloop.cli import main
 from motionloop.core import motion_from_json, motion_to_json
+from motionloop.pipeline import PipelineConfig
 from motionloop.scenes import fixture_scene, scene_to_json
 from motionloop.simgen import FINE_CONFIG, generate, render, synthesize_gt_motion
 from motionloop.geometry import ConditionMode
@@ -142,10 +143,12 @@ def test_run_command_deterministic(tiny_checkpoint, tmp_path):
 
 
 def test_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
+    # a weaker coarse attenuation changes the coarse clip, and the replay
+    # matches it
     cfg_path = tmp_path / "cfg.json"
-    cfg_path.write_text(json.dumps({"fixture": 3, "seed": 7,
-                                    "pipeline": {"coarse": {"steps": 20}}}))
-    a, b = tmp_path / "a", tmp_path / "b"
+    cfg_path.write_text(json.dumps({"fixture": 3, "seed": 7, "pipeline": {
+        "coarse": {"attenuation": [0.01, 0.2, 0.5]}}}))
+    a, b, default = tmp_path / "a", tmp_path / "b", tmp_path / "default"
     assert run_cli("run", "--config", str(cfg_path), "--out", str(a),
                    "--checkpoint", str(tiny_checkpoint)) == 0
     assert run_cli("run", "--config", str(a / "run.json"), "--out", str(b)) == 0
@@ -156,8 +159,13 @@ def test_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
     doc = json.loads((a / "run.json").read_text())
     assert doc["seed"] == 7
     assert doc["scene"] == json.loads(scene_to_json(fixture_scene(3)))
-    assert doc["pipeline"]["coarse"]["steps"] == 20
+    assert doc["pipeline"]["coarse"]["attenuation"] == [0.01, 0.2, 0.5]
     assert doc["pipeline"]["pmp_checkpoint"] == str(tiny_checkpoint.resolve())
+    cfg_path.write_text(json.dumps({"fixture": 3, "seed": 7}))
+    assert run_cli("run", "--config", str(cfg_path), "--out", str(default),
+                   "--checkpoint", str(tiny_checkpoint)) == 0
+    assert any((a / "coarse" / name).read_bytes() != (default / "coarse" / name).read_bytes()
+               for name in os.listdir(a / "coarse") if name.endswith(".pgm"))
 
 
 def test_library_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
@@ -167,8 +175,7 @@ def test_library_run_replays_from_its_run_json(tiny_checkpoint, tmp_path):
     from motionloop.pmp import load_checkpoint
     from motionloop.simgen import COARSE_CONFIG
 
-    coarse = replace(COARSE_CONFIG, condition_fidelity=(
-        (0.0, 0.5), (0.5, 0.2), (1.0, 0.01)))
+    coarse = replace(COARSE_CONFIG, attenuation=(0.01, 0.2, 0.5))
     config = PipelineConfig(coarse=coarse, seed=7,
                             pmp_checkpoint=str(tiny_checkpoint.resolve()))
     a, b = tmp_path / "a", tmp_path / "b"
@@ -540,8 +547,8 @@ BOUNDARY_CASES = {
     "run-nan-coarse-splat-radius": (_bad_run_config(
         '{"pipeline": {"coarse": {"splat_radius": NaN}}}'), "InvalidConfig"),
     "run-nan-condition-attenuation": (_bad_run_config(
-        '{"pipeline": {"fine": {"condition_fidelity": '
-        '[[0.0, 1.0], [0.5, NaN], [1.0, 0.02]]}}}'), "InvalidConfig"),
+        '{"pipeline": {"fine": {"attenuation": [0.02, NaN, 1.0]}}}'), "InvalidConfig",
+        "finite values"),
     "scene-nan-fps": (_bad_scene(lambda d: d.update(fps=float("nan"))), "InvalidConfig"),
     "scene-infinite-depth": (_bad_scene(
         lambda d: d["objects"][0]["placement"].__setitem__(2, float("inf"))),
@@ -641,6 +648,38 @@ BOUNDARY_CASES = {
         lambda d: d.update(walk_period=float("inf"))), "InvalidConfig", "walk_period"),
     "motion-infinite-fps": (_bad_motion(lambda d: d.update(fps=float("inf"))),
                             "DimensionMismatch"),
+    # frame counts past 2**53 overflowed float64 in the frame arithmetic
+    "run-duration-past-float-range": (_bad_scene(lambda d: d.update(duration=10**400)),
+                                      "InvalidConfig", "duration"),
+    "run-walk-period-past-float-range": (_bad_scene(lambda d: d.update(walk_period=10**400)),
+                                         "InvalidConfig", "walk_period"),
+    # every scene and motion number is a JSON number: no string, no boolean
+    "scene-string-fps": (_rasterize_on_scene(lambda d: d.update(fps="16")),
+                         "InvalidConfig", "fps"),
+    "scene-boolean-fps": (_rasterize_on_scene(lambda d: d.update(fps=True)),
+                          "InvalidConfig", "fps"),
+    "scene-string-shape-scale": (_rasterize_on_scene(
+        lambda d: d["objects"][0].update(shape_scale="2")), "InvalidConfig", "shape_scale"),
+    "scene-boolean-shape-scale": (_rasterize_on_scene(
+        lambda d: d["objects"][0].update(shape_scale=True)), "InvalidConfig", "shape_scale"),
+    "scene-boolean-focal": (_rasterize_on_camera(focal=True), "InvalidConfig", "focal"),
+    "scene-boolean-principal": (_rasterize_on_camera(principal=[True, 1]), "InvalidConfig",
+                                "principal"),
+    "scene-boolean-placement": (_rasterize_on_scene(
+        lambda d: d["objects"][0].update(placement=[True, 0, 5])), "InvalidConfig",
+        "placement"),
+    "scene-string-initial-pose": (_rasterize_on_scene(lambda d: d["objects"][0].update(
+        initial_pose=[str(v) for v in d["objects"][0]["initial_pose"]])), "InvalidConfig",
+        "initial_pose"),
+    "motion-string-fps": (_bad_motion(lambda d: d.update(fps="16")), "DimensionMismatch",
+                          "fps"),
+    "motion-boolean-fps": (_bad_motion(lambda d: d.update(fps=True)), "DimensionMismatch",
+                           "fps"),
+    "motion-string-frames": (_bad_motion(lambda d: d.update(
+        frames=[[str(v) for v in row] for row in d["frames"]])), "DimensionMismatch",
+        "frames"),
+    "motion-boolean-frames": (_bad_motion(lambda d: d["frames"][0].__setitem__(0, True)),
+                              "DimensionMismatch", "frames"),
 }
 
 
@@ -704,8 +743,10 @@ def test_fuzzed_pgm_frame_exits_0_or_names_shape_mismatch(frame):
         assert err == ""
 
 
-# numbers set to 0, negative, huge, fractional, NaN or infinite
-_ODD_NUMBERS = st.sampled_from([0, -1, 2.7, 10**30, 1e300, float("nan"), float("inf")])
+# numbers set to 0, negative, huge, fractional, NaN or infinite, or to an
+# integer past the float range
+_ODD_NUMBERS = st.sampled_from([0, -1, 2.7, 10**30, 1e300, float("nan"), float("inf"),
+                                10**400])
 
 
 @st.composite
@@ -791,6 +832,30 @@ def test_fuzzed_scene_json_exits_0_or_names_one_error(doc, tiny_checkpoint, tmp_
     argv = _rasterize([_motion_doc()])(d, tiny_checkpoint)
     (d / "scene.json").write_text(json.dumps(doc))
     if _large_camera(doc):
+        proc = run_cli_capped(*argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = _run_in_process(*argv)
+    _assert_exit_0_or_one_named_error(code, err)
+
+
+def _run_doc() -> dict:
+    """A run config of the pipeline block and fixture 0's scene at 8 frames
+    (the seed, a single number, is left to its default)."""
+    return {"pipeline": json.loads(PipelineConfig().to_json()),
+            "scene": json.loads(scene_to_json(fixture_scene(0, duration=8)))}
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(doc=_near(_run_doc()))
+# a duration past the float range: once a traceback
+@example(doc={**_run_doc(), "scene": {**_run_doc()["scene"], "duration": 10**400}})
+def test_fuzzed_run_config_exits_0_or_names_one_error(doc, tiny_checkpoint, tmp_path_factory):
+    # run reads any document near a run config: it runs, or names one
+    # error; a large camera runs in a child with capped memory
+    d = tmp_path_factory.mktemp("run")
+    argv = _bad_run_config(json.dumps(doc))(d, tiny_checkpoint)
+    if isinstance(doc, dict) and _large_camera(doc.get("scene")):
         proc = run_cli_capped(*argv)
         code, err = proc.returncode, proc.stderr
     else:

@@ -39,6 +39,17 @@ def test_read_pgm_rejects_maxval_outside_1_to_65535(tmp_path, maxval):
         fileio.read_pgm(p)
 
 
+@pytest.mark.parametrize("maxval, value", [(255, 300), (255, -1), (100, 101),
+                                           (65535, 65536), (65535, -1)])
+def test_write_pgm_refuses_values_outside_0_to_maxval(tmp_path, maxval, value):
+    # a cast would wrap them: at maxval 255, 300 read back as 44 and -1 as 255
+    grid = np.zeros((3, 4), dtype=np.int32)
+    grid[1, 2] = value
+    with pytest.raises(ShapeMismatch, match=f"0..{maxval}"):
+        fileio.write_pgm(tmp_path / "v.pgm", grid, maxval)
+    assert not (tmp_path / "v.pgm").exists()
+
+
 def _part_mask() -> np.ndarray:
     mask = np.zeros((6, 8), dtype=np.int32)
     mask[2:4, 3:6] = 5

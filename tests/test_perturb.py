@@ -37,10 +37,14 @@ def test_linear_schedule_invariants():
     np.testing.assert_allclose(s.alpha_bar, np.cumprod(1 - s.gamma), rtol=1e-15)
 
 
-def test_schedule_rejects_inconsistent_alpha_bar():
+def test_schedule_derives_alpha_bar_from_gamma():
     gamma = np.linspace(1e-4, 0.02, 10)
-    with pytest.raises(InvalidConfig):
+    assert np.array_equal(NoiseSchedule(gamma=gamma).alpha_bar, np.cumprod(1.0 - gamma))
+    with pytest.raises(TypeError):
         NoiseSchedule(gamma=gamma, alpha_bar=np.linspace(0.9, 0.1, 10))
+    for bad in (np.array([]), np.array([0.0, 0.1]), np.array([0.1, 1.0])):
+        with pytest.raises(InvalidConfig):
+            NoiseSchedule(gamma=bad)
 
 
 # ------------------------------------------------------------ forward noise

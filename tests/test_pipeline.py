@@ -58,8 +58,7 @@ def clip_of(frames, fps=16.0):
 
 
 ZERO_CORRUPTION = GeneratorConfig(
-    resolution_scale=0.25, frame_fraction=0.5, steps=32,
-    condition_fidelity=((0.0, 0.0), (0.5, 0.0), (1.0, 0.0)))
+    resolution_scale=0.25, frame_fraction=0.5, attenuation=(0.0, 0.0, 0.0))
 
 
 # ------------------------------------------------------------------- config
@@ -72,12 +71,10 @@ def test_pipeline_config_validation():
 
 
 def test_pipeline_config_json_round_trip():
-    coarse = GeneratorConfig(resolution_scale=0.3, frame_fraction=0.6, steps=7,
-                             condition_fidelity=((0.0, 0.9), (0.25, 0.5), (1.0, 0.1)),
-                             splat_radius=2.5)
-    fine = GeneratorConfig(resolution_scale=0.9, frame_fraction=0.8, steps=11,
-                           condition_fidelity=((0.0, 0.7), (1.0, 0.05)),
-                           splat_radius=4.0)
+    coarse = GeneratorConfig(resolution_scale=0.3, frame_fraction=0.6,
+                             attenuation=(0.1, 0.5, 0.9), splat_radius=2.5)
+    fine = GeneratorConfig(resolution_scale=0.9, frame_fraction=0.8,
+                           attenuation=(0.05, 0.3, 0.7), splat_radius=4.0)
     config = PipelineConfig(coarse=coarse, fine=fine,
                             confidence_triple=(0.9, 0.6, 0.1),
                             pmp_checkpoint="prior.ckpt", seed=13)
@@ -371,6 +368,15 @@ def test_stage1_target_pose_final_frame_polygon():
     last = channels.part_masks[-1]
     assert last.any()
     assert np.all(channels.confidence(config.confidence_triple)[-1][last != 0] == 0.5)
+
+
+def test_target_pose_part_label_past_a_byte_is_refused_not_wrapped(tmp_path):
+    # the label reaches channels/s1/ as a mask value; 300 used to read back as 44
+    tri = np.array([[60.0, 40.0], [120.0, 44.0], [90.0, 80.0]])
+    cond = UserCondition(mode=ConditionMode.TARGET_POSE, parts=((300, tri),))
+    with pytest.raises(ShapeMismatch, match="0..255"):
+        run_pipeline(fixture_scene(0), cond, PipelineConfig(), tiny_model(),
+                     out_dir=tmp_path / "run")
 
 
 def test_stage1_deterministic():

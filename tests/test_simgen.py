@@ -108,8 +108,7 @@ def test_synthesis_deterministic():
 # --------------------------------------------------------------- corruption
 
 def test_corrupt_zero_attenuation_is_identity():
-    config = GeneratorConfig(condition_fidelity=((0.0, 1.0), (0.5, 0.4),
-                                                 (1.0, 0.0)))
+    config = GeneratorConfig(attenuation=(0.0, 0.4, 1.0))
     scene = one_object_scene(action="slide")
     gt = synthesize_gt_motion(scene, seed=3)[0]
     out = corrupt_motion(gt, ConditionMode.FULL_MOTION, config, seed=123)
@@ -349,8 +348,7 @@ def test_generate_deterministic():
 
 def test_generate_full_motion_with_zero_attenuation_returns_gt():
     config = GeneratorConfig(resolution_scale=0.5, frame_fraction=0.5,
-                             condition_fidelity=((0.0, 1.0), (0.5, 0.4),
-                                                 (1.0, 0.0)))
+                             attenuation=(0.0, 0.4, 1.0))
     scene = one_object_scene(action="slide")
     _, realized = generate(scene, ConditionMode.FULL_MOTION, config, seed=11)
     gt = synthesize_gt_motion(scene, seed=11)
@@ -378,8 +376,32 @@ def test_generate_monotone_conditioning_mse():
 def test_generator_config_validation():
     with pytest.raises(InvalidConfig):
         GeneratorConfig(resolution_scale=0.0)
-    with pytest.raises(InvalidConfig):
-        GeneratorConfig(condition_fidelity=((0.0, 0.1), (1.0, 0.9)))
+    for attenuation in ((0.02, 0.4), (0.02, 0.4, 1.0, 1.0), (0.02, float("nan"), 1.0),
+                        (0.02, 0.4, float("inf")), (0.5, 0.4, 1.0), (0.02, 0.4, 0.3)):
+        with pytest.raises(InvalidConfig, match="attenuation"):
+            GeneratorConfig(attenuation=attenuation)
+    assert GeneratorConfig(attenuation=(0.3, 0.3, 0.3)).attenuation == (0.3, 0.3, 0.3)
+
+
+def _changed(value):
+    """A different value of the same type: halved, entry by entry in a tuple."""
+    if isinstance(value, tuple):
+        return tuple(_changed(v) for v in value)
+    return type(value)(value / 2)
+
+
+def test_every_generator_config_field_changes_what_generate_returns():
+    # a field generate does not read is a field nothing reads
+    scene = one_object_scene(action="orbit")
+    base = GeneratorConfig()
+    clip, realized = generate(scene, ConditionMode.TARGET_POSE, base, seed=10)
+    for field in dataclasses.fields(GeneratorConfig):
+        config = dataclasses.replace(base, **{field.name: _changed(getattr(base, field.name))})
+        other, other_realized = generate(scene, ConditionMode.TARGET_POSE, config, seed=10)
+        assert not (len(other.frames) == len(clip.frames)
+                    and all(np.array_equal(a, b) for a, b in zip(other.frames, clip.frames))
+                    and all(np.array_equal(a.frames, b.frames)
+                            for a, b in zip(other_realized, realized))), field.name
 
 
 def test_video_clip_rejects_non_uint8_frames():
