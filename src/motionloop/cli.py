@@ -20,7 +20,6 @@ from .core import (
     Category,
     load_json,
     motion_from_json,
-    motion_strength,
     motion_to_json,
     motions_from_json,
     motions_to_json,
@@ -37,10 +36,10 @@ from .pipeline import (
     run_pipeline,
 )
 from .pmp import (
-    Conditioning,
     CorpusItem,
     PmpConfig,
     TrainConfig,
+    conditioning_for,
     grad_check,
     load_checkpoint,
     pmp_init,
@@ -48,7 +47,6 @@ from .pmp import (
     pmp_train,
     save_checkpoint,
     save_log_csv,
-    tokens_for,
 )
 from .scenes import make_corpus, scene_from_json
 from .simgen import FINE_CONFIG, GeneratorConfig, SceneSpec, render
@@ -124,26 +122,18 @@ def cmd_grad_check(args) -> int:
     from .core import MotionSequence
     perturbed = MotionSequence(spec, 16.0, rng.normal(size=(8, spec.pose_dim)) * 0.4)
     target = MotionSequence(spec, 16.0, rng.normal(size=(8, spec.pose_dim)) * 0.4)
-    cond = Conditioning(tokens=tokens_for(config, ["human", "walk"]),
-                        strength=0.3, category=Category.HUMAN)
+    cond = conditioning_for(config, perturbed, ["human", "walk"], strength=0.3)
     err = grad_check(model, (perturbed, target, cond), epsilon=args.epsilon,
                      samples=args.samples, seed=args.seed)
     print(f"max relative error {err:.3e}")
     return 0 if err < 1e-4 else 1
 
 
-def _conditioning(model, seq, tokens: str, strength=None) -> Conditioning:
-    """Conditioning from comma-separated tags and the motion's own strength."""
-    return Conditioning(
-        tokens=tokens_for(model.config, tokens.split(",") if tokens else []),
-        strength=motion_strength(seq).mean if strength is None else strength,
-        category=seq.model.category)
-
-
 def cmd_denoise(args) -> int:
     model = load_checkpoint(args.checkpoint)
     seq = motion_from_json(Path(args.infile).read_bytes())
-    out = pmp_refine(model, seq, _conditioning(model, seq, args.tokens, args.strength))
+    tags = args.tokens.split(",") if args.tokens else ()
+    out = pmp_refine(model, seq, conditioning_for(model.config, seq, tags, args.strength))
     Path(args.out).write_text(motion_to_json(out))
     _emit(args.out)
     return 0
@@ -196,7 +186,8 @@ def cmd_run(args) -> int:
 def cmd_extend(args) -> int:
     model = load_checkpoint(args.checkpoint)
     seq = motion_from_json(Path(args.infile).read_bytes())
-    out = extend_motion(seq, args.target, model, _conditioning(model, seq, args.tokens))
+    tags = args.tokens.split(",") if args.tokens else ()
+    out = extend_motion(seq, args.target, model, conditioning_for(model.config, seq, tags))
     Path(args.out).write_text(motion_to_json(out))
     _emit(args.out)
     return 0
@@ -205,7 +196,7 @@ def cmd_extend(args) -> int:
 def cmd_stitch(args) -> int:
     plan = plan_windows(args.total, window=args.window, stride=args.stride)
     merged = stitch([fileio.read_clip(p) for p in args.clips], plan)
-    fileio.write_clip(args.out, list(merged.frames), merged.fps)
+    fileio.write_clip(args.out, merged.frames, merged.fps)
     _emit(args.out)
     return 0
 

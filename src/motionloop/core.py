@@ -380,14 +380,14 @@ def json_like(value, default, where: str):
             return type(default)(value)
         except OverflowError:  # an integer past the float range
             pass
-    raise InvalidConfig(f"{where} must be like {default!r}, got {value!r}")
+    raise InvalidConfig(f"{where} must be like {default!r}, got {repr(value)[:80]}")
 
 
 def config_from_json(base, doc, where: str, exclude: tuple[str, ...] = ()):
     """``base`` (a frozen dataclass) with the fields a parsed JSON object sets;
     unknown or excluded keys and wrong types raise InvalidConfig."""
     if not isinstance(doc, dict):
-        raise InvalidConfig(f"{where} must be a JSON object, got {doc!r}")
+        raise InvalidConfig(f"{where} must be a JSON object, got {repr(doc)[:80]}")
     names = {f.name for f in fields(base)} - set(exclude)
     unknown = sorted(set(doc) - names)
     if unknown:

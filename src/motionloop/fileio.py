@@ -24,27 +24,23 @@ from .geometry import ConditionChannels, ConditionMode
 from .simgen import VideoClip
 
 
-def write_pgm(path, grid: np.ndarray, maxval: int = 255) -> None:
-    """Write a 2-D grid of values in 0..maxval; any other value is refused,
-    not wrapped into range."""
+def write_pgm(path, grid: np.ndarray) -> None:
+    """Write a 2-D grid of values in 0..255 as an 8-bit PGM; any other value
+    is refused, not wrapped into range."""
     grid = np.asarray(grid)
     if grid.ndim != 2:
         raise ShapeMismatch("PGM grids are 2-D")
-    if (grid.size and not (grid.dtype == np.uint8 and maxval >= 255)
-            and not 0 <= grid.min() <= grid.max() <= maxval):
-        raise ShapeMismatch(f"PGM values must lie in 0..{maxval}, "
+    if grid.dtype != np.uint8 and grid.size and not 0 <= grid.min() <= grid.max() <= 255:
+        raise ShapeMismatch(f"PGM values must lie in 0..255, "
                             f"got {grid.min()}..{grid.max()}: {path}")
     h, w = grid.shape
-    if maxval <= 255:
-        data = grid.astype(np.uint8).tobytes()
-    else:
-        data = grid.astype(">u2").tobytes()
     with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n{maxval}\n".encode("ascii"))
-        f.write(data)
+        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
+        f.write(grid.astype(np.uint8).tobytes())
 
 
 def read_pgm(path) -> np.ndarray:
+    """An 8-bit P5 PGM (maxval 1..255) as a read-only (H, W) uint8 grid."""
     raw = Path(path).read_bytes()
     # header: magic, width, height, maxval separated by whitespace/comments
     tokens = []
@@ -62,17 +58,15 @@ def read_pgm(path) -> np.ndarray:
     if not all(tok.isdigit() for tok in tokens[1:]):
         raise ShapeMismatch(f"non-numeric PGM header in {path}")
     w, h, maxval = int(tokens[1]), int(tokens[2]), int(tokens[3])
-    if not 0 < maxval <= 65535:
-        raise ShapeMismatch(f"PGM maxval {maxval} is outside 1..65535: {path}")
+    if not 0 < maxval <= 255:
+        raise ShapeMismatch(f"PGM maxval {maxval} is outside 1..255 (8-bit): {path}")
     data = raw[pos + 1:]  # single whitespace byte after maxval
-    dtype = np.dtype(np.uint8 if maxval <= 255 else ">u2")
     if w * h == 0:
         raise ShapeMismatch(f"PGM of {w}x{h} pixels holds no image: {path}")
-    if len(data) < w * h * dtype.itemsize:
+    if len(data) < w * h:
         raise ShapeMismatch(
             f"PGM payload of {len(data)} bytes is short of {w}x{h} pixels: {path}")
-    grid = np.frombuffer(data, dtype=dtype, count=w * h).reshape(h, w)
-    return grid.astype(np.int64 if maxval > 255 else np.uint8)
+    return np.frombuffer(data, dtype=np.uint8, count=w * h).reshape(h, w)
 
 
 def _write_frames(dir_path, stem: str, grids, sidecar: str, **meta) -> Path:
@@ -120,7 +114,8 @@ def read_condition(dir_path) -> ConditionChannels:
         raise PayloadMismatch(f"{dir_path} mode {doc['mode']!r} is not a ConditionMode") from None
 
 
-def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:
+def write_clip(dir_path, frames, fps: float) -> Path:
+    """Write a sequence of equal uint8 frames, such as ``VideoClip.frames``."""
     h, w = np.asarray(frames[0]).shape
     return _write_frames(dir_path, "frame", frames, "clip.json", fps=fps, resolution=[w, h])
 
@@ -128,10 +123,8 @@ def write_clip(dir_path, frames: list[np.ndarray], fps: float) -> Path:
 def read_clip(dir_path) -> VideoClip:
     doc, frames = _read_frames(dir_path, "frame", "clip.json", ShapeMismatch, "fps", "resolution")
     h, w = frames.shape[1:]
-    if frames.dtype != np.uint8:
-        raise ShapeMismatch(f"clip frames must be 8-bit PGMs, {dir_path} holds 16-bit ones")
     if doc["resolution"] != [w, h]:
         raise ShapeMismatch(f"frame resolution {w}x{h} differs from clip.json {doc['resolution']}")
     if type(doc["fps"]) not in (int, float) or not 0 < doc["fps"] < math.inf:
         raise ShapeMismatch(f"clip.json fps must be a positive number, got {doc['fps']!r}")
-    return VideoClip(frames=tuple(frames), fps=float(doc["fps"]), resolution=(w, h))
+    return VideoClip(frames=frames, fps=float(doc["fps"]), resolution=(w, h))

@@ -169,13 +169,17 @@ class ConditionChannels:
     """One clip's two extra generator inputs: its part-label masks under one
     mode, whose confidence maps follow from the run's confidence triple."""
 
-    part_masks: np.ndarray  # (F, H, W) int32, 0 = background
+    part_masks: np.ndarray  # (F, H, W) uint8 part ids, 0 = background
     mode: ConditionMode
 
     def __post_init__(self):
-        masks = np.asarray(self.part_masks, dtype=np.int32)
+        masks = np.asarray(self.part_masks)
         if masks.ndim != 3:
             raise ShapeMismatch(f"part masks must be (F, H, W), got shape {masks.shape}")
+        # refused, not cast: a cast would wrap an id onto another part's
+        if masks.dtype != np.uint8 and masks.size and not 0 <= masks.min() <= masks.max() <= 255:
+            raise ShapeMismatch(f"part ids must lie in 0..255, got {masks.min()}..{masks.max()}")
+        masks = masks.astype(np.uint8, copy=False)
         masks.setflags(write=False)
         object.__setattr__(self, "part_masks", masks)
 

@@ -115,7 +115,7 @@ def stitch(clips: list[VideoClip], plan: WindowPlan) -> VideoClip:
     rates = sorted({clip.fps for clip in clips})
     if len(rates) > 1:
         raise PlanMismatch(f"clip frame rates differ: {rates} fps")
-    frames = tuple(_blend([clip.frames for clip in clips], plan, "clip"))
+    frames = _blend([clip.frames for clip in clips], plan, "clip")
     return VideoClip(frames=frames, fps=clips[0].fps, resolution=clips[0].resolution)
 
 

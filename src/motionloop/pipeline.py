@@ -27,7 +27,6 @@ from .core import (
     config_from_json,
     json_like,
     load_json,
-    motion_strength,
     motions_to_json,
     resample,
 )
@@ -45,7 +44,7 @@ from .geometry import (
     polygon_target_mask,
     project,
 )
-from .pmp import Conditioning, PmpModel, pmp_refine, tokens_for
+from .pmp import PmpModel, conditioning_for, pmp_refine
 from .scenes import fixture_scene, scene_from_json, scene_to_json
 from .simgen import (
     COARSE_CONFIG,
@@ -303,7 +302,7 @@ def extract_motion(clip: VideoClip, scene: SceneSpec,
                             f"{camera.size} at scale {config.resolution_scale}")
     radius = effective_radius(config)
     n = clip.frame_count
-    empty_frames = sum(1 for f in clip.frames if not (f > 0).any())
+    empty_frames = n - np.count_nonzero(clip.frames.any(axis=(1, 2)))
     if empty_frames * 4 >= n:
         raise ExtractionFailed(
             f"no object pixels in {empty_frames}/{n} frames")
@@ -356,12 +355,9 @@ def stage2_optimize(clip: VideoClip, scene: SceneSpec, pmp: PmpModel,
     """
     raw = extract_motion(clip, scene, config.coarse)
     raws = [resample(m, coarse_frame_count(scene.duration, config.fine)) for m in raw]
-    strengths = [motion_strength(res).mean for res in raws]
-    conds = [Conditioning(tokens=tokens_for(pmp.config, list(obj.tags)), strength=s,
-                          category=obj.spec.category)
-             for obj, s in zip(scene.objects, strengths)]
+    conds = [conditioning_for(pmp.config, res, obj.tags) for obj, res in zip(scene.objects, raws)]
     refined = [pmp_refine(pmp, res, cond) for res, cond in zip(raws, conds)]
-    return refined, raws, strengths
+    return refined, raws, [cond.strength for cond in conds]
 
 
 # ------------------------------------------------------------------ stage 3
@@ -402,9 +398,10 @@ def _window_sums(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 
 
 def _frame_groups(pred, ref):
-    """Both sequences' frames, stacked in groups of SPLAT_BLOCK pixels or one frame."""
+    """Both frame sequences as (F, H, W) stacks, in slices of SPLAT_BLOCK pixels or one frame."""
+    pred, ref = np.asarray(pred), np.asarray(ref)
     k = max(1, SPLAT_BLOCK // pred[0].size)
-    return ((np.stack(pred[f:f + k]), np.stack(ref[f:f + k])) for f in range(0, len(pred), k))
+    return ((pred[f:f + k], ref[f:f + k]) for f in range(0, len(pred), k))
 
 
 def _frame_scores(pred, ref, maxval: float = 255.0, window: int = 8,
@@ -522,8 +519,8 @@ def _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
     (d / "run.json").write_text(run_to_json(config, scene))
-    fileio.write_clip(d / "coarse", list(coarse_clip.frames), coarse_clip.fps)
-    fileio.write_clip(d / "final", list(final_clip.frames), final_clip.fps)
+    fileio.write_clip(d / "coarse", coarse_clip.frames, coarse_clip.fps)
+    fileio.write_clip(d / "final", final_clip.frames, final_clip.fps)
     stage2 = d / "stage2"
     stage2.mkdir(exist_ok=True)
     (stage2 / "raw.json").write_text(motions_to_json(raws))

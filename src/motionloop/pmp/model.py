@@ -34,6 +34,7 @@ from ..errors import (
 
 CATEGORIES = (Category.HUMAN, Category.ANIMAL, Category.GENERIC_OBJECT)
 MAX_TOKENS = 32
+MAX_REFINE_ITERATIONS = 100  # forward passes a checkpoint's config may ask of a refine
 FOURIER_FEATURES = 16
 _LN_EPS = 1e-5
 
@@ -60,8 +61,8 @@ class PmpConfig:
             raise InvalidConfig("model_dim must be divisible by heads")
         if len(self.vocab) != len(set(self.vocab)):
             raise InvalidConfig("vocab entries must be unique")
-        if self.refine_iterations < 1:
-            raise InvalidConfig("refine_iterations must be >= 1")
+        if not 1 <= self.refine_iterations <= MAX_REFINE_ITERATIONS:
+            raise InvalidConfig(f"refine_iterations must lie in 1..{MAX_REFINE_ITERATIONS}")
 
     @property
     def head_dim(self) -> int:
@@ -532,11 +533,14 @@ def load_checkpoint(path) -> PmpModel:
         if header[:4] != CHECKPOINT_MAGIC or len(header) < 8:
             raise InvalidConfig(f"bad checkpoint header {header!r}")
         (n,) = struct.unpack_from("<I", header, 4)
+        size = os.fstat(fh.fileno()).st_size
+        if n > size - 8:  # checked first: read(n) allocates n bytes before it reads
+            raise InvalidConfig(f"checkpoint config length {n} is past the file's {size} bytes")
         config = PmpConfig.from_json(fh.read(n))
         # sizes are summed layer by layer before anything is allocated, and
         # the sum stops once it passes the file, so a config that declares
         # huge tensors or a huge layer count cannot exhaust memory
-        left = os.fstat(fh.fileno()).st_size - fh.tell()
+        left = size - fh.tell()
         declared = 0
         for _, shape in _param_shapes(config):
             declared += 8 * math.prod(shape)

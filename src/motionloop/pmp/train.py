@@ -18,7 +18,7 @@ import numpy as np
 from ..core import MotionSequence, motion_strength
 from ..errors import EmptyCorpus, InvalidConfig
 from ..perturb import PerturbConfig, sample_perturbation
-from .model import Conditioning, PmpModel, pmp_loss, tokens_for
+from .model import Conditioning, PmpConfig, PmpModel, pmp_loss, tokens_for
 
 
 @dataclass(frozen=True)
@@ -39,12 +39,13 @@ class TrainConfig:
                                 f"required, got lr {self.lr}")
 
 
-def conditioning_for(model: PmpModel, item: CorpusItem) -> Conditioning:
-    """Conditioning derived from the clean sequence: tags + mean strength."""
-    strength = motion_strength(item.motion).mean
-    return Conditioning(tokens=tokens_for(model.config, list(item.tags)),
-                        strength=strength,
-                        category=item.motion.model.category)
+def conditioning_for(config: PmpConfig, motion: MotionSequence, tags,
+                     strength: float | None = None) -> Conditioning:
+    """The prior's conditioning on a motion: its tags' tokens, its category
+    and a strength, by default the motion's own mean strength."""
+    return Conditioning(tokens=tokens_for(config, list(tags)),
+                        strength=motion_strength(motion).mean if strength is None else strength,
+                        category=motion.model.category)
 
 
 def pmp_train(model: PmpModel, corpus: list[CorpusItem],
@@ -68,7 +69,7 @@ def pmp_train(model: PmpModel, corpus: list[CorpusItem],
     # one scratch buffer for every tensor; a view of it is reshaped per tensor
     scratch = np.empty(max((v.size for v in model.params.values()), default=0))
     log: list[tuple[int, float]] = []
-    conds = [conditioning_for(model, item) for item in corpus]
+    conds = [conditioning_for(model.config, item.motion, item.tags) for item in corpus]
     perturb_config = PerturbConfig()
     b1, b2, eps = 0.9, 0.999, 1e-8  # Adam
     clean_fraction = 0.1  # samples left unperturbed: anchors pass-through

@@ -122,20 +122,22 @@ FINE_CONFIG = GeneratorConfig(resolution_scale=1.0, frame_fraction=1.0)
 
 @dataclass(frozen=True)
 class VideoClip:
-    frames: tuple  # uint8 (H, W) grids
+    frames: np.ndarray  # read-only (F, H, W) uint8, from any sequence of equal frames
     fps: float
     resolution: tuple[int, int]  # (w, h)
 
     def __post_init__(self):
-        if len(self.frames) < 1:
-            raise InvalidConfig("clip needs at least one frame")
         w, h = self.resolution
-        for f in self.frames:
-            # SSIM's int32 window sums are exact only for uint8 pixels
-            if f.dtype != np.uint8:
-                raise InvalidConfig(f"clip frames must be uint8, got {f.dtype}")
-            if f.shape != (h, w):
-                raise DimensionMismatch("frame resolution mismatch")
+        frames = np.asarray(self.frames)
+        if not frames.ndim or not len(frames):
+            raise InvalidConfig("clip needs at least one frame")
+        # SSIM's int32 window sums are exact only for uint8 pixels
+        if frames.dtype != np.uint8:
+            raise InvalidConfig(f"clip frames must be uint8, got {frames.dtype}")
+        if frames.shape[1:] != (h, w):
+            raise DimensionMismatch("frame resolution mismatch")
+        frames.setflags(write=False)
+        object.__setattr__(self, "frames", frames)
 
     @property
     def frame_count(self) -> int:
@@ -286,7 +288,7 @@ def effective_radius(config: GeneratorConfig) -> float:
 def render(scene: SceneSpec, motions: list[MotionSequence],
            config: GeneratorConfig) -> tuple[VideoClip, np.ndarray]:
     """Render motions to a grayscale clip with part-coded intensity, and
-    the (F, H, W) part-label masks of the same splat.
+    the read-only (F, H, W) uint8 part-label masks of the same splat.
 
     Every frame of every object goes through one call of the one splat
     kernel. Each point carries its part's intensity code in bits 8-15 and
@@ -308,11 +310,12 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
         posed.append((pts, code[labels]))
     camera = scene.camera.scaled(config.resolution_scale)
     grids = render_part_masks(posed, camera, effective_radius(config))
-    # unpack in place and into uint8, with no whole-clip temporary
-    frames = np.right_shift(grids, 8, out=np.empty(grids.shape, dtype=np.uint8),
-                            casting="unsafe")
-    grids &= 0xFF
-    return VideoClip(frames=tuple(frames), fps=scene.fps, resolution=camera.size), grids
+    # unpacked straight into uint8, with no whole-clip temporary
+    frames, masks = np.empty(grids.shape, dtype=np.uint8), np.empty(grids.shape, dtype=np.uint8)
+    np.right_shift(grids, 8, out=frames, casting="unsafe")
+    np.bitwise_and(grids, 0xFF, out=masks, casting="unsafe")
+    masks.setflags(write=False)
+    return VideoClip(frames=frames, fps=scene.fps, resolution=camera.size), masks
 
 
 # ---------------------------------------------------------------- generate

@@ -90,7 +90,8 @@ def test_c02_denoising_improvement(trained_prior, held_out_corpus):
         perturbed_mse, refined_mse = [], []
         for i, item in enumerate(held_out_corpus):
             perturbed, _ = sample_perturbation(item.motion, config, seed=9000 + i)
-            refined = pmp_refine(model, perturbed, conditioning_for(model, item))
+            cond = conditioning_for(model.config, item.motion, item.tags)
+            refined = pmp_refine(model, perturbed, cond)
             perturbed_mse.append(np.mean((perturbed.frames - item.motion.frames) ** 2))
             refined_mse.append(np.mean((refined.frames - item.motion.frames) ** 2))
         improvements[name] = 1.0 - np.mean(refined_mse) / np.mean(perturbed_mse)

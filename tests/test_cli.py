@@ -4,6 +4,7 @@ import contextlib
 import copy
 import io
 import json
+import math
 import os
 import re
 import resource
@@ -323,7 +324,8 @@ def _truncate_second_frame(clip):
 
 
 def _sixteen_bit_second_frame(clip):
-    fileio.write_pgm(clip / "frame_0001.pgm", np.full((6, 8), 300), maxval=65535)
+    # a 16-bit PGM of the right size: big-endian pixels of 300
+    (clip / "frame_0001.pgm").write_bytes(b"P5\n8 6\n65535\n" + b"\x01\x2c" * 48)
 
 
 def _second_frame_bytes(header: bytes, payload: int):
@@ -500,6 +502,10 @@ BOUNDARY_CASES = {
         lambda c: json.dumps({**json.loads(c), "dropout": 0.1}).encode())),
         "InvalidConfig"),
     "checkpoint-short-header": (_bad_checkpoint(lambda b: b[:6]), "InvalidConfig"),
+    # each iteration is a forward pass, and the tensor sizes never bound it
+    "checkpoint-huge-refine-iterations": (_bad_checkpoint(_config_bytes(
+        lambda c: json.dumps({**json.loads(c), "refine_iterations": 10**9}).encode())),
+        "InvalidConfig", "refine_iterations"),
     "checkpoint-config-not-json": (_bad_checkpoint(_config_bytes(
         lambda c: b"layers=1")), "InvalidConfig"),
     "checkpoint-config-declares-more-than-the-file": (_bad_checkpoint(_config_bytes(
@@ -863,6 +869,16 @@ def test_fuzzed_run_config_exits_0_or_names_one_error(doc, tiny_checkpoint, tmp_
     _assert_exit_0_or_one_named_error(code, err)
 
 
+def test_refused_number_is_cut_short_in_the_error_line(tiny_checkpoint, tmp_path):
+    # the scene's fps is an integer of 401 digits: the line names it by its
+    # first 80 characters
+    scene = json.loads(scene_to_json(fixture_scene(0, duration=8)))
+    config = json.dumps({"scene": {**scene, "fps": 10**400}})
+    code, err = _run_in_process(*_bad_run_config(config)(tmp_path, tiny_checkpoint))
+    assert code == 1
+    assert err == f"error [InvalidConfig]: scene fps must be like 0.0, got {'1' + '0' * 79}\n"
+
+
 def test_diverged_training_leaves_no_checkpoint(tiny_checkpoint, tmp_path, capsys):
     argv = _train_pmp_with_lr("1e300")(tmp_path, tiny_checkpoint)
     assert run_cli(*argv) == 1
@@ -925,6 +941,9 @@ def _huge_scene_duration(tmp_path, checkpoint):
 
 
 MEMORY_CASES = {
+    # read(n) would allocate the declared length before reading the file
+    "checkpoint-config-length-past-the-file": (_bad_checkpoint(
+        lambda b: b[:4] + struct.pack("<I", 2**31) + b[8:]), "InvalidConfig"),
     "checkpoint-huge-layer-count": (_huge_layer_count, "InvalidConfig"),
     "extend-huge-target": (_huge_extend_target, "TooManyFrames"),
     "stitch-huge-total": (_huge_stitch_total, "PlanMismatch"),
@@ -943,3 +962,79 @@ def test_input_that_would_exhaust_memory_exits_1_with_a_named_error(
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(f"error [{name}]: "), proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+# ------------------------------------------------------ checkpoint bytes
+
+# eight bytes of a weight: a NaN (quiet, or with every bit set), an infinity,
+# a finite value near the float range, or any other bits
+_F64_BYTES = (st.sampled_from([struct.pack("<d", v) for v in (math.nan, math.inf, -math.inf,
+                                                              1e300, -1e300)] + [b"\xff" * 8])
+              | st.binary(min_size=8, max_size=8))
+
+
+@st.composite
+def _mutated_checkpoint(draw, raw: bytes):
+    """A valid checkpoint's bytes after one to three edits of its parts: the
+    magic, the declared config length, the config JSON (a document near it,
+    or raw bytes), the tensors cut short or extended, and eight bytes of a
+    tensor set to a NaN, an infinity, a huge value or any other bits. Also
+    returns the edited config document, if there is one."""
+    (n,) = struct.unpack_from("<I", raw, 4)
+    magic, length, cfg, tensors = raw[:4], None, raw[8:8 + n], raw[8 + n:]
+    doc = None
+    parts = ["magic", "length", "config", "cut", "extend", "bits"]
+    for part in draw(st.lists(st.sampled_from(parts), min_size=1, max_size=3, unique=True)):
+        if part == "magic":
+            magic = draw(st.sampled_from([b"", b"PMP", b"PMP0", b"pmp1", bytes(4)])
+                         | st.binary(max_size=5))
+        elif part == "length":
+            length = draw(st.sampled_from([0, 1, n - 1, n + 1, 2**31, 2**32 - 1])
+                          | st.integers(0, 2**32 - 1))
+        elif part == "config" and draw(st.booleans()):
+            doc = draw(_near(json.loads(cfg)))
+            cfg = json.dumps(doc).encode()
+        elif part == "config":
+            at = draw(st.integers(0, len(cfg)))
+            cfg = cfg[:at] + draw(st.binary(max_size=4)) + cfg[at + draw(st.integers(0, 4)):]
+        elif part == "cut":
+            tensors = tensors[:len(tensors) - draw(st.sampled_from([1, 7, 8, 9, 1024])
+                                                   | st.integers(1, len(tensors)))]
+        elif part == "extend":
+            tensors += draw(st.binary(min_size=1, max_size=16))
+        elif tensors:
+            at = 8 * draw(st.integers(0, (len(tensors) - 1) // 8))
+            tensors = tensors[:at] + draw(_F64_BYTES) + tensors[at + 8:]
+    length = len(cfg) if length is None else length
+    return magic + struct.pack("<I", length) + cfg + tensors, doc
+
+
+def _large_config(doc) -> bool:
+    """Whether a checkpoint config holds a number of 2**16 or more, such as a
+    tensor size or layer count too large to allocate in the test process."""
+    if isinstance(doc, dict):
+        return any(_large_config(v) for v in doc.values())
+    if isinstance(doc, list):
+        return any(_large_config(v) for v in doc)
+    return isinstance(doc, (int, float)) and not isinstance(doc, bool) and not abs(doc) < 2**16
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(data=st.data())
+def test_fuzzed_checkpoint_bytes_exit_0_or_name_one_error(data, tiny_checkpoint,
+                                                          tmp_path_factory):
+    # denoise loads any bytes near a checkpoint: it refines the motion,
+    # writing strict JSON, or names one error; a config holding a large
+    # number runs in a child with capped memory
+    raw, doc = data.draw(_mutated_checkpoint(tiny_checkpoint.read_bytes()))
+    d = tmp_path_factory.mktemp("checkpoint")
+    (d / "fuzzed.ckpt").write_bytes(raw)
+    argv = _denoise(d, d / "fuzzed.ckpt", _motion_doc())
+    if _large_config(doc):
+        proc = run_cli_capped(*argv)
+        code, err = proc.returncode, proc.stderr
+    else:
+        code, err = _run_in_process(*argv)
+    _assert_exit_0_or_one_named_error(code, err)
+    if code == 0:
+        _strict_json((d / "out.json").read_text())

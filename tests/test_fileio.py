@@ -22,15 +22,6 @@ def test_pgm8_round_trip(tmp_path):
     np.testing.assert_array_equal(back, grid)
 
 
-def test_pgm16_is_big_endian(tmp_path):
-    grid = np.array([[258]])  # 0x0102
-    p = tmp_path / "d.pgm"
-    fileio.write_pgm(p, grid, maxval=65535)
-    raw = p.read_bytes()
-    assert raw.endswith(b"\x01\x02")
-    np.testing.assert_array_equal(fileio.read_pgm(p), grid)
-
-
 @pytest.mark.parametrize("maxval", [b"0", b"65536", b"99999999999999999999999"])
 def test_read_pgm_rejects_maxval_outside_1_to_65535(tmp_path, maxval):
     p = tmp_path / "m.pgm"
@@ -39,14 +30,31 @@ def test_read_pgm_rejects_maxval_outside_1_to_65535(tmp_path, maxval):
         fileio.read_pgm(p)
 
 
-@pytest.mark.parametrize("maxval, value", [(255, 300), (255, -1), (100, 101),
-                                           (65535, 65536), (65535, -1)])
+@pytest.mark.parametrize("maxval", [b"256", b"65535"])
+def test_read_pgm_refuses_16_bit_maxval(tmp_path, maxval):
+    # PGMs are 8-bit: a 16-bit header is named, not read as two-byte pixels
+    p = tmp_path / "m.pgm"
+    p.write_bytes(b"P5 8 6 " + maxval + b"\n" + bytes(96))
+    with pytest.raises(ShapeMismatch, match=f"maxval {maxval.decode()} is outside 1..255"):
+        fileio.read_pgm(p)
+
+
+@pytest.mark.parametrize("maxval", [1, 100, 255])
+def test_read_pgm_returns_read_only_uint8_at_any_8_bit_maxval(tmp_path, maxval):
+    p = tmp_path / "m.pgm"
+    p.write_bytes(f"P5 8 6 {maxval}\n".encode() + bytes(range(48)))
+    grid = fileio.read_pgm(p)
+    assert grid.dtype == np.uint8 and not grid.flags.writeable
+    np.testing.assert_array_equal(grid, np.arange(48, dtype=np.uint8).reshape(6, 8))
+
+
+@pytest.mark.parametrize("maxval, value", [(255, 300), (255, -1)])
 def test_write_pgm_refuses_values_outside_0_to_maxval(tmp_path, maxval, value):
-    # a cast would wrap them: at maxval 255, 300 read back as 44 and -1 as 255
+    # a cast would wrap them: 300 would read back as 44 and -1 as 255
     grid = np.zeros((3, 4), dtype=np.int32)
     grid[1, 2] = value
     with pytest.raises(ShapeMismatch, match=f"0..{maxval}"):
-        fileio.write_pgm(tmp_path / "v.pgm", grid, maxval)
+        fileio.write_pgm(tmp_path / "v.pgm", grid)
     assert not (tmp_path / "v.pgm").exists()
 
 

@@ -702,8 +702,17 @@ def test_condition_masks_must_be_frames_of_grids(shape):
         geo.ConditionChannels(np.zeros(shape, dtype=np.int32), ConditionMode.EMPTY)
 
 
-def test_condition_masks_are_read_only_int32():
-    chans = geo.ConditionChannels(np.ones((2, 3, 4), dtype=np.uint8), ConditionMode.EMPTY)
-    assert chans.part_masks.dtype == np.int32
+def test_condition_masks_are_read_only_uint8():
+    chans = geo.ConditionChannels(np.ones((2, 3, 4), dtype=np.int32), ConditionMode.EMPTY)
+    assert chans.part_masks.dtype == np.uint8
     with pytest.raises(ValueError):
         chans.part_masks[0, 0, 0] = 2
+
+
+@pytest.mark.parametrize("label", [256, -1])
+def test_condition_refuses_part_ids_outside_a_byte(label):
+    # a cast to uint8 would wrap 256 onto the background and -1 onto part 255
+    masks = np.zeros((2, 3, 4), dtype=np.int32)
+    masks[1, 2, 3] = label
+    with pytest.raises(ShapeMismatch, match="0..255"):
+        geo.ConditionChannels(masks, ConditionMode.TARGET_POSE)

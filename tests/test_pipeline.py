@@ -379,6 +379,18 @@ def test_target_pose_part_label_past_a_byte_is_refused_not_wrapped(tmp_path):
                      out_dir=tmp_path / "run")
 
 
+@pytest.mark.parametrize("label", [300, -1])
+def test_target_pose_label_outside_a_byte_is_refused_before_any_render(tmp_path, label):
+    # the label is checked where stage 1 builds its channels: no stage
+    # renders and the run directory is never made
+    tri = np.array([[60.0, 40.0], [120.0, 44.0], [90.0, 80.0]])
+    cond = UserCondition(mode=ConditionMode.TARGET_POSE, parts=((label, tri),))
+    with mock.patch.object(pipeline, "render", side_effect=AssertionError("rendered")), \
+            pytest.raises(ShapeMismatch, match="0..255"):
+        run_pipeline(fixture_scene(0), cond, PipelineConfig(), tiny_model(), out_dir=tmp_path)
+    assert not list(tmp_path.iterdir())
+
+
 def test_stage1_deterministic():
     scene = fixture_scene(2)
     config = PipelineConfig()

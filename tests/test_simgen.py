@@ -148,6 +148,15 @@ def test_render_out_of_view_object_gives_background():
         assert not frame.any() and not mask.any()
 
 
+def test_render_returns_read_only_uint8_frame_and_mask_stacks():
+    scene = one_object_scene(action="drop", duration=4)
+    clip, masks = render(scene, synthesize_gt_motion(scene, seed=0), FINE_CONFIG)
+    for stack in (clip.frames, masks):
+        assert stack.shape == (4, 108, 192) and stack.dtype == np.uint8
+        assert not stack.flags.writeable
+    assert masks.any() and set(np.unique(masks)) <= {0, 1}
+
+
 def test_render_static_scene_identical_frames():
     scene = one_object_scene(action="static")
     motions = synthesize_gt_motion(scene, seed=0)
@@ -258,8 +267,9 @@ def test_render_poses_each_articulated_object_once(monkeypatch):
 
 
 def test_render_full_hd_clip_stays_within_memory_bound():
-    # the returned uint8 frames and int32 masks take 5 bytes a pixel; a
-    # whole-clip z-buffer or unpack temporary would add over 100 MB
+    # the returned uint8 frames and masks and the kernel's int32 grid they
+    # are unpacked from take 6 bytes a pixel, inside the bound's 64 MiB over
+    # 5; a whole-clip z-buffer or unpack temporary would add over 100 MB
     scene = dataclasses.replace(fixture_scene(1), camera=CameraSpec.default(1920, 1080))
     motions = synthesize_gt_motion(scene, seed=4)
     tracemalloc.start()
@@ -411,3 +421,11 @@ def test_video_clip_rejects_non_uint8_frames():
     with pytest.raises(InvalidConfig, match="uint8"):
         VideoClip(frames=(frame, frame.astype(np.float64)), fps=16.0,
                   resolution=(6, 4))
+
+
+def test_video_clip_from_a_tuple_is_one_read_only_array():
+    frames = tuple(np.full((4, 6), k, dtype=np.uint8) for k in range(3))
+    clip = VideoClip(frames=frames, fps=16.0, resolution=(6, 4))
+    assert isinstance(clip.frames, np.ndarray) and clip.frames.shape == (3, 4, 6)
+    assert clip.frames.dtype == np.uint8 and not clip.frames.flags.writeable
+    np.testing.assert_array_equal(clip.frames, np.stack(frames))

@@ -200,7 +200,7 @@ def _oracle_train(model, corpus, train_config, seed):
     rng = np.random.default_rng(seed)
     velocity = {k: np.zeros_like(v) for k, v in model.params.items()}
     second = {k: np.zeros_like(v) for k, v in model.params.items()}
-    conds = [conditioning_for(model, item) for item in corpus]
+    conds = [conditioning_for(model.config, item.motion, item.tags) for item in corpus]
     b1, b2, eps = 0.9, 0.999, 1e-8
     log = []
     for step in range(train_config.steps):
@@ -253,7 +253,8 @@ def test_loss_and_gradients_match_allocating_oracle_bitwise():
     model = pmp_init(SMALL, seed=8)
     corpus = corpus_items(make_corpus(6, seed=4, frames=12))
     batch = [(sample_perturbation(item.motion, PerturbConfig(), 50 + i)[0], item.motion,
-              conditioning_for(model, item)) for i, item in enumerate(corpus)]
+              conditioning_for(model.config, item.motion, item.tags))
+             for i, item in enumerate(corpus)]
     loss, grads = pmp_loss(model, batch)
     oracle_loss, oracle_grads = _oracle_loss(model, batch)
     assert loss == oracle_loss
@@ -292,7 +293,7 @@ def test_layer_norm_matches_variance_formula_bitwise():
 def _small_batch(model, seed):
     corpus = corpus_items(make_corpus(4, seed=seed, frames=8))
     return [(sample_perturbation(item.motion, PerturbConfig(), seed + i)[0],
-             item.motion, conditioning_for(model, item))
+             item.motion, conditioning_for(model.config, item.motion, item.tags))
             for i, item in enumerate(corpus)]
 
 
