@@ -1,11 +1,12 @@
 """2.5D object geometry and condition-channel rasterization.
 
 An object seen in a frame is summarized by 21 points: 16 vertices sampled
-from its mask contour, the 4 bounding-box corners, and the box center, each
-lifted to 3D with per-pixel depth. Going the other way, labeled 3D points
-are projected through a pinhole camera and splatted into part-label masks
-with z-buffer occlusion; a clip's masks under one conditioning mode (full
-motion / target pose / empty) are its condition channels.
+from its mask contour, the 4 bounding-box corners, and the box center, all
+lifted to 3D at the object's one depth into a (21, 3) array. Going the other
+way, labeled 3D points are projected through a pinhole camera and splatted
+into part-label masks with z-buffer occlusion; a clip's masks under one
+conditioning mode (full motion / target pose / empty) are its condition
+channels.
 
 Image convention: x right, y down, pixel centers at integer coordinates.
 Contours are returned counterclockwise in the y-up sense (negative shoelace
@@ -29,12 +30,10 @@ from .errors import (
     EmptyMask,
     InvalidConfig,
     NonPositiveDepth,
-    PayloadMismatch,
     ShapeMismatch,
 )
 
 CONTOUR_VERTICES = 16
-OBJECT_POINTS = 21  # 16 contour + 4 bbox corners + center
 # (point, pixel) candidates per splat block, and pixels per frame group in the
 # splat (pixels of the splats' crop; a group's int64 z-buffer, 512 KB, stays
 # in L2 cache) and in pipeline's eval (five int32 planes; 2^16 to 2^19 scored
@@ -52,18 +51,6 @@ class BinaryMask:
             raise EmptyMask("mask must be a 2-D grid")
         bits.setflags(write=False)
         object.__setattr__(self, "bits", bits)
-
-
-@dataclass(frozen=True)
-class DepthMap:
-    values: np.ndarray  # (H, W) non-negative, scene units
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=np.float64)
-        if values.ndim != 2 or not np.all(np.isfinite(values)):
-            raise NonPositiveDepth("depth must be a finite 2-D grid")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
 
 @dataclass(frozen=True)
@@ -95,55 +82,6 @@ class CameraSpec:
         return CameraSpec(focal=self.focal * factor,
                           principal=(self.principal[0] * factor, self.principal[1] * factor),
                           size=(w, h))
-
-
-@dataclass(frozen=True)
-class BBox:
-    """Inclusive pixel bounds."""
-
-    x0: int
-    y0: int
-    x1: int
-    y1: int
-
-    @property
-    def corners(self) -> np.ndarray:
-        # TL, TR, BR, BL
-        return np.array([[self.x0, self.y0], [self.x1, self.y0],
-                         [self.x1, self.y1], [self.x0, self.y1]], dtype=np.float64)
-
-    @property
-    def center(self) -> tuple[float, float]:
-        return ((self.x0 + self.x1) / 2.0, (self.y0 + self.y1) / 2.0)
-
-
-def bbox_from_mask(mask: BinaryMask) -> BBox:
-    ys, xs = np.nonzero(mask.bits)
-    if xs.size == 0:
-        raise EmptyMask("mask has no set pixels")
-    return BBox(int(xs.min()), int(ys.min()), int(xs.max()), int(ys.max()))
-
-
-@dataclass(frozen=True)
-class Object25D:
-    """21 object key points; rows [0:16] contour, [16:20] corners, [20] center."""
-
-    points: np.ndarray  # (21, 3)
-
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.shape != (OBJECT_POINTS, 3):
-            raise PayloadMismatch(f"expected ({OBJECT_POINTS}, 3) points, got {pts.shape}")
-        pts.setflags(write=False)
-        object.__setattr__(self, "points", pts)
-
-    @property
-    def contour(self) -> np.ndarray:
-        return self.points[:CONTOUR_VERTICES]
-
-    @property
-    def center(self) -> np.ndarray:
-        return self.points[20]
 
 
 # confidence levels, one per ConditionMode in member order
@@ -268,14 +206,16 @@ def _shoelace(pts: np.ndarray) -> float:
     return 0.5 * float(np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
 
 
-def simplify_contour(contour: np.ndarray, n: int = CONTOUR_VERTICES) -> np.ndarray:
-    """Subsample a closed contour to exactly n vertices, order preserved.
+def simplify_contour(contour: np.ndarray) -> np.ndarray:
+    """Subsample a closed contour to exactly CONTOUR_VERTICES vertices, order
+    preserved.
 
     Vertices are picked at uniform index spacing, which matches uniform
     arc length for pixel chains (unit-ish steps) while keeping an n-point
     input fixed and repeating vertices cyclically for shorter inputs.
     """
     contour = np.asarray(contour)
+    n = CONTOUR_VERTICES
     m = contour.shape[0]
     if m < 1:
         raise EmptyMask("contour is empty")
@@ -314,35 +254,32 @@ def project(points: np.ndarray, camera: CameraSpec) -> np.ndarray:
     return np.stack([u, v, z], axis=1)
 
 
-def object25d_from_mask(mask: BinaryMask, bbox: BBox, depth: DepthMap,
-                        camera: CameraSpec) -> Object25D:
-    """Build the ordered 21-point object representation and lift it to 3D.
+def object25d_from_mask(mask: BinaryMask, depth: float, camera: CameraSpec
+                        ) -> np.ndarray:
+    """The ordered 21-point object representation, lifted to 3D at one depth.
 
-    Contour points take per-pixel depth; the bbox corners and center may lie
-    off the object, so they take the median depth over the mask.
+    Rows [0:16] are the contour's vertices, [16:20] the mask's bounding-box
+    corners (TL, TR, BR, BL) and [20] the box center; the result is a
+    read-only (21, 3) float64 array.
     """
-    bits = mask.bits
-    if not bits.any():
+    if not 0.0 < depth < math.inf:
+        raise NonPositiveDepth(f"depth must be positive and finite, got {depth}")
+    ys, xs = np.nonzero(mask.bits)
+    if xs.size == 0:
         raise EmptyMask("mask has no set pixels")
-    h, w = bits.shape
-    if depth.values.shape != bits.shape:
-        raise NonPositiveDepth("depth grid must match the mask")
-    if not (0 <= bbox.x0 <= bbox.x1 < w and 0 <= bbox.y0 <= bbox.y1 < h):
-        raise BoxOutOfBounds(f"bbox {bbox} outside {w}x{h} image")
-
-    verts = simplify_contour(extract_contour(mask)).astype(np.float64)
-    contour_z = depth.values[verts[:, 1].astype(int), verts[:, 0].astype(int)]
-    median_z = float(np.median(depth.values[bits]))
-
-    uv = np.vstack([verts, bbox.corners, np.array([bbox.center])])
-    z = np.concatenate([contour_z, np.full(5, median_z)])
-    return Object25D(points=lift_points(uv, z, camera))
+    x0, y0, x1, y1 = xs.min(), ys.min(), xs.max(), ys.max()
+    box = np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1],
+                    [(x0 + x1) / 2.0, (y0 + y1) / 2.0]], dtype=np.float64)
+    uv = np.vstack([simplify_contour(extract_contour(mask)).astype(np.float64), box])
+    points = lift_points(uv, np.full(uv.shape[0], float(depth)), camera)
+    points.setflags(write=False)
+    return points
 
 
 # ------------------------------------------------------------ rasterization
 
 def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
-                      camera: CameraSpec, splat_radius: float = 3.0) -> np.ndarray:
+                      camera: CameraSpec, splat_radius: float) -> np.ndarray:
     """Splat labeled 3D point sets into part-label grids with z-buffering.
 
     This is the one splat kernel: labels are whatever codes the caller
@@ -466,8 +403,13 @@ def polygon_target_mask(parts: list[tuple[int, np.ndarray]],
                         size: tuple[int, int]) -> np.ndarray:
     """Rasterize the convex hull of each part's 2D points into a label grid.
 
-    Later-listed parts overwrite earlier ones where hulls overlap.
+    Later-listed parts overwrite earlier ones where hulls overlap. A label
+    outside 0..255, which no part-mask byte holds, is refused before any
+    part is drawn.
     """
+    for label, _ in parts:
+        if not 0 <= label <= 255:
+            raise ShapeMismatch(f"part ids must lie in 0..255, got {label}")
     w, h = size
     grid = np.zeros((h, w), dtype=np.int32)
     px = np.arange(w, dtype=np.float64)

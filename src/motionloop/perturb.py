@@ -9,7 +9,7 @@ original length. Every perturbation is replayable from a small record.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
@@ -23,40 +23,12 @@ from .errors import (
 )
 
 
-@dataclass(frozen=True)
-class NoiseSchedule:
-    """Per-step noise rates gamma_t and their cumulative products.
-
-    abar[t-1] = prod_{i<=t} (1 - gamma_i), strictly decreasing in (0, 1).
-    """
-
-    gamma: np.ndarray  # (T,)
-    alpha_bar: np.ndarray = field(init=False)  # (T,), from gamma
-
-    def __post_init__(self):
-        gamma = np.asarray(self.gamma, dtype=np.float64)
-        if gamma.ndim != 1 or gamma.size < 1:
-            raise InvalidConfig("gamma must be a non-empty vector")
-        if np.any(gamma <= 0.0) or np.any(gamma >= 1.0):
-            raise InvalidConfig("gamma entries must lie in (0, 1)")
-        abar = np.cumprod(1.0 - gamma)
-        if np.any(abar <= 0.0) or np.any(abar >= 1.0) or np.any(np.diff(abar) >= 0.0):
-            raise InvalidConfig("alpha_bar must be strictly decreasing in (0, 1)")
-        gamma.setflags(write=False)
-        abar.setflags(write=False)
-        object.__setattr__(self, "gamma", gamma)
-        object.__setattr__(self, "alpha_bar", abar)
-
-    @property
-    def steps(self) -> int:
-        return self.gamma.shape[0]
-
-    @classmethod
-    def linear(cls, steps: int = 1000, lo: float = 1e-4, hi: float = 0.02) -> "NoiseSchedule":
-        return cls(gamma=np.linspace(lo, hi, steps))
-
-
-DEFAULT_SCHEDULE = NoiseSchedule.linear()
+# the noise schedule: per-step rates gamma_t, t = 1..1000, and their
+# cumulative products ALPHA_BAR[t-1] = prod_{i<=t} (1 - gamma_i)
+GAMMA = np.linspace(1e-4, 0.02, 1000)
+ALPHA_BAR = np.cumprod(1.0 - GAMMA)
+GAMMA.setflags(write=False)
+ALPHA_BAR.setflags(write=False)
 
 
 class Kind(Enum):
@@ -74,7 +46,7 @@ class PerturbationRecord:
     seed: int
 
 
-# Noise draws a step index in NOISE_T of DEFAULT_SCHEDULE; an upper
+# Noise draws a step index in NOISE_T of the schedule; an upper
 # bound of 100 of 1000 steps keeps the added noise small relative to the
 # signal. Segment lengths are drawn as fractions of the sequence length; drop
 # segments are additionally capped at F // 4 so most of the true motion
@@ -88,7 +60,7 @@ DROP_FRAC = (0.05, 0.25)
 class PerturbConfig:
     """Sampling distribution for training perturbations: the probabilities
     of noise, shuffle and drop. Their parameters are drawn from the module
-    constants NOISE_T (steps of DEFAULT_SCHEDULE), SHUFFLE_FRAC and
+    constants NOISE_T (steps of ALPHA_BAR), SHUFFLE_FRAC and
     DROP_FRAC."""
 
     probs: tuple[float, float, float] = (1 / 3, 1 / 3, 1 / 3)
@@ -101,12 +73,11 @@ class PerturbConfig:
             raise InvalidConfig("kind probabilities must sum to 1")
 
 
-def forward_noise(seq: MotionSequence, t: int, sched: NoiseSchedule,
-                  seed: int) -> MotionSequence:
+def forward_noise(seq: MotionSequence, t: int, seed: int) -> MotionSequence:
     """Apply the closed-form noising map at step t with a seeded draw."""
-    if not 1 <= t <= sched.steps:
-        raise StepOutOfRange(f"t={t} outside [1, {sched.steps}]")
-    abar = sched.alpha_bar[t - 1]
+    if not 1 <= t <= ALPHA_BAR.size:
+        raise StepOutOfRange(f"t={t} outside [1, {ALPHA_BAR.size}]")
+    abar = ALPHA_BAR[t - 1]
     eps = np.random.default_rng(seed).standard_normal(seq.frames.shape)
     out = np.sqrt(abar) * seq.frames + np.sqrt(1.0 - abar) * eps
     return seq.with_frames(out)
@@ -145,7 +116,7 @@ def drop_repeat(seq: MotionSequence, lo: int, hi: int) -> MotionSequence:
 def apply_record(seq: MotionSequence, record: PerturbationRecord) -> MotionSequence:
     """Replay a recorded perturbation on a sequence."""
     if record.kind is Kind.NOISE:
-        return forward_noise(seq, int(record.params[0]), DEFAULT_SCHEDULE, record.seed)
+        return forward_noise(seq, int(record.params[0]), record.seed)
     if record.kind is Kind.SHUFFLE:
         lo, hi = record.params
         return shuffle_segment(seq, int(lo), int(hi), record.seed)

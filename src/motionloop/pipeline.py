@@ -6,9 +6,10 @@ recovers per-object motion from that clip's pixels alone and refines it with
 the motion prior. Stage 3 realizes at full fidelity, conditioned on the
 refined motion; its one render gives the final clip and the masks eval scores.
 
-Depth during extraction is proxied by each object's scene placement, since
-the stand-in renderer encodes no depth in pixels; a real depth estimator
-would plug in at that seam.
+Depth during extraction is proxied by the one depth of each object's scene
+placement, since the stand-in renderer encodes no depth in pixels: a generic
+object's 21 points all lift at it into a (21, 3) array. A real depth
+estimator would plug in at that seam.
 """
 
 from __future__ import annotations
@@ -37,8 +38,6 @@ from .geometry import (
     BinaryMask,
     ConditionChannels,
     ConditionMode,
-    DepthMap,
-    bbox_from_mask,
     lift_points,
     object25d_from_mask,
     polygon_target_mask,
@@ -281,10 +280,7 @@ def _recover_generic(obj, comp: np.ndarray, camera, radius: float
         candidate = ndimage.binary_erosion(comp, structure=structure)
         if candidate.any():
             eroded = candidate
-    mask = BinaryMask(eroded)
-    depth = DepthMap(np.full(comp.shape, obj.placement[2]))
-    obj25 = object25d_from_mask(mask, bbox_from_mask(mask), depth, camera)
-    pts = obj25.points.copy()
+    pts = object25d_from_mask(BinaryMask(eroded), obj.placement[2], camera).copy()
     contour, center = pts[:16], pts[20]
     ang = np.arctan2(contour[:, 1] - center[1], contour[:, 0] - center[0])
     # circular distance to "straight up" (-pi/2 with y pointing down)

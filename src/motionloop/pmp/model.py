@@ -64,10 +64,6 @@ class PmpConfig:
         if not 1 <= self.refine_iterations <= MAX_REFINE_ITERATIONS:
             raise InvalidConfig(f"refine_iterations must lie in 1..{MAX_REFINE_ITERATIONS}")
 
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.heads
-
     def to_json(self) -> str:
         return json.dumps(asdict(self))
 
@@ -454,14 +450,20 @@ def backward(model: PmpModel, cache, dy) -> dict[str, np.ndarray]:
 
 def pmp_refine(model: PmpModel, seq: MotionSequence,
                cond: Conditioning) -> MotionSequence:
-    """Predict the corrected sequence for one input."""
+    """Predict the corrected sequence for one input. A forward pass that
+    overflows, as finite weights near the float range make it, raises
+    InvalidConfig."""
     x, onehot, _, tok_idx, tok_mask, feats = pack_inputs(
         model.config, [seq], [cond])
     dim = seq.frames.shape[1]
-    for _ in range(model.config.refine_iterations):
-        y, _ = forward(model, x, onehot, tok_idx, tok_mask, feats)
-        x = np.zeros_like(x)
-        x[0, :, :dim] = y[0, :, :dim]
+    try:
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            for _ in range(model.config.refine_iterations):
+                y, _ = forward(model, x, onehot, tok_idx, tok_mask, feats)
+                x = np.zeros_like(x)
+                x[0, :, :dim] = y[0, :, :dim]
+    except FloatingPointError as exc:
+        raise InvalidConfig(f"the prior's forward pass is not finite ({exc})") from None
     return seq.with_frames(y[0, :, :dim])
 
 

@@ -38,10 +38,8 @@ class CorpusRecord:
 
 
 def random_scene(rng: np.random.Generator, category: Category, action: str,
-                 duration: int = 16, fps: float = 16.0,
-                 camera: CameraSpec | None = None) -> SceneSpec:
+                 duration: int = 16) -> SceneSpec:
     """One-object scene with randomized pose, shape, and placement."""
-    camera = camera or CameraSpec.default(192, 108)
     spec = preset(category)
     if spec.is_articulated:
         pose = np.zeros(spec.pose_dim)
@@ -60,7 +58,8 @@ def random_scene(rng: np.random.Generator, category: Category, action: str,
                       shape_scale=float(rng.uniform(0.8, 1.2)),
                       placement=placement,
                       tags=(_CATEGORY_WORD[category], action))
-    return SceneSpec(objects=(obj,), camera=camera, duration=duration, fps=fps)
+    return SceneSpec(objects=(obj,), camera=CameraSpec.default(192, 108),
+                     duration=duration, fps=16.0)
 
 
 def make_corpus(n: int = 512, seed: int = 42, frames: int = 16
@@ -88,8 +87,7 @@ def corpus_items(records: list[CorpusRecord]) -> list[CorpusItem]:
     return [r.item for r in records]
 
 
-def fixture_scene(index: int, duration: int = 16,
-                  camera: CameraSpec | None = None) -> SceneSpec:
+def fixture_scene(index: int, duration: int = 16) -> SceneSpec:
     """Deterministic pipeline fixture scene #index.
 
     Even indices are single generic objects (drop / slide / orbit), odd
@@ -98,11 +96,10 @@ def fixture_scene(index: int, duration: int = 16,
     rng = np.random.default_rng((9176, index))
     if index % 2 == 0:
         action = _GENERIC_ACTIONS[index // 2 % 3]  # no static fixtures
-        return random_scene(rng, Category.GENERIC_OBJECT, action,
-                            duration=duration, camera=camera)
+        return random_scene(rng, Category.GENERIC_OBJECT, action, duration=duration)
     category = Category.HUMAN if index % 4 == 1 else Category.ANIMAL
     action = "walk" if index % 8 < 4 else "reach"
-    return random_scene(rng, category, action, duration=duration, camera=camera)
+    return random_scene(rng, category, action, duration=duration)
 
 
 def walker_scene(duration: int = 16) -> SceneSpec:

@@ -19,16 +19,14 @@ from motionloop.geometry import (
     BinaryMask,
     CameraSpec,
     ConditionMode,
-    bbox_from_mask,
     extract_contour,
     object25d_from_mask,
     project,
     render_part_masks,
     simplify_contour,
 )
-from motionloop.geometry import DepthMap
 from motionloop.longvideo import blend_weights, plan_windows, stitch, stitch_motion
-from motionloop.perturb import DEFAULT_SCHEDULE, PerturbConfig, forward_noise, sample_perturbation
+from motionloop.perturb import ALPHA_BAR, PerturbConfig, forward_noise, sample_perturbation
 from motionloop.pipeline import (
     PipelineConfig,
     UserCondition,
@@ -118,10 +116,10 @@ def test_c03_forward_noise_statistics():
     ok = True
     details = []
     for t in (10, 100, 500):
-        abar = DEFAULT_SCHEDULE.alpha_bar[t - 1]
+        abar = ALPHA_BAR[t - 1]
         draws = []
         for seed in range(64):  # 64 x 25 x 63 = 100800 samples
-            draws.append(forward_noise(base, t, DEFAULT_SCHEDULE, seed).frames)
+            draws.append(forward_noise(base, t, seed).frames)
         draws = np.stack(draws)
         mean_err = abs(draws.mean() - np.sqrt(abar) * value) / (np.sqrt(abar) * value)
         var_err = abs(draws.var() - (1 - abar)) / (1 - abar)
@@ -181,7 +179,6 @@ def test_c04_occlusion_oracle():
 def test_c05_21_point_representation():
     rng = np.random.default_rng(505)
     camera = CameraSpec.default(96, 64)
-    depth = DepthMap(np.full((64, 96), 5.0))
     count_ok = True
     for _ in range(60):
         bits = np.zeros((64, 96), dtype=bool)
@@ -197,9 +194,8 @@ def test_c05_21_point_representation():
             for _ in range(3):
                 cx, cy, r = rng.integers(10, 86), rng.integers(10, 54), rng.integers(2, 9)
                 bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-        mask = BinaryMask(bits)
-        obj = object25d_from_mask(mask, bbox_from_mask(mask), depth, camera)
-        count_ok = count_ok and obj.points.shape == (21, 3)
+        points = object25d_from_mask(BinaryMask(bits), 5.0, camera)
+        count_ok = count_ok and points.shape == (21, 3)
 
     # convex masks >= 500 px: 16-gon IoU >= 0.9
     ious = []

@@ -134,13 +134,26 @@ def test_summary_lines_give_medians_wins_and_the_claim_per_workload():
     workloads = {"long": summary, "multi": summary}
     claim = bench_pairs.judge_claim("long:op_ms_p50:0.04", workloads)
     lines = bench_pairs.summary_lines(workloads, claim)
-    row = "op_ms_p50 11 -> 10.5 (2/4), ops_per_s 2.5 -> 2 (2/4)"
+    row = "op_ms_p50 11 -> 10.5 (2/4), raw op ms 100 -> 100, ops_per_s 2.5 -> 2 (2/4)"
     # a 4.5% gain over 4 pairs, 2 of them won: under 9 of 10
     # ops_per_s: parent quartiles 1.75-3.25 are wider than 25% of 2.5, and
     # the change's 1 does not beat the parent's 4
     row += "; ops_per_s unresolved"
     assert lines == [f"long: {row}; claim op_ms_p50 +4.5% not met", f"multi: {row}"]
     assert bench_pairs.summary_lines(workloads) == [f"long: {row}", f"multi: {row}"]
+
+
+def test_summary_lines_give_raw_op_medians_beside_reference_ones():
+    # equal raw op times, but the change's host-speed kernel ran slower
+    # beside it: reference ms read a 35% gain that the raw medians do not
+    raw = [0.170, 0.178, 0.190]
+    pairs = [{"parent": _record(118.0 + i, 8.0, op_times_s=raw, cal_ms=[4.93]),
+              "change": _record(77.0 + i, 12.0, op_times_s=raw, cal_ms=[7.49])}
+             for i in range(3)]
+    summary = bench_pairs.summarize(pairs, [1, 2, 3], METRICS)
+    line = bench_pairs.summary_lines({"train": summary})[0]
+    assert line == ("train: op_ms_p50 119 -> 78 (3/3), raw op ms 178 -> 178, "
+                    "ops_per_s 8 -> 12 (3/3)")
 
 
 @pytest.mark.parametrize("better, parent, change, expected", [

@@ -25,6 +25,7 @@ from motionloop import fileio
 from motionloop.cli import main
 from motionloop.core import motion_from_json, motion_to_json
 from motionloop.pipeline import PipelineConfig
+from motionloop.pmp import load_checkpoint, save_checkpoint
 from motionloop.scenes import fixture_scene, scene_to_json
 from motionloop.simgen import FINE_CONFIG, generate, render, synthesize_gt_motion
 from motionloop.geometry import ConditionMode
@@ -907,6 +908,31 @@ def run_cli_capped(*argv, timeout=120):
 def test_diverging_training_prints_one_error_line_and_no_numpy_warning(
         tiny_checkpoint, tmp_path):
     proc = run_cli_capped(*_train_pmp_with_lr("1e300", steps="3")(tmp_path, tiny_checkpoint))
+    assert proc.returncode == 1, proc.stderr
+    assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("error [InvalidConfig]: "), proc.stderr
+    assert "Warning" not in proc.stderr
+
+
+@pytest.mark.parametrize("command", ["denoise", "extend", "run"])
+def test_overflowing_prior_prints_one_error_line_and_no_numpy_warning(
+        command, tiny_checkpoint, tmp_path):
+    # finite weights near the float range: the forward pass overflows in
+    # its layer norm, and each command that refines names it once
+    model = load_checkpoint(tiny_checkpoint)
+    model.params["in_proj_w"] *= 1e300
+    ckpt = tmp_path / "huge.ckpt"
+    save_checkpoint(model, ckpt)
+    if command == "denoise":
+        argv = _denoise(tmp_path, ckpt, _motion_doc())
+    elif command == "extend":
+        src = tmp_path / "in.json"
+        src.write_text(json.dumps(_motion_doc()))
+        argv = ["extend", "--checkpoint", str(ckpt), "--in", str(src), "--target", "12",
+                "--out", str(tmp_path / "out.json")]
+    else:
+        argv = _bad_run_config('{"fixture": 1}')(tmp_path, ckpt)
+    proc = run_cli_capped(*argv)
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith("error [InvalidConfig]: "), proc.stderr

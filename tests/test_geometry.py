@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import tracemalloc
 from unittest import mock
@@ -11,7 +12,6 @@ from hypothesis import strategies as st
 
 from motionloop import geometry as geo
 from motionloop.errors import (
-    BoxOutOfBounds,
     DegeneratePart,
     DimensionMismatch,
     EmptyMask,
@@ -20,12 +20,9 @@ from motionloop.errors import (
     ShapeMismatch,
 )
 from motionloop.geometry import (
-    BBox,
     BinaryMask,
     CameraSpec,
     ConditionMode,
-    DepthMap,
-    bbox_from_mask,
 )
 
 
@@ -101,13 +98,13 @@ def test_contour_empty_mask():
 
 def test_simplify_identity_on_16():
     pts = np.array([[i, i * 2] for i in range(16)])
-    out = geo.simplify_contour(pts, 16)
+    out = geo.simplify_contour(pts)
     np.testing.assert_array_equal(out, pts)
 
 
 def test_simplify_short_contour_repeats_cyclically():
     pts = np.array([[0, 0], [1, 0], [1, 1]])
-    out = geo.simplify_contour(pts, 16)
+    out = geo.simplify_contour(pts)
     assert out.shape == (16, 2)
     np.testing.assert_array_equal(out, pts[np.arange(16) % 3])
 
@@ -169,16 +166,16 @@ def test_simplify_polygon_iou_against_mask(shape):
 def test_object25d_has_21_rows():
     rng = np.random.default_rng(22)
     cam = CameraSpec.default(64, 48)
-    depth = DepthMap(np.full((48, 64), 4.0))
     for _ in range(10):
         bits = np.zeros((48, 64), dtype=bool)
         cx, cy = rng.integers(10, 50), rng.integers(10, 38)
         r = int(rng.integers(1, 8))
         yy, xx = np.mgrid[0:48, 0:64]
         bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
-        mask = BinaryMask(bits)
-        obj = geo.object25d_from_mask(mask, bbox_from_mask(mask), depth, cam)
-        assert obj.points.shape == (21, 3)
+        points = geo.object25d_from_mask(BinaryMask(bits), 4.0, cam)
+        assert points.shape == (21, 3) and points.dtype == np.float64
+        assert not points.flags.writeable
+        np.testing.assert_array_equal(points[:, 2], 4.0)
 
 
 def test_lift_principal_point():
@@ -196,13 +193,56 @@ def test_object25d_recovers_true_circle_radius():
     rho = cam.focal * R / d0  # projected pixel radius = 80
     yy, xx = np.mgrid[0:h, 0:w]
     hit = (xx - 127.5) ** 2 + (yy - 95.5) ** 2 <= rho * rho
-    depth = DepthMap(np.full((h, w), d0))
-    mask = BinaryMask(hit)
-    obj = geo.object25d_from_mask(mask, bbox_from_mask(mask), depth, cam)
-    radial = np.hypot(obj.contour[:, 0], obj.contour[:, 1])
+    points = geo.object25d_from_mask(BinaryMask(hit), d0, cam)
+    radial = np.hypot(points[:16, 0], points[:16, 1])
     assert np.all(np.abs(radial - R) / R < 0.02)
     # center lifts onto the axis at the object depth
-    np.testing.assert_allclose(obj.center, [0.0, 0.0, d0], atol=2e-2)
+    np.testing.assert_allclose(points[20], [0.0, 0.0, d0], atol=2e-2)
+
+
+def _c05_masks():
+    """The 60 masks acceptance criterion c05 draws: single pixels, thin
+    lines and unions of three discs on a 96x64 grid."""
+    rng = np.random.default_rng(505)
+    yy, xx = np.mgrid[0:64, 0:96]
+    for _ in range(60):
+        bits = np.zeros((64, 96), dtype=bool)
+        kind = rng.integers(0, 3)
+        if kind == 0:
+            bits[rng.integers(2, 62), rng.integers(2, 94)] = True
+        elif kind == 1:
+            y = int(rng.integers(4, 60))
+            x0 = int(rng.integers(2, 40))
+            bits[y, x0:x0 + int(rng.integers(2, 40))] = True
+        else:
+            for _ in range(3):
+                cx, cy, r = rng.integers(10, 86), rng.integers(10, 54), rng.integers(2, 9)
+                bits |= (xx - cx) ** 2 + (yy - cy) ** 2 <= r * r
+        yield BinaryMask(bits)
+
+
+def test_object25d_bytes_match_the_per_pixel_depth_lift():
+    # the digest of the 21 points over c05's masks (depth 5) and the true
+    # circle's mask (depth 6), as the lift from a constant per-pixel depth
+    # grid and a separate bounding box produced them
+    digest = hashlib.sha256()
+    cam = CameraSpec.default(96, 64)
+    for mask in _c05_masks():
+        digest.update(geo.object25d_from_mask(mask, 5.0, cam).tobytes())
+    cam = CameraSpec(focal=480.0, principal=(127.5, 95.5), size=(256, 192))
+    yy, xx = np.mgrid[0:192, 0:256]
+    circle = BinaryMask((xx - 127.5) ** 2 + (yy - 95.5) ** 2 <= 80.0 ** 2)
+    digest.update(geo.object25d_from_mask(circle, 6.0, cam).tobytes())
+    assert digest.hexdigest() == ("8c3d49bfba106feb9cc1a95f04089832"
+                                  "7622d26f1986a0fab18b11e240e30b8e")
+
+
+@pytest.mark.parametrize("depth", [0.0, -1.0, math.nan, math.inf])
+def test_object25d_depth_must_be_positive_and_finite(depth):
+    bits = np.zeros((32, 32), dtype=bool)
+    bits[4:8, 4:8] = True
+    with pytest.raises(NonPositiveDepth):
+        geo.object25d_from_mask(BinaryMask(bits), depth, CameraSpec.default(32, 32))
 
 
 def test_project_principal_point_and_halving():
@@ -243,15 +283,6 @@ def test_render_frames_past_numpys_largest_array_name_the_error(size):
     for objects in ([], [(np.array([[1.0, 1.0, 1.0]]), np.array([1]))]):
         with pytest.raises(ShapeMismatch):
             geo.render_part_masks(objects, cam, 1.5)
-
-
-def test_object25d_box_out_of_bounds():
-    cam = CameraSpec.default(32, 32)
-    bits = np.zeros((32, 32), dtype=bool)
-    bits[4:8, 4:8] = True
-    with pytest.raises(BoxOutOfBounds):
-        geo.object25d_from_mask(BinaryMask(bits), BBox(0, 0, 40, 8),
-                                DepthMap(np.ones((32, 32))), cam)
 
 
 # ------------------------------------------------------------ rasterization
@@ -657,6 +688,14 @@ def test_polygon_degenerate_collinear():
     line = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0]])
     with pytest.raises(DegeneratePart):
         geo.polygon_target_mask([(1, line)], (8, 8))
+
+
+@pytest.mark.parametrize("label", [256, -1, 2**40])
+def test_polygon_label_outside_a_byte_is_refused(label):
+    # refused as ConditionChannels refuses it, not as the grid's overflow
+    tri = np.array([[1.0, 1.0], [6.0, 1.0], [1.0, 6.0]])
+    with pytest.raises(ShapeMismatch, match="0..255"):
+        geo.polygon_target_mask([(1, tri), (label, tri)], (8, 8))
 
 
 # -------------------------------------------------------- condition channels

@@ -12,8 +12,9 @@ from motionloop.errors import (
     StepOutOfRange,
 )
 from motionloop.perturb import (
+    ALPHA_BAR,
+    GAMMA,
     Kind,
-    NoiseSchedule,
     PerturbConfig,
 )
 
@@ -30,45 +31,41 @@ def random_seq(rng, f=16):
 # ---------------------------------------------------------------- schedule
 
 def test_linear_schedule_invariants():
-    s = NoiseSchedule.linear()
-    assert s.steps == 1000
-    assert np.all(np.diff(s.alpha_bar) < 0)
-    assert 0 < s.alpha_bar[-1] < s.alpha_bar[0] < 1
-    np.testing.assert_allclose(s.alpha_bar, np.cumprod(1 - s.gamma), rtol=1e-15)
-
-
-def test_schedule_derives_alpha_bar_from_gamma():
-    gamma = np.linspace(1e-4, 0.02, 10)
-    assert np.array_equal(NoiseSchedule(gamma=gamma).alpha_bar, np.cumprod(1.0 - gamma))
-    with pytest.raises(TypeError):
-        NoiseSchedule(gamma=gamma, alpha_bar=np.linspace(0.9, 0.1, 10))
-    for bad in (np.array([]), np.array([0.0, 0.1]), np.array([0.1, 1.0])):
-        with pytest.raises(InvalidConfig):
-            NoiseSchedule(gamma=bad)
+    assert GAMMA.shape == ALPHA_BAR.shape == (1000,)
+    assert np.array_equal(GAMMA, np.linspace(1e-4, 0.02, 1000))
+    assert np.all(np.diff(ALPHA_BAR) < 0)
+    assert 0 < ALPHA_BAR[-1] < ALPHA_BAR[0] < 1
+    assert np.array_equal(ALPHA_BAR, np.cumprod(1 - GAMMA))
+    for table in (GAMMA, ALPHA_BAR):
+        with pytest.raises(ValueError):
+            table[0] = 0.5
 
 
 # ------------------------------------------------------------ forward noise
 
 def test_forward_noise_identity_limit():
-    # gamma -> 0 makes abar_1 -> 1: output collapses onto the input
-    sched = NoiseSchedule.linear(steps=5, lo=1e-14, hi=1e-13)
+    # the closed-form map, exactly, at the first step (nearest the
+    # identity) and the last (nearest pure noise)
     rng = np.random.default_rng(0)
     seq = random_seq(rng)
-    out = perturb.forward_noise(seq, 1, sched, seed=42)
-    np.testing.assert_allclose(out.frames, seq.frames, atol=1e-6)
+    x = seq.frames
+    for t in (1, 1000):
+        eps = np.random.default_rng(42).standard_normal(x.shape)
+        out = perturb.forward_noise(seq, t, seed=42)
+        expected = np.sqrt(ALPHA_BAR[t - 1]) * x + np.sqrt(1 - ALPHA_BAR[t - 1]) * eps
+        assert np.array_equal(out.frames, expected)
 
 
 def test_forward_noise_variance_monte_carlo():
     # zero input: output entries ~ N(0, 1 - abar_t)
-    sched = perturb.DEFAULT_SCHEDULE
     t = 200
     seq = make_seq(np.zeros((25, 63)))
     samples = []
     for seed in range(64):
-        samples.append(perturb.forward_noise(seq, t, sched, seed).frames.ravel())
+        samples.append(perturb.forward_noise(seq, t, seed).frames.ravel())
     draws = np.concatenate(samples)  # 100800 draws
     assert draws.size > 1e5
-    target = 1.0 - sched.alpha_bar[t - 1]
+    target = 1.0 - ALPHA_BAR[t - 1]
     assert np.var(draws) == pytest.approx(target, rel=0.02)
     assert abs(np.mean(draws)) < 3 * np.sqrt(target / draws.size) * 2
 
@@ -76,8 +73,8 @@ def test_forward_noise_variance_monte_carlo():
 def test_forward_noise_deterministic_replay():
     rng = np.random.default_rng(1)
     seq = random_seq(rng)
-    a = perturb.forward_noise(seq, 10, perturb.DEFAULT_SCHEDULE, seed=999)
-    b = perturb.forward_noise(seq, 10, perturb.DEFAULT_SCHEDULE, seed=999)
+    a = perturb.forward_noise(seq, 10, seed=999)
+    b = perturb.forward_noise(seq, 10, seed=999)
     assert np.array_equal(a.frames, b.frames)
 
 
@@ -85,9 +82,9 @@ def test_forward_noise_step_out_of_range():
     rng = np.random.default_rng(2)
     seq = random_seq(rng)
     with pytest.raises(StepOutOfRange):
-        perturb.forward_noise(seq, 0, perturb.DEFAULT_SCHEDULE, 0)
+        perturb.forward_noise(seq, 0, 0)
     with pytest.raises(StepOutOfRange):
-        perturb.forward_noise(seq, 1001, perturb.DEFAULT_SCHEDULE, 0)
+        perturb.forward_noise(seq, 1001, 0)
 
 
 # ---------------------------------------------------------- shuffle segment
@@ -223,12 +220,11 @@ def test_invalid_config_rejected():
 
 def test_forward_noise_mean_tracks_scaled_input():
     # constant nonzero input: mean of outputs approaches sqrt(abar_t) * input
-    sched = perturb.DEFAULT_SCHEDULE
     t = 100
     seq = make_seq(np.full((10, 63), 5.0))
     acc = np.zeros(seq.frames.shape)
     n = 200
     for seed in range(n):
-        acc += perturb.forward_noise(seq, t, sched, seed).frames
-    target = np.sqrt(sched.alpha_bar[t - 1]) * 5.0
+        acc += perturb.forward_noise(seq, t, seed).frames
+    target = np.sqrt(ALPHA_BAR[t - 1]) * 5.0
     assert acc.mean() / (10 * 63) * (10 * 63) / n == pytest.approx(target, rel=0.02)

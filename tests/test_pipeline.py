@@ -379,7 +379,7 @@ def test_target_pose_part_label_past_a_byte_is_refused_not_wrapped(tmp_path):
                      out_dir=tmp_path / "run")
 
 
-@pytest.mark.parametrize("label", [300, -1])
+@pytest.mark.parametrize("label", [300, -1, 2**40])
 def test_target_pose_label_outside_a_byte_is_refused_before_any_render(tmp_path, label):
     # the label is checked where stage 1 builds its channels: no stage
     # renders and the run directory is never made

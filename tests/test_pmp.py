@@ -50,7 +50,6 @@ def test_config_validation():
         PmpConfig(model_dim=30, heads=4)
     with pytest.raises(InvalidConfig):
         PmpConfig(layers=0)
-    assert PmpConfig(model_dim=128, heads=4).head_dim == 32
 
 
 def test_init_deterministic():

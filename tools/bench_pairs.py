@@ -24,8 +24,9 @@ and moved the median by more than the parent's interquartile range. Each
 end-to-end metric also gets a no-regression verdict against its ``bound``
 in ``BENCHMARK.json``: ``worse``, ``unresolved`` or ``ok`` (see
 ``verdict``). The script ends with one line per workload: each end-to-end
-metric's parent -> change medians and the pairs the change won, every
-metric that is not ``ok``, and the claim's verdict.
+metric's parent -> change medians and the pairs the change won, the raw op
+ms medians beside ``op_ms_p50``'s, every metric that is not ``ok``, and the
+claim's verdict.
 """
 
 from __future__ import annotations
@@ -186,13 +187,21 @@ def judge_claim(spec: str, workloads: dict) -> dict:
 
 def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
     """One line per workload: each end-to-end metric's parent -> change
-    medians and the pairs the change won, every metric whose verdict is not
-    ``ok``, then the claim's verdict on the line of its workload."""
+    medians and the pairs the change won, with the medians of the runs' raw
+    op ms after ``op_ms_p50`` (a reference-ms gap that the raw times do not
+    show came from the host-speed calibration), every metric whose verdict
+    is not ``ok``, then the claim's verdict on the line of its workload."""
     lines = []
     for workload, summary in workloads.items():
-        line = f"{workload}: " + ", ".join(
-            f"{name} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
-            f"({m['change_wins']})" for name, m in summary["metrics"].items())
+        entries = []
+        for name, m in summary["metrics"].items():
+            entries.append(f"{name} {m['parent_median']:.4g} -> {m['change_median']:.4g} "
+                           f"({m['change_wins']})")
+            if name == "op_ms_p50":
+                raw = [statistics.median(summary["raw_records"][side]["op_ms_p50_raw"])
+                       for side in ("parent", "change")]
+                entries.append(f"raw op ms {raw[0]:.4g} -> {raw[1]:.4g}")
+        line = f"{workload}: " + ", ".join(entries)
         flagged = [f"{name} {m['verdict']}" for name, m in summary["metrics"].items()
                    if m["verdict"] != "ok"]
         if flagged:
