@@ -41,6 +41,15 @@ CONTOUR_VERTICES = 16
 SPLAT_BLOCK = 1 << 16
 
 
+def _bytes(values, what: str) -> np.ndarray:
+    """values as uint8, refused (ShapeMismatch) rather than cast if any lies
+    outside 0..255: a cast would wrap an id onto another part's."""
+    a = np.asarray(values)
+    if a.dtype != np.uint8 and a.size and not 0 <= a.min() <= a.max() <= 255:
+        raise ShapeMismatch(f"{what} must lie in 0..255, got {a.min()}..{a.max()}")
+    return a.astype(np.uint8, copy=False)
+
+
 @dataclass(frozen=True)
 class BinaryMask:
     bits: np.ndarray  # (H, W) bool
@@ -114,10 +123,7 @@ class ConditionChannels:
         masks = np.asarray(self.part_masks)
         if masks.ndim != 3:
             raise ShapeMismatch(f"part masks must be (F, H, W), got shape {masks.shape}")
-        # refused, not cast: a cast would wrap an id onto another part's
-        if masks.dtype != np.uint8 and masks.size and not 0 <= masks.min() <= masks.max() <= 255:
-            raise ShapeMismatch(f"part ids must lie in 0..255, got {masks.min()}..{masks.max()}")
-        masks = masks.astype(np.uint8, copy=False)
+        masks = _bytes(masks, "part ids")
         masks.setflags(write=False)
         object.__setattr__(self, "part_masks", masks)
 
@@ -280,16 +286,18 @@ def object25d_from_mask(mask: BinaryMask, depth: float, camera: CameraSpec
 
 def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
                       camera: CameraSpec, splat_radius: float) -> np.ndarray:
-    """Splat labeled 3D point sets into part-label grids with z-buffering.
+    """Splat labeled 3D point sets into byte planes with z-buffering.
 
-    This is the one splat kernel: labels are whatever codes the caller
-    needs, such as simgen's packed (intensity code, part id) values.
-    Objects are ``(points, labels)`` pairs, points ``(..., N, 3)`` with the
-    same leading (frame) axes in every object and labels ``(N,)``; the
-    result is ``(..., h, w)`` int32, so ``(N, 3)`` points give one grid.
-    Each projected point covers pixels within splat_radius of its image
-    position; in each frame the smallest depth wins per pixel, ties broken
-    by lower (object index, point index).
+    This is the one splat kernel: each point carries a row of label bytes,
+    one per plane, such as simgen's (part intensity, part id). Objects are
+    ``(points, labels)`` pairs, points ``(..., N, 3)`` with the same leading
+    (frame) axes in every object and labels ``(N, C)`` with the same C in
+    every object; the result is ``(C, ..., h, w)`` uint8, so ``(N, 3)``
+    points give C grids. Each projected point covers pixels within
+    splat_radius of its image position; in each frame the smallest depth
+    wins per pixel, ties broken by lower (object index, point index), and
+    each plane holds the winner's byte in that channel, 0 where no point
+    lands. A label outside 0..255 is refused, not wrapped.
 
     One stable sort on depth per frame ranks the points by that key. Only
     the crop holding every point's clipped box in every frame is splatted.
@@ -299,26 +307,34 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     splits each flat position into window offset and point, whose index is
     its rank. Each crop pixel keeps the smallest rank that covers it (a
     scatter-min, which no candidate order changes), with the frames'
-    crops end to end. Candidates go through in blocks of at most
+    crops end to end, and the winners' bytes are gathered straight into
+    the planes' crop. Candidates go through in blocks of at most
     SPLAT_BLOCK, and frames in groups of at most SPLAT_BLOCK crop pixels
     (one frame at least), so memory stays bounded for any radius and frame
     count.
     """
     w, h = camera.size
-    objs = [(np.asarray(p, dtype=np.float64), np.asarray(l, dtype=np.int32))
-            for p, l in objects]
-    leads = {p.shape[:-2] for p, _ in objs}
-    if len(leads) > 1:
-        raise DimensionMismatch(f"objects differ in their leading axes: {sorted(leads)}")
-    lead = leads.pop() if leads else ()
+    objs = []
+    for p, l in objects:
+        p, l = np.asarray(p, dtype=np.float64), _bytes(l, "labels")
+        if p.ndim < 2 or p.shape[-1] != 3 or l.ndim != 2 or len(l) != p.shape[-2]:
+            raise DimensionMismatch(f"labels of shape {l.shape} are not one row "
+                                    f"per point of points of shape {p.shape}")
+        objs.append((p, l))
+    for what, axes in (("leading axes", {p.shape[:-2] for p, _ in objs}),
+                       ("label channels", {l.shape[1] for _, l in objs})):
+        if len(axes) > 1:
+            raise DimensionMismatch(f"objects differ in their {what}: {sorted(axes)}")
+    lead = objs[0][0].shape[:-2] if objs else ()
+    c = objs[0][1].shape[1] if objs else 0
     nf = math.prod(lead)
     try:
-        grids = np.zeros((nf, h, w), dtype=np.int32)
+        planes = np.zeros((c, nf, h, w), dtype=np.uint8)
     except (MemoryError, ValueError):  # out of memory, or past numpy's largest array
         raise ShapeMismatch(f"{nf} frames of {w}x{h} pixels cannot be allocated") from None
     objs = [(p.reshape(nf, -1, 3), l) for p, l in objs if p.size]
     if not objs:
-        return grids.reshape(lead + (h, w))
+        return planes.reshape((c,) + lead + (h, w))
     pts = np.concatenate([p for p, _ in objs], axis=1)
     n = pts.shape[1]
     u, v, z = project(pts.reshape(-1, 3), camera).reshape(nf, n, 3).transpose(2, 0, 1)
@@ -328,7 +344,9 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     rank = np.argsort(z, axis=1, kind="stable")
     u = np.take_along_axis(u, rank, axis=1).ravel()
     v = np.take_along_axis(v, rank, axis=1).ravel()
-    lab = np.append(np.concatenate([l for _, l in objs])[rank], np.int32(0))  # 0: no point
+    # (channel, ranked point), then a zero byte for pixels no point covers
+    lab = np.zeros((c, nf * n + 1), dtype=np.uint8)
+    np.take(np.concatenate([l for _, l in objs]).T, rank.ravel(), axis=1, out=lab[:, :-1])
     r = splat_radius
     side = 2 * int(np.ceil(r)) + 1
     ox = np.arange(min(side, w), dtype=np.float64)[:, None]
@@ -341,7 +359,7 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     y1 = np.minimum(np.floor(v + r), h - 1)
     live = (x0 <= x1) & (y0 <= y1)
     if not live.any():
-        return grids.reshape(lead + (h, w))
+        return planes.reshape((c,) + lead + (h, w))
     # splat into the crop that holds every live box of every frame: a
     # candidate outside it is outside its own box, so it is never scattered
     cx, cy = int(x0[live].min()), int(y0[live].min())
@@ -354,7 +372,7 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
     step = max(1, SPLAT_BLOCK // offs.size)
     for f in range(0, nf, group):
         last = min(f + group, nf)
-        best = np.full((last - f) * ch * cw, lab.size - 1)
+        best = np.full((last - f) * ch * cw, nf * n)
         for s in range(f * n, last * n, step):
             e = min(s + step, last * n)
             # offset-major (window offset, candidate): each row is a whole
@@ -370,8 +388,9 @@ def render_part_masks(objects: list[tuple[np.ndarray, np.ndarray]],
             k -= row * (e - s)
             k += s
             np.minimum.at(best, offs[row] + corner[k], k)
-        grids[f:last, cy:cy + ch, cx:cx + cw] = lab[best].reshape(-1, ch, cw)
-    return grids.reshape(lead + (h, w))
+        planes[:, f:last, cy:cy + ch, cx:cx + cw] = np.take(lab, best, axis=1).reshape(
+            c, -1, ch, cw)
+    return planes.reshape((c,) + lead + (h, w))
 
 
 def _convex_hull(points: np.ndarray) -> np.ndarray:
@@ -407,9 +426,7 @@ def polygon_target_mask(parts: list[tuple[int, np.ndarray]],
     outside 0..255, which no part-mask byte holds, is refused before any
     part is drawn.
     """
-    for label, _ in parts:
-        if not 0 <= label <= 255:
-            raise ShapeMismatch(f"part ids must lie in 0..255, got {label}")
+    _bytes([label for label, _ in parts], "part ids")
     w, h = size
     grid = np.zeros((h, w), dtype=np.int32)
     px = np.arange(w, dtype=np.float64)

@@ -291,9 +291,8 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
     the read-only (F, H, W) uint8 part-label masks of the same splat.
 
     Every frame of every object goes through one call of the one splat
-    kernel. Each point carries its part's intensity code in bits 8-15 and
-    its part label in bits 0-7; codes are at most 255 and labels fit in a
-    byte, so both unpack exactly.
+    kernel, each point carrying the byte row (part intensity, part id):
+    its plane 0 is the clip's frames and its plane 1 the masks.
     """
     if len(motions) != len(scene.objects):
         raise DimensionMismatch("one motion per scene object required")
@@ -305,15 +304,11 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
             raise DimensionMismatch(f"a {m.model.category.value} motion for a "
                                     f"{obj.spec.category.value} scene object")
         pts, labels = object_render_points(obj, m.frames)
-        code = np.array([part_intensity(l, obj.spec.part_count) << 8 | l
-                         for l in range(obj.spec.part_count + 1)])
-        posed.append((pts, code[labels]))
+        rows = np.array([(part_intensity(l, obj.spec.part_count), l)
+                         for l in range(obj.spec.part_count + 1)], dtype=np.uint8)
+        posed.append((pts, rows[labels]))
     camera = scene.camera.scaled(config.resolution_scale)
-    grids = render_part_masks(posed, camera, effective_radius(config))
-    # unpacked straight into uint8, with no whole-clip temporary
-    frames, masks = np.empty(grids.shape, dtype=np.uint8), np.empty(grids.shape, dtype=np.uint8)
-    np.right_shift(grids, 8, out=frames, casting="unsafe")
-    np.bitwise_and(grids, 0xFF, out=masks, casting="unsafe")
+    frames, masks = render_part_masks(posed, camera, effective_radius(config))
     masks.setflags(write=False)
     return VideoClip(frames=frames, fps=scene.fps, resolution=camera.size), masks
 

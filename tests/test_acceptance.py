@@ -166,7 +166,7 @@ def test_c04_occlusion_oracle():
             labels = rng.integers(1, 9, n)
             objects.append((pts, labels))
         radius = float(rng.uniform(1.0, 3.5))
-        fast = render_part_masks(objects, camera, radius)
+        [fast] = render_part_masks([(p, l[:, None]) for p, l in objects], camera, radius)
         slow = _zbuffer_bruteforce(objects, camera, radius)
         if not np.array_equal(fast, slow):
             mismatches += 1

@@ -40,6 +40,29 @@ def test_one_seed_exits_2_before_any_run(monkeypatch, capsys):
     assert "--seeds" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("claim, message", [
+    ("long:op_ms_p50", "workload:metric:fraction"),
+    ("lng:op_ms_p50:0.03", "workload 'lng'"),
+    ("train:op_ms_p50:0.03", "workload 'train'"),  # not among --workloads
+    ("long:op_ms:0.03", "metric 'op_ms'"),
+    ("long:op_ms_p50:x", "fraction 'x'"),
+    ("long:op_ms_p50:-0.1", "fraction '-0.1'"),
+    ("long:op_ms_p50:nan", "fraction 'nan'"),
+    ("long:op_ms_p50:inf", "fraction 'inf'"),
+])
+def test_unjudgeable_claim_exits_2_before_any_run(monkeypatch, capsys, claim, message):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a benchmark ran")
+    monkeypatch.setattr(bench_pairs, "export_commit", no_run)
+    monkeypatch.setattr(bench_pairs, "run_once", no_run)
+    with pytest.raises(SystemExit) as exc:
+        bench_pairs.main(["--slug", "x", "--seeds", "1-2", "--workloads", "long", "multi",
+                          "--claim", claim])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "--claim" in err and message in err
+
+
 def _record(op_ms, ops_per_s, failed=0, op_times_s=(0.1,), cal_ms=(5.0,)):
     return {"result": {"attempted": 10, "failed": failed, "correct": failed == 0,
                        "metrics": {"op_ms_p50": {"value": op_ms},

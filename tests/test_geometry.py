@@ -280,7 +280,7 @@ def test_camera_size_must_be_two_positive_integers(size):
 @pytest.mark.parametrize("size", [(10**30, 108), (2**40, 2**40)])
 def test_render_frames_past_numpys_largest_array_name_the_error(size):
     cam = CameraSpec(focal=1.0, principal=(0.0, 0.0), size=size)
-    for objects in ([], [(np.array([[1.0, 1.0, 1.0]]), np.array([1]))]):
+    for objects in ([], [(np.array([[1.0, 1.0, 1.0]]), np.array([[1]]))]):
         with pytest.raises(ShapeMismatch):
             geo.render_part_masks(objects, cam, 1.5)
 
@@ -288,15 +288,15 @@ def test_render_frames_past_numpys_largest_array_name_the_error(size):
 # ------------------------------------------------------------ rasterization
 
 def _zbuffer_oracle(objects, camera, splat_radius):
-    """Brute force: for each pixel, scan all points, min (z, obj, idx) wins."""
+    """Brute force: for each pixel, scan all points, min (z, obj, idx) wins
+    and its byte row fills the pixel in the (C, h, w) planes."""
     w, h = camera.size
-    grid = np.zeros((h, w), dtype=np.int32)
+    grid = np.zeros((objects[0][1].shape[1], h, w), dtype=np.uint8)
     flat = []
     for oid, (points, labels) in enumerate(objects):
         proj = geo.project(points, camera)
         for idx in range(points.shape[0]):
-            flat.append((proj[idx, 2], oid, idx, proj[idx, 0], proj[idx, 1],
-                         int(labels[idx])))
+            flat.append((proj[idx, 2], oid, idx, proj[idx, 0], proj[idx, 1], labels[idx]))
     r2 = splat_radius * splat_radius
     for py in range(h):
         for px in range(w):
@@ -307,7 +307,7 @@ def _zbuffer_oracle(objects, camera, splat_radius):
                     if best is None or key < best[0]:
                         best = (key, lab)
             if best is not None:
-                grid[py, px] = best[1]
+                grid[:, py, px] = best[1]
     return grid
 
 
@@ -316,17 +316,17 @@ def test_render_single_object_labels_subset():
     rng = np.random.default_rng(24)
     pts = np.stack([rng.uniform(-0.5, 0.5, 12), rng.uniform(-0.3, 0.3, 12),
                     rng.uniform(3, 5, 12)], axis=1)
-    labels = rng.integers(1, 5, 12)
+    labels = rng.integers(1, 5, (12, 1))
     grid = geo.render_part_masks([(pts, labels)], cam, 2.0)
     present = set(np.unique(grid)) - {0}
-    assert present <= set(labels.tolist())
+    assert present <= set(labels.ravel().tolist())
 
 
 def test_render_zbuffer_front_object_wins():
     cam = CameraSpec(focal=40.0, principal=(20.0, 16.0), size=(40, 32))
-    a = (np.array([[0.0, 0.0, 1.0]]), np.array([3]))
-    b = (np.array([[0.0, 0.0, 2.0]]), np.array([5]))
-    grid = geo.render_part_masks([b, a], cam, 4.0)
+    a = (np.array([[0.0, 0.0, 1.0]]), np.array([[3]]))
+    b = (np.array([[0.0, 0.0, 2.0]]), np.array([[5]]))
+    [grid] = geo.render_part_masks([b, a], cam, 4.0)
     covered = grid[np.hypot(*np.mgrid[0:32, 0:40][::-1] - np.array([[[20]], [[16]]])) <= 2]
     assert np.all(grid[16, 20] == 3)
     assert 5 not in np.unique(grid)  # fully occluded at this radius
@@ -341,7 +341,7 @@ def test_render_matches_bruteforce_oracle():
             n = int(rng.integers(3, 9))
             pts = np.stack([rng.uniform(-0.6, 0.6, n), rng.uniform(-0.4, 0.4, n),
                             rng.uniform(2, 6, n)], axis=1)
-            labels = rng.integers(1, 7, n)
+            labels = rng.integers(1, 7, (n, 2))
             objects.append((pts, labels))
         fast = geo.render_part_masks(objects, cam, 2.5)
         slow = _zbuffer_oracle(objects, cam, 2.5)
@@ -351,21 +351,22 @@ def test_render_matches_bruteforce_oracle():
 def test_render_tie_broken_by_object_then_point_index():
     cam = CameraSpec(focal=30.0, principal=(15.0, 12.0), size=(30, 24))
     # identical depth, overlapping splats: lower object id wins
-    a = (np.array([[0.0, 0.0, 3.0]]), np.array([9]))
-    b = (np.array([[0.0, 0.0, 3.0]]), np.array([4]))
-    grid = geo.render_part_masks([a, b], cam, 3.0)
+    a = (np.array([[0.0, 0.0, 3.0]]), np.array([[9]]))
+    b = (np.array([[0.0, 0.0, 3.0]]), np.array([[4]]))
+    [grid] = geo.render_part_masks([a, b], cam, 3.0)
     assert grid[12, 15] == 9
     # same object, same depth: lower point index wins
-    c = (np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0]]), np.array([2, 8]))
-    grid2 = geo.render_part_masks([c], cam, 3.0)
+    c = (np.array([[0.0, 0.0, 3.0], [0.0, 0.0, 3.0]]), np.array([[2], [8]]))
+    [grid2] = geo.render_part_masks([c], cam, 3.0)
     assert grid2[12, 15] == 2
 
 
 def _splat_loop_oracle(objects, camera, splat_radius):
     """The per-point loop that render_part_masks replaced, kept as its
-    oracle: a worst-to-best ordered overwrite of each point's disc."""
+    oracle: a worst-to-best ordered overwrite of each point's disc with its
+    byte row, one byte per (C, h, w) plane."""
     w, h = camera.size
-    grid = np.zeros((h, w), dtype=np.int32)
+    grid = np.zeros((objects[0][1].shape[1] if objects else 0, h, w), dtype=np.uint8)
     us, vs, zs, obj_ids, pt_ids, labs = [], [], [], [], [], []
     for oid, (points, labels) in enumerate(objects):
         points = np.asarray(points, dtype=np.float64)
@@ -377,7 +378,7 @@ def _splat_loop_oracle(objects, camera, splat_radius):
         zs.append(proj[:, 2])
         obj_ids.append(np.full(points.shape[0], oid))
         pt_ids.append(np.arange(points.shape[0]))
-        labs.append(np.asarray(labels, dtype=np.int32))
+        labs.append(np.asarray(labels, dtype=np.uint8))
     if not us:
         return grid
     u = np.concatenate(us)
@@ -400,8 +401,8 @@ def _splat_loop_oracle(objects, camera, splat_radius):
         dx = (px - u[i]) ** 2
         dy = (py - v[i]) ** 2
         inside = dy[:, None] + dx[None, :] <= r * r
-        patch = grid[y0:y1 + 1, x0:x1 + 1]
-        patch[inside] = lab[i]
+        patch = grid[:, y0:y1 + 1, x0:x1 + 1]
+        patch[:, inside] = lab[i][:, None]
     return grid
 
 
@@ -426,30 +427,35 @@ def _splat_view(draw):
     return cam, r, point
 
 
+def _byte_rows(draw, n, c):
+    """n label rows of c bytes each, as uint8 or as a wider integer type."""
+    rows = draw(st.lists(st.lists(st.integers(0, 255), min_size=c, max_size=c),
+                         min_size=n, max_size=n))
+    return np.array(rows, dtype=draw(st.sampled_from([np.uint8, np.int64]))).reshape(n, c)
+
+
 @st.composite
 def _splat_frames(draw):
-    """One frame of 0-3 objects."""
+    """One frame of 0-3 objects whose points carry 1-3 label bytes each."""
     cam, r, point = _splat_view(draw)
-    objects = []
+    objects, c = [], draw(st.integers(1, 3))
     for _ in range(draw(st.integers(0, 3))):
         pts = np.array(draw(st.lists(point, max_size=12))).reshape(-1, 3)
-        labels = draw(st.lists(st.integers(1, 300), min_size=len(pts), max_size=len(pts)))
-        objects.append((pts, np.array(labels, dtype=np.int64)))
+        objects.append((pts, _byte_rows(draw, len(pts), c)))
     return objects, cam, r
 
 
 @st.composite
 def _splat_clips(draw):
     """1-12 frames of 1-3 objects, each with a fixed point count (0-6) and
-    its own points in every frame."""
+    its own points in every frame, carrying 1-3 label bytes a point."""
     cam, r, point = _splat_view(draw)
     frames = draw(st.integers(1, 12))
-    objects = []
+    objects, c = [], draw(st.integers(1, 3))
     for _ in range(draw(st.integers(1, 3))):
         n = draw(st.integers(0, 6))
         pts = draw(st.lists(point, min_size=frames * n, max_size=frames * n))
-        labels = draw(st.lists(st.integers(1, 300), min_size=n, max_size=n))
-        objects.append((np.array(pts).reshape(frames, n, 3), np.array(labels, dtype=np.int64)))
+        objects.append((np.array(pts).reshape(frames, n, 3), _byte_rows(draw, n, c)))
     return objects, cam, r
 
 
@@ -460,7 +466,7 @@ def test_render_matches_loop_oracle_bitwise(frame, block):
     with mock.patch.object(geo, "SPLAT_BLOCK", block):
         fast = geo.render_part_masks(objects, cam, r)
     slow = _splat_loop_oracle(objects, cam, r)
-    assert fast.dtype == slow.dtype == np.int32
+    assert fast.dtype == slow.dtype == np.uint8
     np.testing.assert_array_equal(fast, slow)
 
 
@@ -473,21 +479,22 @@ def test_render_all_frames_at_once_matches_loop_oracle_per_frame(clip, block):
     with mock.patch.object(geo, "SPLAT_BLOCK", block):
         fast = geo.render_part_masks(objects, cam, r)
     slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
-                     for t in range(len(objects[0][0]))])
-    assert fast.dtype == np.int32
+                     for t in range(len(objects[0][0]))], axis=1)
+    assert fast.dtype == np.uint8
     np.testing.assert_array_equal(fast, slow)
 
 
 def _clip_at(cam, *tracks):
     """Objects whose points sit at the given (u, v, z) per frame under a
     focal-1 camera at the origin: each track is ``(frames, n, 3)`` image
-    coordinates and depth, labelled 1, 2, ... in order."""
+    coordinates and depth, labelled (1, 254), (2, 253), ... in order."""
     objects, first = [], 1
     for track in tracks:
         uvz = np.asarray(track, dtype=np.float64)
         pts = np.concatenate([uvz[..., :2] * uvz[..., 2:], uvz[..., 2:]], axis=-1)
         n = uvz.shape[1]
-        objects.append((pts, np.arange(first, first + n)))
+        ids = np.arange(first, first + n)
+        objects.append((pts, np.stack([ids, 255 - ids], axis=1)))
         first += n
     return objects, cam
 
@@ -537,11 +544,11 @@ def test_render_crop_edges_match_loop_oracle_per_frame(name, block):
         with mock.patch.object(geo, "SPLAT_BLOCK", block):
             fast = geo.render_part_masks(objects, cam, r)
         slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
-                         for t in range(len(objects[0][0]))])
-        assert fast.dtype == np.int32
+                         for t in range(len(objects[0][0]))], axis=1)
+        assert fast.dtype == np.uint8
         np.testing.assert_array_equal(fast, slow)
         if name == "all-points-off-frame":
-            assert fast.shape == (2, 14, 20) and not fast.any()
+            assert fast.shape == (2, 2, 14, 20) and not fast.any()
         else:
             assert fast.any()
 
@@ -565,8 +572,8 @@ def test_render_non_square_and_oversized_windows_match_loop_oracle(size, block):
         with mock.patch.object(geo, "SPLAT_BLOCK", block):
             fast = geo.render_part_masks(objects, cam, r)
         slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
-                         for t in range(3)])
-        assert fast.dtype == np.int32 and fast.any()
+                         for t in range(3)], axis=1)
+        assert fast.dtype == np.uint8 and fast.any()
         np.testing.assert_array_equal(fast, slow)
 
 
@@ -587,7 +594,7 @@ def test_render_partial_and_one_point_blocks_match_loop_oracle(size, r):
     side = 2 * math.ceil(r) + 1
     window = min(side, w) * min(side, h)
     slow = np.stack([_splat_loop_oracle([(p[t], l) for p, l in objects], cam, r)
-                     for t in range(4)])
+                     for t in range(4)], axis=1)
     for block in (window - 1, 3 * window):
         with mock.patch.object(geo, "SPLAT_BLOCK", block):
             fast = geo.render_part_masks(objects, cam, r)
@@ -600,14 +607,44 @@ def test_render_keeps_leading_axes_and_rejects_mismatched_ones():
     rng = np.random.default_rng(29)
     pts = np.concatenate([rng.uniform(-0.5, 0.5, (2, 3, 5, 2)), np.full((2, 3, 5, 1), 2.0)],
                          axis=-1)
-    labels = np.arange(1, 6)
+    labels = np.arange(1, 6)[:, None]
     grids = geo.render_part_masks([(pts, labels)], cam, 1.5)
-    assert grids.shape == (2, 3, 12, 16)
-    np.testing.assert_array_equal(grids[1, 2], geo.render_part_masks([(pts[1, 2], labels)],
-                                                                     cam, 1.5))
+    assert grids.shape == (1, 2, 3, 12, 16)
+    np.testing.assert_array_equal(grids[:, 1, 2], geo.render_part_masks([(pts[1, 2], labels)],
+                                                                        cam, 1.5))
     for other in (pts[0], pts[:, :2], pts[0, 0]):
         with pytest.raises(DimensionMismatch):
             geo.render_part_masks([(pts, labels), (other, labels)], cam, 1.5)
+
+
+def _two_objects():
+    cam = CameraSpec(focal=10.0, principal=(8.0, 6.0), size=(16, 12))
+    pa = np.array([[0.0, 0.0, 2.0], [0.1, 0.0, 2.0], [0.2, 0.0, 2.0]])
+    return cam, pa, pa + [0.0, 0.2, 0.0]
+
+
+@pytest.mark.parametrize("rows", [[[1], [2], [3], [4], [5]], [[1]], [[1], [2]], [1, 2, 3]],
+                         ids=["five-rows", "one-row", "two-rows", "flat-labels"])
+def test_render_refuses_labels_that_are_not_one_row_per_point(rows):
+    # with flat labels, five for the first object's three points used to
+    # draw the second object's points as 4, 5 and 9
+    cam, pa, pb = _two_objects()
+    with pytest.raises(DimensionMismatch, match="one row per point"):
+        geo.render_part_masks([(pa, rows), (pb, [[9]] * 3)], cam, 1.5)
+
+
+def test_render_refuses_objects_with_different_label_channels():
+    cam, pa, pb = _two_objects()
+    with pytest.raises(DimensionMismatch, match="label channels"):
+        geo.render_part_masks([(pa, [[1, 2]] * 3), (pb, [[9]] * 3)], cam, 1.5)
+
+
+@pytest.mark.parametrize("label", [256, 300000, -1])
+def test_render_refuses_a_label_outside_a_byte_rather_than_wrapping_it(label):
+    cam, pa, pb = _two_objects()
+    rows = np.array([[1], [2], [label]], dtype=np.int64)
+    with pytest.raises(ShapeMismatch, match="0..255"):
+        geo.render_part_masks([(pa, [[7]] * 3), (pb, rows)], cam, 1.5)
 
 
 def test_render_huge_radius_stays_within_memory_bound():
@@ -619,7 +656,7 @@ def test_render_huge_radius_stays_within_memory_bound():
     for n in (100, 120, 80):
         pts = np.stack([rng.uniform(-1.5, 1.5, n), rng.uniform(-1, 1, n),
                         rng.choice([2.0, 3.0, 4.5], n)], axis=1)
-        objects.append((pts, rng.integers(1, 300, n)))
+        objects.append((pts, rng.integers(0, 256, (n, 2))))
     tracemalloc.start()
     try:
         grid = geo.render_part_masks(objects, cam, 1e4)
@@ -724,7 +761,7 @@ def test_condition_target_pose_half_confidence():
 def test_condition_full_motion_custom_triple():
     cam = CameraSpec.default(20, 16)
     pts = np.array([[0.0, 0.0, 3.0]])
-    grid = geo.render_part_masks([(pts, np.array([4]))], cam, 2.0)
+    [grid] = geo.render_part_masks([(pts, np.array([[4]]))], cam, 2.0)
     chans = geo.ConditionChannels(np.stack([grid, grid]), ConditionMode.FULL_MOTION)
     assert len(chans.part_masks) == 2 and chans.mode is ConditionMode.FULL_MOTION
     for mask, confidence in zip(chans.part_masks, chans.confidence((3.0, 2.0, 1.0)),

@@ -589,9 +589,9 @@ def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
     kernel = simgen.render_part_masks
 
     def counted(*args, **kwargs):
-        grids = kernel(*args, **kwargs)
-        calls.append(grids.shape[0])
-        return grids
+        planes = kernel(*args, **kwargs)
+        calls.append(planes.shape[1])
+        return planes
 
     monkeypatch.setattr(simgen, "render_part_masks", counted)
     run_pipeline(fixture_scene(1), UserCondition(), PipelineConfig(), tiny_model())

@@ -267,9 +267,9 @@ def test_render_poses_each_articulated_object_once(monkeypatch):
 
 
 def test_render_full_hd_clip_stays_within_memory_bound():
-    # the returned uint8 frames and masks and the kernel's int32 grid they
-    # are unpacked from take 6 bytes a pixel, inside the bound's 64 MiB over
-    # 5; a whole-clip z-buffer or unpack temporary would add over 100 MB
+    # the returned uint8 frames and masks are the kernel's two byte planes,
+    # 2 bytes a pixel; its crop-bounded temporaries stay inside the bound's
+    # 64 MiB, and a whole-clip z-buffer or code grid would add over 60 MB
     scene = dataclasses.replace(fixture_scene(1), camera=CameraSpec.default(1920, 1080))
     motions = synthesize_gt_motion(scene, seed=4)
     tracemalloc.start()
@@ -279,11 +279,11 @@ def test_render_full_hd_clip_stays_within_memory_bound():
     finally:
         tracemalloc.stop()
     assert clip.frame_count == len(masks) == 16
-    assert peak < 16 * 1920 * 1080 * 5 + 64 * 2**20
+    assert peak < 16 * 1920 * 1080 * 2 + 64 * 2**20
 
 
 def test_splat_kernel_full_hd_clip_stays_within_memory_bound(monkeypatch):
-    # beyond its int32 output the kernel holds one frame group's z-buffer
+    # beyond its two byte planes the kernel holds one frame group's z-buffer
     # and candidate blocks; a whole-frame group at 1920 x 1080 is one frame
     # of int64 ranks (16 MiB) plus its label gather, so splatting only the
     # crop where the points land keeps the rest well under 16 MiB
@@ -297,12 +297,12 @@ def test_splat_kernel_full_hd_clip_stays_within_memory_bound(monkeypatch):
     assert camera.size == (1920, 1080) and radius == simgen.effective_radius(FINE_CONFIG)
     tracemalloc.start()
     try:
-        grids = kernel(objects, camera, radius)
+        planes = kernel(objects, camera, radius)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert grids.shape == (16, 1080, 1920)
-    assert peak - 16 * 1920 * 1080 * 4 < 16 * 2**20
+    assert planes.shape == (2, 16, 1080, 1920)
+    assert peak - 16 * 1920 * 1080 * 2 < 16 * 2**20
 
 
 # sha256 of generate()'s clips, all three modes at coarse then fine

@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import statistics
 import subprocess
 import sys
@@ -160,6 +161,26 @@ def summarize(pairs: list[dict[str, dict]], seeds: list[int],
     return summary
 
 
+def check_claim(spec: str, workloads: list[str], metrics: list[str]) -> None:
+    """Refuse a ``workload:metric:fraction`` claim that ``judge_claim``
+    could not judge: the workload must be benchmarked, the metric an
+    end-to-end one and the fraction a finite number of at least 0."""
+    parts = spec.split(":")
+    if len(parts) != 3:
+        raise ValueError(f"{spec!r} is not workload:metric:fraction")
+    workload, metric, fraction = parts
+    if workload not in workloads:
+        raise ValueError(f"workload {workload!r} is not one of {workloads}")
+    if metric not in metrics:
+        raise ValueError(f"metric {metric!r} is not one of {metrics}")
+    try:
+        gain = float(fraction)
+    except ValueError:
+        gain = math.nan
+    if not 0 <= gain < math.inf:
+        raise ValueError(f"fraction {fraction!r} is not a finite number >= 0")
+
+
 def judge_claim(spec: str, workloads: dict) -> dict:
     workload, metric, fraction = spec.split(":")
     m = workloads[workload]["metrics"][metric]
@@ -236,6 +257,11 @@ def main(argv=None) -> int:
     parser.add_argument("--claim", help="workload:metric:fraction")
     args = parser.parse_args(argv)
     metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    if args.claim:
+        try:
+            check_claim(args.claim, args.workloads, [m["name"] for m in metrics])
+        except ValueError as exc:
+            parser.error(f"--claim: {exc}")
 
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent_commit = export_commit(args.parent, Path(tmp))
