@@ -6,6 +6,11 @@ categories, world-space point coordinates for generic objects. Category
 presets ship a compact stand-in skeleton; the upstream full-model parameter
 dimensions are carried as reference metadata only.
 
+A ``MotionSequence`` is valid when built: read-only float64 frames of shape
+(F >= 1, model.pose_dim), every entry finite, and 0 < fps < inf; otherwise
+DimensionMismatch, naming the first non-finite (frame, channel). A spec's
+joint ids are their skeleton indices, and it derives each joint's children.
+
 Camera/world convention throughout the package: x right, y down, z depth
 (so "up" is -y). Local joint rotation for pose triplet (a, b, c) is
 R = Rz(c) @ Ry(b) @ Rx(a).
@@ -14,9 +19,10 @@ R = Rz(c) @ Ry(b) @ Rx(a).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 from enum import Enum
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from importlib import resources
 
 import numpy as np
@@ -64,6 +70,10 @@ class ParametricModelSpec:
             raise DimensionMismatch("pose_dim and part_count must be positive")
         if self.shape_dim < 0 or self.expression_dim < 0:
             raise DimensionMismatch("shape_dim/expression_dim must be >= 0")
+        for i, j in enumerate(self.skeleton):
+            if j.joint_id != i:
+                raise DimensionMismatch(f"joint {i} has id {j.joint_id}: "
+                                        "joint ids must be their skeleton indices")
         if self.is_articulated:
             if self.pose_dim != 3 * len(self.skeleton):
                 raise DimensionMismatch(
@@ -86,6 +96,15 @@ class ParametricModelSpec:
     @property
     def joint_count(self) -> int:
         return len(self.skeleton)
+
+    @cached_property
+    def children(self) -> tuple[tuple[int, ...], ...]:
+        """Each joint's child ids in skeleton order, indexed by joint id."""
+        kids = [[] for _ in self.skeleton]
+        for j in self.skeleton:
+            if j.parent_id >= 0:
+                kids[j.parent_id].append(j.joint_id)
+        return tuple(map(tuple, kids))
 
 
 @lru_cache(maxsize=None)
@@ -114,16 +133,24 @@ def preset(category: Category) -> ParametricModelSpec:
 
 @dataclass(frozen=True)
 class MotionSequence:
-    """Per-frame parameter vectors for one tracked object."""
+    """Per-frame parameter vectors for one tracked object; valid when built."""
 
     model: ParametricModelSpec
     fps: float
-    frames: np.ndarray  # (F, pose_dim) float64
+    frames: np.ndarray  # read-only (F >= 1, pose_dim) float64, finite
 
     def __post_init__(self):
         frames = np.array(self.frames, dtype=np.float64, order="C")
-        if frames.ndim != 2:
-            raise DimensionMismatch(f"frames must be 2-D, got {frames.ndim}-D")
+        if frames.ndim != 2 or not len(frames) or frames.shape[1] != self.model.pose_dim:
+            raise DimensionMismatch(
+                f"motion frames of shape {frames.shape}, not (F >= 1, {self.model.pose_dim})")
+        finite = np.isfinite(frames)
+        if not finite.all():
+            frame, channel = np.argwhere(~finite)[0]
+            raise DimensionMismatch(f"motion entry (frame {frame}, channel {channel}) "
+                                    f"is {frames[frame, channel]}, not finite")
+        if not 0 < self.fps < math.inf:
+            raise DimensionMismatch(f"motion fps must be positive and finite, got {self.fps}")
         frames.setflags(write=False)
         object.__setattr__(self, "frames", frames)
 
@@ -139,13 +166,6 @@ class MotionSequence:
 class MotionStrength:
     per_transition: np.ndarray  # (F-1,) non-negative
     mean: float
-
-
-@dataclass(frozen=True)
-class Violation:
-    kind: str
-    frame: int | None = None
-    channel: int | None = None
 
 
 @dataclass(frozen=True)
@@ -277,24 +297,6 @@ def forward_kinematics(spec: ParametricModelSpec, pose: np.ndarray,
     return LabeledPoints(points=points, labels=labels, joints=joints)
 
 
-def validate(seq: MotionSequence) -> list[Violation]:
-    """Report every violated MotionSequence invariant; [] means valid."""
-    out: list[Violation] = []
-    if seq.frame_count < 1:
-        out.append(Violation("EmptySequence"))
-    if seq.frames.ndim != 2 or seq.frames.shape[1] != seq.model.pose_dim:
-        out.append(Violation("DimensionMismatch"))
-    if not seq.fps > 0:
-        out.append(Violation("NonPositiveFps"))
-    elif not np.isfinite(seq.fps):
-        out.append(Violation("NonFiniteFps"))
-    bad = ~np.isfinite(seq.frames)
-    if bad.any():
-        for frame, channel in zip(*np.nonzero(bad)):
-            out.append(Violation("NonFiniteEntry", int(frame), int(channel)))
-    return out
-
-
 MOTION_JSON_VERSION = "1"
 
 
@@ -317,8 +319,9 @@ def motion_to_json(seq: MotionSequence) -> str:
 
 
 def motion_from_json(text: str | bytes) -> MotionSequence:
-    """Inverse of ``motion_to_json``. A malformed document, or frames that
-    ``validate`` rejects (e.g. non-finite entries), raise DimensionMismatch."""
+    """Inverse of ``motion_to_json``. A malformed document, or one that is
+    not a valid ``MotionSequence`` (e.g. non-finite entries), raises
+    DimensionMismatch."""
     return _motion_from_doc(load_json(text, "motion JSON", DimensionMismatch))
 
 
@@ -344,16 +347,11 @@ def _motion_from_doc(doc) -> MotionSequence:
             if doc[key] != getattr(spec, key):
                 raise DimensionMismatch(
                     f"{key} {doc[key]} does not match the {spec.category.value} preset")
-        seq = MotionSequence(model=spec, fps=json_like(doc["fps"], 0.0, "motion fps"),
-                             frames=json_like(doc["frames"], ((0.0,),), "motion frames"))
+        return MotionSequence(model=spec, fps=json_like(doc["fps"], 0.0, "motion fps"),
+                              frames=json_like(doc["frames"], ((0.0,),), "motion frames"))
     except (AttributeError, KeyError, TypeError, ValueError, InvalidConfig) as exc:
         raise DimensionMismatch(
             f"malformed motion JSON ({type(exc).__name__}: {exc})") from None
-    violations = validate(seq)
-    if violations:
-        raise DimensionMismatch(
-            f"{len(violations)} motion violation(s), first {violations[0]}")
-    return seq
 
 
 # ------------------------------------------------------------ config JSON

@@ -20,23 +20,20 @@ import numpy as np
 
 from .core import load_json
 from .errors import PayloadMismatch, ShapeMismatch
-from .geometry import ConditionChannels, ConditionMode
+from .geometry import ConditionChannels, ConditionMode, _bytes
 from .simgen import VideoClip
 
 
 def write_pgm(path, grid: np.ndarray) -> None:
     """Write a 2-D grid of values in 0..255 as an 8-bit PGM; any other value
     is refused, not wrapped into range."""
-    grid = np.asarray(grid)
+    grid = _bytes(grid, f"PGM values for {path}")
     if grid.ndim != 2:
         raise ShapeMismatch("PGM grids are 2-D")
-    if grid.dtype != np.uint8 and grid.size and not 0 <= grid.min() <= grid.max() <= 255:
-        raise ShapeMismatch(f"PGM values must lie in 0..255, "
-                            f"got {grid.min()}..{grid.max()}: {path}")
     h, w = grid.shape
     with open(path, "wb") as f:
         f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(grid.astype(np.uint8).tobytes())
+        f.write(grid.tobytes())
 
 
 def read_pgm(path) -> np.ndarray:

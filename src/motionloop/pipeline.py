@@ -53,8 +53,7 @@ from .simgen import (
     VideoClip,
     coarse_frame_count,
     effective_radius,
-    intensity_to_label,
-    part_intensity,
+    part_code,
     realize,
     render,
     synthesize_gt_motion,
@@ -197,48 +196,35 @@ def _recover_articulated(obj, comp: np.ndarray, frame: np.ndarray,
     """
     spec = obj.spec
     depth = obj.placement[2]
-    table = {part_intensity(j.part_label, spec.part_count): j.part_label
-             for j in spec.skeleton}
+    _, decode = part_code(spec.part_count)
     centroids: dict[int, np.ndarray] = {}
     vals = frame[comp]
     ys, xs = np.nonzero(comp)
     for intensity in np.unique(vals):
-        label = table.get(int(intensity))
-        if label is None:
-            label = intensity_to_label(int(intensity), spec.part_count)
         sel = vals == intensity
         uv = np.array([[xs[sel].mean(), ys[sel].mean()]])
-        centroids[label] = lift_points(uv, np.array([depth]), camera)[0]
-
-    joints = {j.joint_id: j for j in spec.skeleton}
-    children: dict[int, list[int]] = {}
-    root_id = None
-    for j in spec.skeleton:
-        if j.parent_id < 0:
-            root_id = j.joint_id
-        else:
-            children.setdefault(j.parent_id, []).append(j.joint_id)
+        centroids[int(decode[intensity])] = lift_points(uv, np.array([depth]), camera)[0]
 
     placement = np.asarray(obj.placement)
     pos: dict[int, np.ndarray] = {}
     phi: dict[int, float] = {}
     pose = prev_pose.copy()
 
-    root = joints[root_id]
+    root = spec.skeleton[0]  # joint ids are indices, parents first
     root_c = centroids.get(root.part_label)
     if root_c is not None:
-        pos[root_id] = root_c
+        pos[0] = root_c
     else:
-        pos[root_id] = placement + np.asarray(root.rest_offset) * obj.shape_scale
+        pos[0] = placement + np.asarray(root.rest_offset) * obj.shape_scale
 
     for j in spec.skeleton:  # parent-ordered by construction
         jid = j.joint_id
-        kids = children.get(jid, [])
+        kids = spec.children[jid]
         parent_phi = phi.get(j.parent_id, 0.0)
         if kids:
             sines, cosines = [], []
             for kid in kids:
-                joint_k = joints[kid]
+                joint_k = spec.skeleton[kid]
                 c = centroids.get(joint_k.part_label)
                 off = np.asarray(joint_k.rest_offset)
                 if c is None or np.hypot(off[0], off[1]) < 1e-9:
@@ -257,7 +243,7 @@ def _recover_articulated(obj, comp: np.ndarray, frame: np.ndarray,
         pose[3 * jid:3 * jid + 3] = (0.0, 0.0, local)
         cphi, sphi = math.cos(phi[jid]), math.sin(phi[jid])
         for kid in kids:
-            off = np.asarray(joints[kid].rest_offset) * obj.shape_scale
+            off = np.asarray(spec.skeleton[kid].rest_offset) * obj.shape_scale
             rotated = np.array([cphi * off[0] - sphi * off[1],
                                 sphi * off[0] + cphi * off[1], off[2]])
             pos[kid] = pos[jid] + rotated
@@ -311,28 +297,22 @@ def extract_motion(clip: VideoClip, scene: SceneSpec,
             anchor = obj.initial_pose.reshape(21, 3)[20] + np.asarray(obj.placement)
         expected.append(project(anchor[None, :], camera)[0, :2])
 
-    rows = [np.zeros((n, obj.spec.pose_dim)) for obj in scene.objects]
-    prev_pose = [obj.initial_pose.copy() if obj.spec.is_articulated else None
-                 for obj in scene.objects]
-    for t in range(n):
-        frame = clip.frames[t]
+    # each object's last recovered row; a frame that shows no component of
+    # the object repeats it
+    prev = [obj.initial_pose if obj.spec.is_articulated else _initial_generic_row(obj)
+            for obj in scene.objects]
+    rows = [[] for _ in scene.objects]
+    for frame in clip.frames:
         comps = _match_components(frame, expected)
-        for oi, obj in enumerate(scene.objects):
-            comp = comps[oi]
-            if comp is None or not comp.any():
-                rows[oi][t] = rows[oi][t - 1] if t > 0 else (
-                    prev_pose[oi] if obj.spec.is_articulated
-                    else _initial_generic_row(obj))
-                continue
-            if obj.spec.is_articulated:
-                pose = _recover_articulated(
-                    obj, comp, frame, camera,
-                    rows[oi][t - 1] if t > 0 else prev_pose[oi])
-                rows[oi][t] = pose
-            else:
-                rows[oi][t] = _recover_generic(obj, comp, camera, radius)
-            ys, xs = np.nonzero(comp)
-            expected[oi] = np.array([xs.mean(), ys.mean()])
+        for oi, (obj, comp) in enumerate(zip(scene.objects, comps)):
+            if comp is not None:
+                if obj.spec.is_articulated:
+                    prev[oi] = _recover_articulated(obj, comp, frame, camera, prev[oi])
+                else:
+                    prev[oi] = _recover_generic(obj, comp, camera, radius)
+                ys, xs = np.nonzero(comp)
+                expected[oi] = np.array([xs.mean(), ys.mean()])
+            rows[oi].append(prev[oi])
     return [MotionSequence(model=obj.spec, fps=clip.fps, frames=rows[oi])
             for oi, obj in enumerate(scene.objects)]
 

@@ -18,9 +18,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
+from . import perturb
 from .core import (
     MotionSequence,
     ParametricModelSpec,
@@ -158,15 +160,6 @@ def generic_template(rx: float, ry: float) -> np.ndarray:
     return np.vstack([contour, corners, center]).ravel()
 
 
-def _oscillating_joints(spec: ParametricModelSpec) -> list[int]:
-    """Joints with at least one child: their angles move the visible bones."""
-    has_child = set()
-    for j in spec.skeleton:
-        if j.parent_id >= 0:
-            has_child.add(j.parent_id)
-    return sorted(has_child)
-
-
 # --------------------------------------------------------- motion synthesis
 
 def synthesize_gt_motion(scene: SceneSpec, seed: int) -> list[MotionSequence]:
@@ -178,8 +171,9 @@ def synthesize_gt_motion(scene: SceneSpec, seed: int) -> list[MotionSequence]:
         f = scene.duration
         frames = np.tile(obj.initial_pose, (f, 1))
         if obj.spec.is_articulated:
+            # joints with a child: their angles move the visible bones
+            joints = [j for j, kids in enumerate(obj.spec.children) if kids]
             if action == "walk":
-                joints = _oscillating_joints(obj.spec)
                 amps = rng.uniform(0.15, 0.45, size=len(joints))
                 phases = rng.uniform(0, 2 * np.pi, size=len(joints))
                 t = np.arange(f)[:, None]
@@ -188,7 +182,6 @@ def synthesize_gt_motion(scene: SceneSpec, seed: int) -> list[MotionSequence]:
                 for col, j in enumerate(joints):
                     frames[:, 3 * j + 2] += osc[:, col]
             elif action == "reach":
-                joints = _oscillating_joints(obj.spec)
                 target = frames[0].copy()
                 for j in joints:
                     target[3 * j + 2] += rng.uniform(-0.7, 0.7)
@@ -229,8 +222,6 @@ def corrupt_motion(gt: MotionSequence, mode: ConditionMode,
     frame. Target-pose conditioning additionally clamps the final frame
     into a tolerance ball around the true final pose.
     """
-    from . import perturb  # local import keeps module load cheap
-
     att = mode.level(config.attenuation)
     if att <= 0.0:
         return gt
@@ -256,11 +247,18 @@ def part_intensity(label: int, part_count: int) -> int:
                      * (INTENSITY_HI - INTENSITY_LO)))
 
 
-def intensity_to_label(intensity: int, part_count: int) -> int:
-    """Invert the part intensity coding by nearest table entry."""
-    table = np.array([part_intensity(l, part_count)
-                      for l in range(1, part_count + 1)])
-    return int(np.argmin(np.abs(table - intensity))) + 1
+@lru_cache(maxsize=None)
+def part_code(part_count: int) -> tuple[np.ndarray, np.ndarray]:
+    """The part code for one part count, as two read-only tables: the uint8
+    byte rows (part_intensity(l), l) that render splats for labels
+    l = 0..part_count, and the part label nearest each byte 0..255 (the lower
+    one on a tie), which decodes them."""
+    rows = np.array([(part_intensity(l, part_count), l) for l in range(part_count + 1)],
+                    dtype=np.uint8)
+    decode = 1 + np.abs(np.arange(256)[:, None] - rows[1:, 0].astype(int)).argmin(axis=1)
+    rows.setflags(write=False)
+    decode.setflags(write=False)
+    return rows, decode
 
 
 def object_render_points(obj: SceneObject, frames: np.ndarray
@@ -304,8 +302,7 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
             raise DimensionMismatch(f"a {m.model.category.value} motion for a "
                                     f"{obj.spec.category.value} scene object")
         pts, labels = object_render_points(obj, m.frames)
-        rows = np.array([(part_intensity(l, obj.spec.part_count), l)
-                         for l in range(obj.spec.part_count + 1)], dtype=np.uint8)
+        rows, _ = part_code(obj.spec.part_count)
         posed.append((pts, rows[labels]))
     camera = scene.camera.scaled(config.resolution_scale)
     frames, masks = render_part_masks(posed, camera, effective_radius(config))

@@ -42,6 +42,26 @@ def test_presets_shape_and_tree():
             assert 1 <= j.part_label <= spec.part_count
 
 
+@pytest.mark.parametrize("ids", [(0, 2), (1, 0), (0, 0)])
+def test_spec_refuses_joint_ids_that_are_not_their_indices(ids):
+    # fk_joints and the children table index joints by id
+    skeleton = (core.Joint(ids[0], -1, (0.0, 0.0, 0.0), 1),
+                core.Joint(ids[1], min(ids), (1.0, 0.0, 0.0), 2))
+    with pytest.raises(DimensionMismatch, match="joint ids must be their skeleton indices"):
+        core.ParametricModelSpec(category=Category.HUMAN, pose_dim=6, shape_dim=0,
+                                 expression_dim=0, part_count=2, skeleton=skeleton)
+
+
+@pytest.mark.parametrize("category", [Category.HUMAN, Category.ANIMAL,
+                                      Category.GENERIC_OBJECT])
+def test_spec_children_are_each_joints_children_in_skeleton_order(category):
+    spec = preset(category)
+    assert spec.children == tuple(
+        tuple(k.joint_id for k in spec.skeleton if k.parent_id == j.joint_id)
+        for j in spec.skeleton)
+    assert spec.children is spec.children  # derived once
+
+
 # --------------------------------------------------------- motion strength
 
 def test_strength_constant_sequence_is_zero():
@@ -373,36 +393,40 @@ def test_fk_dimension_mismatch():
         core.fk_joints(preset(Category.GENERIC_OBJECT), np.zeros(63), 1.0)
 
 
-# ---------------------------------------------------------------- validate
+# ---------------------------------------------- validation at construction
 
 def test_validate_well_formed():
-    rng = np.random.default_rng(13)
-    assert core.validate(random_seq(rng, 5)) == []
+    seq = random_seq(np.random.default_rng(13), 5)
+    assert seq.frames.shape == (5, 63) and seq.frames.dtype == np.float64
+    assert not seq.frames.flags.writeable
 
 
 def test_validate_nan_entry():
     frames = np.zeros((4, 63))
-    frames[2, 7] = np.nan
-    seq = make_seq(frames)
-    violations = core.validate(seq)
-    assert len(violations) == 1
-    v = violations[0]
-    assert v.kind == "NonFiniteEntry" and v.frame == 2 and v.channel == 7
+    frames[2, 7] = frames[3, 0] = np.nan
+    with pytest.raises(DimensionMismatch, match=r"\(frame 2, channel 7\) is nan"):
+        make_seq(frames)
+
+
+@pytest.mark.parametrize("value", [np.inf, -np.inf])
+def test_validate_infinite_entry(value):
+    frames = np.zeros((3, 63))
+    frames[1, 62] = value
+    with pytest.raises(DimensionMismatch, match=r"\(frame 1, channel 62\)"):
+        make_seq(frames)
 
 
 def test_validate_width_mismatch():
-    spec = preset(Category.GENERIC_OBJECT)
-    seq = MotionSequence(model=spec, fps=16.0, frames=np.zeros((3, 10)))
-    kinds = {v.kind for v in core.validate(seq)}
-    assert "DimensionMismatch" in kinds
+    # a wrong width, no frames, or not one row per frame
+    for shape in [(3, 10), (3, 64), (0, 63), (63,), (1, 3, 21)]:
+        with pytest.raises(DimensionMismatch, match="not \\(F >= 1, 63\\)"):
+            make_seq(np.zeros(shape))
 
 
-@pytest.mark.parametrize("fps, kind", [(0.0, "NonPositiveFps"), (-1.0, "NonPositiveFps"),
-                                       (np.nan, "NonPositiveFps"), (np.inf, "NonFiniteFps")])
-def test_validate_names_an_fps_that_is_not_positive_and_finite(fps, kind):
-    rng = np.random.default_rng(15)
-    seq = make_seq(rng.normal(size=(3, preset(Category.GENERIC_OBJECT).pose_dim)), fps=fps)
-    assert [v.kind for v in core.validate(seq)] == [kind]
+@pytest.mark.parametrize("fps", [0.0, -1.0, np.nan, np.inf])
+def test_validate_refuses_an_fps_that_is_not_positive_and_finite(fps):
+    with pytest.raises(DimensionMismatch, match="fps"):
+        make_seq(np.zeros((3, 63)), fps=fps)
 
 
 def test_ragged_frames_rejected_at_construction():
@@ -414,7 +438,6 @@ def test_ragged_frames_rejected_at_construction():
 def test_valid_sequence_accepted_by_all_operations():
     rng = np.random.default_rng(14)
     seq = random_seq(rng, 8, Category.HUMAN)
-    assert core.validate(seq) == []
     core.motion_strength(seq)
     core.resample(seq, 12)
     core.extrapolate(seq, 2)

@@ -119,8 +119,8 @@ def test_stitch_rejects_windows_of_differing_frame_shapes():
     plan = plan_windows(56)
     with pytest.raises(PlanMismatch):
         stitch([const_clip(0), const_clip(0, size=(8, 12))], plan)
-    spec = preset(Category.GENERIC_OBJECT)
-    seqs = [MotionSequence(spec, 16.0, np.zeros((32, n))) for n in (63, 62)]
+    seqs = [MotionSequence(spec, 16.0, np.zeros((32, spec.pose_dim)))
+            for spec in (preset(Category.GENERIC_OBJECT), preset(Category.HUMAN))]
     with pytest.raises(PlanMismatch):
         stitch_motion(seqs, plan)
 

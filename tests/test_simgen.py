@@ -24,8 +24,8 @@ from motionloop.simgen import (
     corrupt_motion,
     generate,
     generic_template,
-    intensity_to_label,
     object_render_points,
+    part_code,
     part_intensity,
     render,
     synthesize_gt_motion,
@@ -332,10 +332,17 @@ def test_generate_clips_match_golden_digests(name):
 
 @pytest.mark.parametrize("part_count", [1, 16, 22])
 def test_intensity_coding_round_trip(part_count):
-    for label in range(1, part_count + 1):
-        i = part_intensity(label, part_count)
-        assert 64 < i <= 255
-        assert intensity_to_label(i, part_count) == label
+    rows, decode = part_code(part_count)
+    codes = [part_intensity(label, part_count) for label in range(1, part_count + 1)]
+    assert all(64 < i <= 255 for i in codes) and len(set(codes)) == part_count
+    assert rows.tolist() == [[part_intensity(l, part_count), l]
+                             for l in range(part_count + 1)]
+    # every byte decodes to the label of the nearest code, the lower on a tie
+    for byte in range(256):
+        dist = [abs(code - byte) for code in codes]
+        assert decode[byte] == dist.index(min(dist)) + 1, byte
+    assert part_code(part_count) is part_code(part_count)
+    assert not rows.flags.writeable and not decode.flags.writeable
 
 
 # ----------------------------------------------------------------- generate
