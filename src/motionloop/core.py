@@ -3,13 +3,12 @@
 A motion sequence is an F x pose_dim matrix of per-frame parameters for one
 tracked object: joint angles (radians, XYZ Euler triplets) for articulated
 categories, world-space point coordinates for generic objects. Category
-presets ship a compact stand-in skeleton; the upstream full-model parameter
-dimensions are carried as reference metadata only.
+presets ship a compact stand-in skeleton, not the upstream full models.
 
 A ``MotionSequence`` is valid when built: read-only float64 frames of shape
 (F >= 1, model.pose_dim), every entry finite, and 0 < fps < inf; otherwise
-DimensionMismatch, naming the first non-finite (frame, channel). A spec's
-joint ids are their skeleton indices, and it derives each joint's children.
+DimensionMismatch, naming the first non-finite (frame, channel). A joint is
+its skeleton index; a spec derives its point layout once.
 
 Camera/world convention throughout the package: x right, y down, z depth
 (so "up" is -y). Local joint rotation for pose triplet (a, b, c) is
@@ -20,7 +19,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields, is_dataclass, replace
+from dataclasses import dataclass, fields, is_dataclass, replace
 from enum import Enum
 from functools import cached_property, lru_cache
 from importlib import resources
@@ -30,6 +29,7 @@ import numpy as np
 from .errors import DimensionMismatch, InvalidConfig, SequenceTooShort
 
 BONE_SAMPLES = 8  # densified points per bone so part masks have area
+_BONE_FRACTIONS = (np.arange(1, BONE_SAMPLES + 1) / BONE_SAMPLES)[:, None]
 EXTRAPOLATE_WINDOW, EXTRAPOLATE_DECAY = 4, 0.9  # frame deltas averaged; damping per frame
 
 
@@ -41,7 +41,6 @@ class Category(Enum):
 
 @dataclass(frozen=True)
 class Joint:
-    joint_id: int
     parent_id: int  # -1 for the root
     rest_offset: tuple[float, float, float]
     part_label: int
@@ -51,10 +50,9 @@ class Joint:
 class ParametricModelSpec:
     """Parameter layout + stand-in skeleton for one object category.
 
-    ``reference`` records the upstream parametric model dimensions
-    (e.g. the 165/10/10 human layout) as metadata; the working ``pose_dim``
-    is 3 x joint count for articulated categories and 63 (21 points x 3)
-    for generic objects.
+    ``pose_dim`` is 3 x joint count for articulated categories and 63
+    (21 points x 3) for generic objects. Joints are parent-ordered, and a
+    joint's index in ``skeleton`` is its id.
     """
 
     category: Category
@@ -63,17 +61,12 @@ class ParametricModelSpec:
     expression_dim: int
     part_count: int
     skeleton: tuple[Joint, ...]
-    reference: dict = field(default_factory=dict)
 
     def __post_init__(self):
         if self.pose_dim <= 0 or self.part_count <= 0:
             raise DimensionMismatch("pose_dim and part_count must be positive")
         if self.shape_dim < 0 or self.expression_dim < 0:
             raise DimensionMismatch("shape_dim/expression_dim must be >= 0")
-        for i, j in enumerate(self.skeleton):
-            if j.joint_id != i:
-                raise DimensionMismatch(f"joint {i} has id {j.joint_id}: "
-                                        "joint ids must be their skeleton indices")
         if self.is_articulated:
             if self.pose_dim != 3 * len(self.skeleton):
                 raise DimensionMismatch(
@@ -82,10 +75,10 @@ class ParametricModelSpec:
             roots = [j for j in self.skeleton if j.parent_id < 0]
             if len(roots) != 1:
                 raise DimensionMismatch("skeleton must have exactly one root")
-            for j in self.skeleton:
+            for i, j in enumerate(self.skeleton):
                 if not 1 <= j.part_label <= self.part_count:
                     raise DimensionMismatch(f"part label {j.part_label} out of range")
-                if j.parent_id >= j.joint_id:
+                if j.parent_id >= i:
                     # parents precede children, which also rules out cycles
                     raise DimensionMismatch("skeleton joints must be parent-ordered")
 
@@ -101,10 +94,36 @@ class ParametricModelSpec:
     def children(self) -> tuple[tuple[int, ...], ...]:
         """Each joint's child ids in skeleton order, indexed by joint id."""
         kids = [[] for _ in self.skeleton]
-        for j in self.skeleton:
+        for i, j in enumerate(self.skeleton):
             if j.parent_id >= 0:
-                kids[j.parent_id].append(j.joint_id)
+                kids[j.parent_id].append(i)
         return tuple(map(tuple, kids))
+
+    @cached_property
+    def rest_offsets(self) -> np.ndarray:
+        """Read-only (J, 3) rest offsets, each in its parent's frame."""
+        return read_only(np.array([j.rest_offset for j in self.skeleton],
+                                  dtype=np.float64).reshape(-1, 3))
+
+    @cached_property
+    def bones(self) -> np.ndarray:
+        """Read-only (2, B) parent and child joint ids of every bone, by child id."""
+        return read_only(np.array([(j.parent_id, i) for i, j in enumerate(self.skeleton)
+                                   if j.parent_id >= 0], dtype=np.int64).reshape(-1, 2).T)
+
+    @cached_property
+    def point_labels(self) -> np.ndarray:
+        """Read-only (N,) part labels of the ``forward_kinematics`` points:
+        each joint's, then each bone's child's, once per bone sample."""
+        labels = np.array([j.part_label for j in self.skeleton], dtype=np.int64)
+        return read_only(np.concatenate([labels, np.repeat(labels[self.bones[1]],
+                                                           BONE_SAMPLES)]))
+
+
+def read_only(a: np.ndarray) -> np.ndarray:
+    """``a``, made read-only in place."""
+    a.setflags(write=False)
+    return a
 
 
 @lru_cache(maxsize=None)
@@ -116,10 +135,8 @@ def preset(category: Category) -> ParametricModelSpec:
         Category.GENERIC_OBJECT: "generic_object.json",
     }[category]
     raw = json.loads(resources.files("motionloop.data").joinpath(fname).read_text())
-    skeleton = tuple(
-        Joint(jid, parent, tuple(offset), label)
-        for jid, parent, offset, label in raw["skeleton"]
-    )
+    skeleton = tuple(Joint(parent, tuple(offset), label)
+                     for parent, offset, label in raw["skeleton"])
     return ParametricModelSpec(
         category=Category(raw["category"]),
         pose_dim=raw["pose_dim"],
@@ -127,7 +144,6 @@ def preset(category: Category) -> ParametricModelSpec:
         expression_dim=raw["expression_dim"],
         part_count=raw["part_count"],
         skeleton=skeleton,
-        reference=raw.get("reference", {}),
     )
 
 
@@ -151,8 +167,7 @@ class MotionSequence:
                                     f"is {frames[frame, channel]}, not finite")
         if not 0 < self.fps < math.inf:
             raise DimensionMismatch(f"motion fps must be positive and finite, got {self.fps}")
-        frames.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", read_only(frames))
 
     @property
     def frame_count(self) -> int:
@@ -166,15 +181,6 @@ class MotionSequence:
 class MotionStrength:
     per_transition: np.ndarray  # (F-1,) non-negative
     mean: float
-
-
-@dataclass(frozen=True)
-class LabeledPoints:
-    """3-D points with per-point part labels and a joint-position view."""
-
-    points: np.ndarray  # (..., N, 3)
-    labels: np.ndarray  # (N,) int, part labels in [1, part_count]
-    joints: np.ndarray  # (..., J, 3) joint positions, index = joint id
 
 
 def motion_strength(seq: MotionSequence) -> MotionStrength:
@@ -257,44 +263,36 @@ def fk_joints(spec: ParametricModelSpec, pose: np.ndarray,
     if not np.all(np.isfinite(pose)):
         raise DimensionMismatch("pose angles must be finite")
     j = spec.joint_count
+    offsets = spec.rest_offsets * shape_scale
     local = _euler_xyz(pose.reshape(-1, j, 3))
     world_rot = np.empty(local.shape)
     pos = np.empty(local.shape[:-1])
-    for joint in spec.skeleton:
-        i = joint.joint_id
-        offset = np.asarray(joint.rest_offset) * shape_scale
-        if joint.parent_id < 0:
+    for i, joint in enumerate(spec.skeleton):
+        p = joint.parent_id
+        if p < 0:
             world_rot[:, i] = local[:, i]
-            pos[:, i] = offset
+            pos[:, i] = offsets[i]
         else:
-            p = joint.parent_id
             world_rot[:, i] = world_rot[:, p] @ local[:, i]
-            pos[:, i] = pos[:, p] + world_rot[:, p] @ offset
+            pos[:, i] = pos[:, p] + world_rot[:, p] @ offsets[i]
     return pos.reshape(pose.shape[:-1] + (j, 3))
 
 
 def forward_kinematics(spec: ParametricModelSpec, pose: np.ndarray,
-                       shape_scale: float = 1.0) -> LabeledPoints:
-    """Pose the stand-in skeleton and densify bones into labeled points.
+                       shape_scale: float = 1.0) -> np.ndarray:
+    """Pose the stand-in skeleton and densify its bones into points.
 
-    Emits one point per joint (carrying the joint's part label) followed by
-    BONE_SAMPLES points per bone at fractions i/BONE_SAMPLES along
-    parent->child, carrying the child's part label. Point order is fixed:
-    joints by id, then bones by child id. A pose of shape (..., pose_dim)
-    gives points (..., N, 3) and joints (..., J, 3); labels are (N,).
+    A pose of shape (..., pose_dim) gives points (..., N, 3): the J joints
+    by id, then BONE_SAMPLES points per bone at fractions i/BONE_SAMPLES
+    along parent->child, bones by child id. ``spec.point_labels`` holds
+    their (N,) part labels.
     """
     joints = fk_joints(spec, pose, shape_scale)
-    bones = [j for j in spec.skeleton if j.parent_id >= 0]
-    a = joints[..., [j.parent_id for j in bones], None, :]
-    b = joints[..., [j.joint_id for j in bones], None, :]
-    fractions = (np.arange(1, BONE_SAMPLES + 1) / BONE_SAMPLES)[:, None]
-    samples = (a + fractions * (b - a)).reshape(
-        joints.shape[:-2] + (len(bones) * BONE_SAMPLES, 3))
-    points = np.concatenate([joints, samples], -2)
-    labels = np.array([j.part_label for j in spec.skeleton]
-                      + [j.part_label for j in bones for _ in range(BONE_SAMPLES)],
-                      dtype=np.int64)
-    return LabeledPoints(points=points, labels=labels, joints=joints)
+    parents, kids = spec.bones
+    a, b = joints[..., parents, None, :], joints[..., kids, None, :]
+    samples = (a + _BONE_FRACTIONS * (b - a)).reshape(
+        joints.shape[:-2] + (len(kids) * BONE_SAMPLES, 3))
+    return np.concatenate([joints, samples], -2)
 
 
 MOTION_JSON_VERSION = "1"

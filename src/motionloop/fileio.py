@@ -124,4 +124,4 @@ def read_clip(dir_path) -> VideoClip:
         raise ShapeMismatch(f"frame resolution {w}x{h} differs from clip.json {doc['resolution']}")
     if type(doc["fps"]) not in (int, float) or not 0 < doc["fps"] < math.inf:
         raise ShapeMismatch(f"clip.json fps must be a positive number, got {doc['fps']!r}")
-    return VideoClip(frames=frames, fps=float(doc["fps"]), resolution=(w, h))
+    return VideoClip(frames, float(doc["fps"]))

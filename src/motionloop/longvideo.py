@@ -116,7 +116,7 @@ def stitch(clips: list[VideoClip], plan: WindowPlan) -> VideoClip:
     if len(rates) > 1:
         raise PlanMismatch(f"clip frame rates differ: {rates} fps")
     frames = _blend([clip.frames for clip in clips], plan, "clip")
-    return VideoClip(frames=frames, fps=clips[0].fps, resolution=clips[0].resolution)
+    return VideoClip(frames, clips[0].fps)
 
 
 def stitch_motion(seqs: list[MotionSequence], plan: WindowPlan) -> MotionSequence:

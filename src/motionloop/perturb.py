@@ -14,7 +14,7 @@ from enum import Enum
 
 import numpy as np
 
-from .core import MotionSequence
+from .core import MotionSequence, read_only
 from .errors import (
     InvalidConfig,
     RangeOutOfBounds,
@@ -25,10 +25,8 @@ from .errors import (
 
 # the noise schedule: per-step rates gamma_t, t = 1..1000, and their
 # cumulative products ALPHA_BAR[t-1] = prod_{i<=t} (1 - gamma_i)
-GAMMA = np.linspace(1e-4, 0.02, 1000)
-ALPHA_BAR = np.cumprod(1.0 - GAMMA)
-GAMMA.setflags(write=False)
-ALPHA_BAR.setflags(write=False)
+GAMMA = read_only(np.linspace(1e-4, 0.02, 1000))
+ALPHA_BAR = read_only(np.cumprod(1.0 - GAMMA))
 
 
 class Kind(Enum):

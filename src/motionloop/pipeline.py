@@ -205,28 +205,23 @@ def _recover_articulated(obj, comp: np.ndarray, frame: np.ndarray,
         uv = np.array([[xs[sel].mean(), ys[sel].mean()]])
         centroids[int(decode[intensity])] = lift_points(uv, np.array([depth]), camera)[0]
 
-    placement = np.asarray(obj.placement)
+    offsets = spec.rest_offsets
+    scaled = offsets * obj.shape_scale
     pos: dict[int, np.ndarray] = {}
     phi: dict[int, float] = {}
     pose = prev_pose.copy()
 
-    root = spec.skeleton[0]  # joint ids are indices, parents first
-    root_c = centroids.get(root.part_label)
-    if root_c is not None:
-        pos[0] = root_c
-    else:
-        pos[0] = placement + np.asarray(root.rest_offset) * obj.shape_scale
+    root_c = centroids.get(spec.skeleton[0].part_label)  # joint 0 is the root
+    pos[0] = root_c if root_c is not None else np.asarray(obj.placement) + scaled[0]
 
-    for j in spec.skeleton:  # parent-ordered by construction
-        jid = j.joint_id
+    for jid, j in enumerate(spec.skeleton):  # parent-ordered by construction
         kids = spec.children[jid]
         parent_phi = phi.get(j.parent_id, 0.0)
         if kids:
             sines, cosines = [], []
             for kid in kids:
-                joint_k = spec.skeleton[kid]
-                c = centroids.get(joint_k.part_label)
-                off = np.asarray(joint_k.rest_offset)
+                c = centroids.get(spec.skeleton[kid].part_label)
+                off = offsets[kid]
                 if c is None or np.hypot(off[0], off[1]) < 1e-9:
                     continue
                 d = c - pos[jid]
@@ -243,7 +238,7 @@ def _recover_articulated(obj, comp: np.ndarray, frame: np.ndarray,
         pose[3 * jid:3 * jid + 3] = (0.0, 0.0, local)
         cphi, sphi = math.cos(phi[jid]), math.sin(phi[jid])
         for kid in kids:
-            off = np.asarray(spec.skeleton[kid].rest_offset) * obj.shape_scale
+            off = scaled[kid]
             rotated = np.array([cphi * off[0] - sphi * off[1],
                                 sphi * off[0] + cphi * off[1], off[2]])
             pos[kid] = pos[jid] + rotated

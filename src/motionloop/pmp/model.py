@@ -50,7 +50,7 @@ class PmpConfig:
     ffn_dim: int = 256
     max_frames: int = 128
     vocab: tuple[str, ...] = DEFAULT_VOCAB
-    max_pose_dim: int = 165
+    max_pose_dim: int = 165  # the upstream human model's pose layout (55 joints x 3)
     refine_iterations: int = 1
 
     def __post_init__(self):
@@ -141,17 +141,20 @@ def pmp_init(config: PmpConfig, seed: int) -> PmpModel:
     """
     rng = np.random.default_rng(seed)
     params: dict[str, np.ndarray] = {}
-    for name, shape in _param_shapes(config):
-        base = name.rsplit(".", 1)[-1]
-        if base in ("ln1_g", "ln2_g", "ln3_g"):
-            params[name] = np.ones(shape)
-        elif len(shape) == 1 or base == "pos_emb":
-            # pos_emb is an additive bias on activations: a zero start degrades
-            # gracefully at frame positions the training data never visited
-            params[name] = np.zeros(shape)
-        else:
-            scale = 1.0 / np.sqrt(shape[1] if base == "token_emb" else shape[0])
-            params[name] = rng.uniform(-scale, scale, size=shape)
+    try:
+        for name, shape in _param_shapes(config):
+            base = name.rsplit(".", 1)[-1]
+            if base in ("ln1_g", "ln2_g", "ln3_g"):
+                params[name] = np.ones(shape)
+            elif len(shape) == 1 or base == "pos_emb":
+                # pos_emb is an additive bias on activations: a zero start
+                # degrades gracefully at frame positions training never visited
+                params[name] = np.zeros(shape)
+            else:
+                scale = 1.0 / np.sqrt(shape[1] if base == "token_emb" else shape[0])
+                params[name] = rng.uniform(-scale, scale, size=shape)
+    except MemoryError:
+        raise InvalidConfig(f"a prior of {config.layers} layers cannot be allocated") from None
     return PmpModel(config=config, params=params)
 
 

@@ -74,18 +74,22 @@ def pmp_train(model: PmpModel, corpus: list[CorpusItem],
     b1, b2, eps = 0.9, 0.999, 1e-8  # Adam
     clean_fraction = 0.1  # samples left unperturbed: anchors pass-through
     for step in range(train_config.steps):
-        idx = rng.integers(0, len(corpus), size=train_config.batch_size)
-        batch = []
-        for i in idx:
-            item = corpus[int(i)]
-            op_seed = int(rng.integers(0, 2**63 - 1))
-            if rng.random() < clean_fraction:
-                perturbed = item.motion
-            else:
-                perturbed, _ = sample_perturbation(item.motion, perturb_config,
-                                                   op_seed)
-            batch.append((perturbed, item.motion, conds[int(i)]))
-        loss, grads = pmp_loss(model, batch)
+        try:  # the batch size sizes the batch and every activation of the step
+            idx = rng.integers(0, len(corpus), size=train_config.batch_size)
+            batch = []
+            for i in idx:
+                item = corpus[int(i)]
+                op_seed = int(rng.integers(0, 2**63 - 1))
+                if rng.random() < clean_fraction:
+                    perturbed = item.motion
+                else:
+                    perturbed, _ = sample_perturbation(item.motion, perturb_config,
+                                                       op_seed)
+                batch.append((perturbed, item.motion, conds[int(i)]))
+            loss, grads = pmp_loss(model, batch)
+        except MemoryError:
+            raise InvalidConfig(f"a training batch of {train_config.batch_size} motions "
+                                "cannot be allocated") from None
         t = step + 1
         c1, c2 = 1 - b1**t, 1 - b2**t
         for name, w in model.params.items():

@@ -27,6 +27,7 @@ from .core import (
     MotionSequence,
     ParametricModelSpec,
     forward_kinematics,
+    read_only,
     resample,
 )
 from .errors import DimensionMismatch, InvalidConfig, UnknownActionTag
@@ -39,10 +40,9 @@ INTENSITY_LO, INTENSITY_HI = 64, 255
 DROP_ACCEL = 0.3  # units / s^2, toward +y (down)
 
 # full-strength generator corruption, before conditioning attenuation: the
-# shuffle and drop shares of the perturbation mix (noise takes the rest),
-# and the target-pose pin width per sqrt(channel)
-CORRUPTION_SHUFFLE_PROB = 0.25
-CORRUPTION_DROP_PROB = 0.25
+# perturbation mix (noise, shuffle, drop) and the target-pose pin width per
+# sqrt(channel)
+CORRUPTION = perturb.PerturbConfig(probs=(0.5, 0.25, 0.25))
 CORRUPTION_PIN_WIDTH = 0.1
 
 
@@ -64,8 +64,7 @@ class SceneObject:
             raise DimensionMismatch("placement must be 3 finite numbers, depth > 0")
         if not np.all(np.isfinite(pose)) or not 0 < self.shape_scale < math.inf:
             raise DimensionMismatch("initial pose must be finite, shape_scale positive and finite")
-        pose.setflags(write=False)
-        object.__setattr__(self, "initial_pose", pose)
+        object.__setattr__(self, "initial_pose", read_only(pose))
 
     @property
     def action(self) -> str:
@@ -122,28 +121,33 @@ COARSE_CONFIG = GeneratorConfig(resolution_scale=0.25, frame_fraction=0.5)
 FINE_CONFIG = GeneratorConfig(resolution_scale=1.0, frame_fraction=1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class VideoClip:
-    frames: np.ndarray  # read-only (F, H, W) uint8, from any sequence of equal frames
-    fps: float
-    resolution: tuple[int, int]  # (w, h)
+    """A clip; its size is its frames' shape. A ``resolution`` argument is
+    only checked against the frames' (w, h): perfbench's tests pass one."""
 
-    def __post_init__(self):
-        w, h = self.resolution
-        frames = np.asarray(self.frames)
-        if not frames.ndim or not len(frames):
-            raise InvalidConfig("clip needs at least one frame")
+    frames: np.ndarray  # read-only (F >= 1, H, W) uint8, from any sequence of equal frames
+    fps: float
+
+    def __init__(self, frames, fps: float, *, resolution: tuple[int, int] | None = None):
+        frames = np.asarray(frames)
+        if frames.ndim != 3 or not len(frames):
+            raise InvalidConfig(f"clip frames must be (F >= 1, H, W), got shape {frames.shape}")
         # SSIM's int32 window sums are exact only for uint8 pixels
         if frames.dtype != np.uint8:
             raise InvalidConfig(f"clip frames must be uint8, got {frames.dtype}")
-        if frames.shape[1:] != (h, w):
-            raise DimensionMismatch("frame resolution mismatch")
-        frames.setflags(write=False)
-        object.__setattr__(self, "frames", frames)
+        object.__setattr__(self, "frames", read_only(frames))
+        object.__setattr__(self, "fps", fps)
+        if resolution is not None and tuple(resolution) != self.resolution:
+            raise DimensionMismatch(f"resolution {resolution} is not the frames' {self.resolution}")
 
     @property
     def frame_count(self) -> int:
         return len(self.frames)
+
+    @property
+    def resolution(self) -> tuple[int, int]:  # (w, h)
+        return self.frames.shape[2], self.frames.shape[1]
 
 
 # --------------------------------------------------------------- templates
@@ -225,10 +229,7 @@ def corrupt_motion(gt: MotionSequence, mode: ConditionMode,
     att = mode.level(config.attenuation)
     if att <= 0.0:
         return gt
-    pconf = perturb.PerturbConfig(
-        probs=(1.0 - CORRUPTION_SHUFFLE_PROB - CORRUPTION_DROP_PROB,
-               CORRUPTION_SHUFFLE_PROB, CORRUPTION_DROP_PROB))
-    perturbed, _ = perturb.sample_perturbation(gt, pconf, seed)
+    perturbed, _ = perturb.sample_perturbation(gt, CORRUPTION, seed)
     frames = gt.frames + att * (perturbed.frames - gt.frames)
     if mode is ConditionMode.TARGET_POSE:
         tol = CORRUPTION_PIN_WIDTH * np.sqrt(gt.frames.shape[1])
@@ -256,9 +257,7 @@ def part_code(part_count: int) -> tuple[np.ndarray, np.ndarray]:
     rows = np.array([(part_intensity(l, part_count), l) for l in range(part_count + 1)],
                     dtype=np.uint8)
     decode = 1 + np.abs(np.arange(256)[:, None] - rows[1:, 0].astype(int)).argmin(axis=1)
-    rows.setflags(write=False)
-    decode.setflags(write=False)
-    return rows, decode
+    return read_only(rows), read_only(decode)
 
 
 def object_render_points(obj: SceneObject, frames: np.ndarray
@@ -266,9 +265,8 @@ def object_render_points(obj: SceneObject, frames: np.ndarray
     """World-space points (F, N, 3) for one object over (F, pose_dim)
     frames, and their part labels (N,)."""
     if obj.spec.is_articulated:
-        lp = forward_kinematics(obj.spec, frames, obj.shape_scale)
-        pts = lp.points + np.asarray(obj.placement)
-        return pts, lp.labels
+        pts = forward_kinematics(obj.spec, frames, obj.shape_scale) + np.asarray(obj.placement)
+        return pts, obj.spec.point_labels
     pts21 = frames.reshape(-1, 21, 3)
     contour, center = pts21[:, :16], pts21[:, 20:]
     # densify so the splatted object reads as a filled shape:
@@ -306,8 +304,7 @@ def render(scene: SceneSpec, motions: list[MotionSequence],
         posed.append((pts, rows[labels]))
     camera = scene.camera.scaled(config.resolution_scale)
     frames, masks = render_part_masks(posed, camera, effective_radius(config))
-    masks.setflags(write=False)
-    return VideoClip(frames=frames, fps=scene.fps, resolution=camera.size), masks
+    return VideoClip(frames, scene.fps), read_only(masks)
 
 
 # ---------------------------------------------------------------- generate

@@ -311,19 +311,18 @@ def test_c08_long_motion_pipeline(trained_prior):
 
 def test_c09_metrics_self_consistency():
     base = np.full((40, 50), 90, dtype=np.uint8)
-    pred = VideoClip(frames=(base + 10,), fps=8.0, resolution=(50, 40))
-    ref = VideoClip(frames=(base,), fps=8.0, resolution=(50, 40))
+    pred = VideoClip((base + 10,), 8.0)
+    ref = VideoClip((base,), 8.0)
     report = eval_metrics(pred, ref, [], [], [], [])
     psnr_ok = abs(report.psnr - 10 * np.log10(255 ** 2 / 100.0)) <= 0.01
 
     rng = np.random.default_rng(909)
     x = rng.integers(0, 255, size=(40, 50)).astype(np.uint8)
-    same = VideoClip(frames=(x,), fps=8.0, resolution=(50, 40))
+    same = VideoClip((x,), 8.0)
     ssim_ok = eval_metrics(same, same, [], [], [], []).ssim == pytest.approx(1.0, abs=1e-12)
 
     miou_ok = True
-    blank = VideoClip(frames=(np.zeros((8, 8), dtype=np.uint8),), fps=8.0,
-                      resolution=(8, 8))
+    blank = VideoClip((np.zeros((8, 8), dtype=np.uint8),), 8.0)
     for _ in range(50):
         a = rng.integers(0, 4, size=(12, 16))
         b = rng.integers(0, 4, size=(12, 16))

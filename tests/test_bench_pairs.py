@@ -157,7 +157,9 @@ def test_summary_lines_give_medians_wins_and_the_claim_per_workload():
     workloads = {"long": summary, "multi": summary}
     claim = bench_pairs.judge_claim("long:op_ms_p50:0.04", workloads)
     lines = bench_pairs.summary_lines(workloads, claim)
-    row = "op_ms_p50 11 -> 10.5 (2/4), raw op ms 100 -> 100, ops_per_s 2.5 -> 2 (2/4)"
+    # change/parent: 0.9 and 13/12 with the parent first, 1 and 11/14 with the change first
+    row = ("op_ms_p50 11 -> 10.5 (2/4), raw op ms 100 -> 100, "
+           "change/parent 0.992 parent-first, 0.893 change-first, ops_per_s 2.5 -> 2 (2/4)")
     # a 4.5% gain over 4 pairs, 2 of them won: under 9 of 10
     # ops_per_s: parent quartiles 1.75-3.25 are wider than 25% of 2.5, and
     # the change's 1 does not beat the parent's 4
@@ -176,7 +178,22 @@ def test_summary_lines_give_raw_op_medians_beside_reference_ones():
     summary = bench_pairs.summarize(pairs, [1, 2, 3], METRICS)
     line = bench_pairs.summary_lines({"train": summary})[0]
     assert line == ("train: op_ms_p50 119 -> 78 (3/3), raw op ms 178 -> 178, "
+                    "change/parent 0.655 parent-first, 0.655 change-first, "
                     "ops_per_s 8 -> 12 (3/3)")
+
+
+def test_summary_lines_show_an_order_effect_by_the_side_that_ran_first():
+    # whichever side runs second reads 10% faster: the medians agree, and
+    # the two orders' change/parent ratios, 0.9 and 1.1, show the effect
+    ms = [(100.0, 90.0), (90.0, 100.0)] * 3  # (parent, change), parent first in even pairs
+    pairs = [{"parent": _record(p, 1.0), "change": _record(c, 1.0)} for p, c in ms]
+    summary = bench_pairs.summarize(pairs, list(range(6)), METRICS)
+    assert summary["op_ms_p50_ratio_by_first"] == pytest.approx(
+        {"parent_first": 0.9, "change_first": 100.0 / 90.0})
+    assert summary["metrics"]["op_ms_p50"]["change_wins"] == "3/6"
+    line = bench_pairs.summary_lines({"multi": summary})[0]
+    assert "op_ms_p50 95 -> 95 (3/6)" in line
+    assert "change/parent 0.900 parent-first, 1.111 change-first" in line
 
 
 @pytest.mark.parametrize("better, parent, change, expected", [

@@ -207,6 +207,17 @@ def test_cli_run_is_a_thin_adapter(tiny_checkpoint, tmp_path):
     assert (out / "report.json").read_text() == result.report.to_json()
 
 
+def test_run_on_an_object_off_the_frame_exits_1_with_one_named_error(tiny_checkpoint,
+                                                                     tmp_path):
+    scene = json.loads(scene_to_json(fixture_scene(2)))
+    scene["objects"][0]["placement"][0] = 4.0
+    code, err = _run_in_process(*_bad_run_config(json.dumps({"scene": scene}))(
+        tmp_path, tiny_checkpoint))
+    assert code == 1
+    assert err.startswith("error [ExtractionFailed]: ") and len(err.splitlines()) == 1, err
+    assert not (tmp_path / "run").exists()
+
+
 def test_eval_identity(tmp_path, capsys):
     rng = np.random.default_rng(80)
     frames = [rng.integers(0, 255, size=(9, 12)).astype(np.uint8)
@@ -460,13 +471,17 @@ def _run_with_checkpoint(edit):
     return argv
 
 
-def _train_pmp_with_lr(lr, steps="2"):
-    """train-pmp for a few steps on the corpus the tiny checkpoint came from."""
+def _train_pmp_with(*flags):
+    """train-pmp on the corpus the tiny checkpoint came from, with flags."""
     def argv(tmp_path, checkpoint):
         return ["train-pmp", "--corpus", str(checkpoint.parent / "corpus"),
-                "--out", str(tmp_path / "p.ckpt"), "--steps", steps, "--layers", "1",
-                "--lr", lr]
+                "--out", str(tmp_path / "p.ckpt"), *flags]
     return argv
+
+
+def _train_pmp_with_lr(lr, steps="2"):
+    """train-pmp for a few steps at learning rate lr."""
+    return _train_pmp_with("--steps", steps, "--layers", "1", "--lr", lr)
 
 
 def _denoise_with_strength(strength):
@@ -976,7 +991,15 @@ MEMORY_CASES = {
     "run-huge-duration": (_huge_scene_duration, "TooManyFrames"),
     "gen-corpus-huge-frames": (_gen_corpus("2", "1000000000"), "TooManyFrames"),
     "rasterize-huge-camera": (_rasterize_on_camera(size=[100000, 100000]), "ShapeMismatch"),
+    # a flag that sizes the prior's tensors or a training batch
+    "train-pmp-huge-batch": (_train_pmp_with("--batch-size", "1000000000"), "InvalidConfig"),
+    "train-pmp-huge-layers": (_train_pmp_with("--layers", "100000000"), "InvalidConfig"),
+    "grad-check-huge-layers": (lambda tmp_path, checkpoint: [
+        "grad-check", "--layers", "100000000"], "InvalidConfig"),
 }
+# the value each flag case's error line names
+_FLAG_VALUES = {"train-pmp-huge-batch": "1000000000", "train-pmp-huge-layers": "100000000",
+                "grad-check-huge-layers": "100000000"}
 
 
 @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
@@ -988,6 +1011,7 @@ def test_input_that_would_exhaust_memory_exits_1_with_a_named_error(
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(f"error [{name}]: "), proc.stderr
     assert "Traceback" not in proc.stderr
+    assert _FLAG_VALUES.get(case, "") in proc.stderr
 
 
 # ------------------------------------------------------ checkpoint bytes

@@ -29,10 +29,8 @@ def random_seq(rng, f, category=Category.GENERIC_OBJECT):
 def test_presets_shape_and_tree():
     human = preset(Category.HUMAN)
     assert human.pose_dim == 66 and human.joint_count == 22
-    assert human.reference["pose_dim"] == 165
     animal = preset(Category.ANIMAL)
     assert animal.pose_dim == 48 and animal.joint_count == 16
-    assert animal.reference["pose_dim"] == 105
     generic = preset(Category.GENERIC_OBJECT)
     assert generic.pose_dim == 63 and not generic.is_articulated
     for spec in (human, animal):
@@ -42,14 +40,13 @@ def test_presets_shape_and_tree():
             assert 1 <= j.part_label <= spec.part_count
 
 
-@pytest.mark.parametrize("ids", [(0, 2), (1, 0), (0, 0)])
-def test_spec_refuses_joint_ids_that_are_not_their_indices(ids):
-    # fk_joints and the children table index joints by id
-    skeleton = (core.Joint(ids[0], -1, (0.0, 0.0, 0.0), 1),
-                core.Joint(ids[1], min(ids), (1.0, 0.0, 0.0), 2))
-    with pytest.raises(DimensionMismatch, match="joint ids must be their skeleton indices"):
-        core.ParametricModelSpec(category=Category.HUMAN, pose_dim=6, shape_dim=0,
-                                 expression_dim=0, part_count=2, skeleton=skeleton)
+@pytest.mark.parametrize("parents", [(-1, 1), (-1, 0, 2), (0, -1)])
+def test_spec_refuses_a_skeleton_whose_parents_do_not_precede_their_children(parents):
+    skeleton = tuple(core.Joint(p, (1.0, 0.0, 0.0), i + 1) for i, p in enumerate(parents))
+    with pytest.raises(DimensionMismatch, match="parent-ordered"):
+        core.ParametricModelSpec(category=Category.HUMAN, pose_dim=3 * len(parents),
+                                 shape_dim=0, expression_dim=0, part_count=len(parents),
+                                 skeleton=skeleton)
 
 
 @pytest.mark.parametrize("category", [Category.HUMAN, Category.ANIMAL,
@@ -57,9 +54,27 @@ def test_spec_refuses_joint_ids_that_are_not_their_indices(ids):
 def test_spec_children_are_each_joints_children_in_skeleton_order(category):
     spec = preset(category)
     assert spec.children == tuple(
-        tuple(k.joint_id for k in spec.skeleton if k.parent_id == j.joint_id)
-        for j in spec.skeleton)
+        tuple(k for k, joint in enumerate(spec.skeleton) if joint.parent_id == j)
+        for j in range(spec.joint_count))
     assert spec.children is spec.children  # derived once
+
+
+@pytest.mark.parametrize("category", [Category.HUMAN, Category.ANIMAL,
+                                      Category.GENERIC_OBJECT])
+def test_spec_derives_its_point_layout_once_read_only(category):
+    spec = preset(category)
+    bones = [(j.parent_id, k) for k, j in enumerate(spec.skeleton) if j.parent_id >= 0]
+    parents, kids = spec.bones
+    assert parents.tolist() == [p for p, _ in bones] and kids.tolist() == [k for _, k in bones]
+    np.testing.assert_array_equal(
+        spec.rest_offsets, np.reshape([j.rest_offset for j in spec.skeleton], (-1, 3)))
+    labels = [j.part_label for j in spec.skeleton]
+    assert spec.point_labels.tolist() == labels + [
+        labels[k] for _, k in bones for _ in range(core.BONE_SAMPLES)]
+    for derived in (spec.rest_offsets, parents, kids, spec.point_labels):
+        assert not derived.flags.writeable
+    assert spec.rest_offsets is spec.rest_offsets and spec.bones is spec.bones
+    assert spec.point_labels is spec.point_labels
 
 
 # --------------------------------------------------------- motion strength
@@ -198,12 +213,12 @@ def test_fk_zero_pose_is_scaled_rest_skeleton():
             got = core.fk_joints(spec, np.zeros(spec.pose_dim), scale)
             # independent accumulation of rest offsets
             expected = np.zeros((spec.joint_count, 3))
-            for j in spec.skeleton:
+            for i, j in enumerate(spec.skeleton):
                 off = np.array(j.rest_offset) * scale
                 if j.parent_id < 0:
-                    expected[j.joint_id] = off
+                    expected[i] = off
                 else:
-                    expected[j.joint_id] = expected[j.parent_id] + off
+                    expected[i] = expected[j.parent_id] + off
             np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -211,8 +226,8 @@ def test_fk_quarter_turn_single_bone():
     spec = core.ParametricModelSpec(
         category=Category.HUMAN, pose_dim=6, shape_dim=0, expression_dim=0,
         part_count=2,
-        skeleton=(core.Joint(0, -1, (0.0, 0.0, 0.0), 1),
-                  core.Joint(1, 0, (1.0, 0.0, 0.0), 2)))
+        skeleton=(core.Joint(-1, (0.0, 0.0, 0.0), 1),
+                  core.Joint(0, (1.0, 0.0, 0.0), 2)))
     pose = np.zeros(6)
     pose[2] = math.pi / 2  # root z rotation
     for scale in (1.0, 3.0):
@@ -236,9 +251,9 @@ def test_fk_chain_matches_homogeneous_transform_oracle():
     spec = core.ParametricModelSpec(
         category=Category.ANIMAL, pose_dim=9, shape_dim=0, expression_dim=0,
         part_count=3,
-        skeleton=(core.Joint(0, -1, (0.1, -0.2, 0.3), 1),
-                  core.Joint(1, 0, (0.7, 0.1, -0.2), 2),
-                  core.Joint(2, 1, (0.0, 0.5, 0.4), 3)))
+        skeleton=(core.Joint(-1, (0.1, -0.2, 0.3), 1),
+                  core.Joint(0, (0.7, 0.1, -0.2), 2),
+                  core.Joint(1, (0.0, 0.5, 0.4), 3)))
     rng = np.random.default_rng(11)
     for _ in range(20):
         pose = rng.uniform(-math.pi, math.pi, size=9)
@@ -267,20 +282,20 @@ def test_fk_random_specs_zero_pose_property():
     rng = np.random.default_rng(12)
     for _ in range(10):
         n = int(rng.integers(2, 8))
-        joints = [core.Joint(0, -1, tuple(rng.normal(size=3)), 1)]
+        joints = [core.Joint(-1, tuple(rng.normal(size=3)), 1)]
         for i in range(1, n):
             parent = int(rng.integers(0, i))
-            joints.append(core.Joint(i, parent, tuple(rng.normal(size=3)), i + 1))
+            joints.append(core.Joint(parent, tuple(rng.normal(size=3)), i + 1))
         spec = core.ParametricModelSpec(
             category=Category.HUMAN, pose_dim=3 * n, shape_dim=0,
             expression_dim=0, part_count=n, skeleton=tuple(joints))
         got = core.fk_joints(spec, np.zeros(3 * n), 1.3)
         expected = np.zeros((n, 3))
-        for j in joints:
+        for i, j in enumerate(joints):
             if j.parent_id >= 0:
-                expected[j.joint_id] = expected[j.parent_id] + np.array(j.rest_offset) * 1.3
+                expected[i] = expected[j.parent_id] + np.array(j.rest_offset) * 1.3
             else:
-                expected[j.joint_id] = np.array(j.rest_offset) * 1.3
+                expected[i] = np.array(j.rest_offset) * 1.3
         np.testing.assert_allclose(got, expected, atol=1e-12)
 
 
@@ -299,8 +314,7 @@ def _fk_loop_oracle(spec, pose, shape_scale):
     oracle, with forward_kinematics' per-bone densify: (points, joints)."""
     world_rot = np.empty((spec.joint_count, 3, 3))
     pos = np.empty((spec.joint_count, 3))
-    for joint in spec.skeleton:
-        i = joint.joint_id
+    for i, joint in enumerate(spec.skeleton):
         local = _euler_xyz_oracle(*pose[3 * i:3 * i + 3])
         offset = np.asarray(joint.rest_offset) * shape_scale
         if joint.parent_id < 0:
@@ -312,9 +326,9 @@ def _fk_loop_oracle(spec, pose, shape_scale):
             pos[i] = pos[p] + world_rot[p] @ offset
     pts = [pos]
     fractions = (np.arange(1, core.BONE_SAMPLES + 1) / core.BONE_SAMPLES)[:, None]
-    for joint in spec.skeleton:
+    for i, joint in enumerate(spec.skeleton):
         if joint.parent_id >= 0:
-            a, b = pos[joint.parent_id], pos[joint.joint_id]
+            a, b = pos[joint.parent_id], pos[i]
             pts.append(a + fractions * (b - a))
     return np.vstack(pts), pos
 
@@ -328,9 +342,9 @@ def _posed_skeletons(draw):
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if spec is None:
         n = draw(st.integers(1, 12))
-        joints = [core.Joint(0, -1, tuple(rng.normal(size=3)), 1)]
+        joints = [core.Joint(-1, tuple(rng.normal(size=3)), 1)]
         for i in range(1, n):
-            joints.append(core.Joint(i, int(rng.integers(0, i)),
+            joints.append(core.Joint(int(rng.integers(0, i)),
                                      tuple(rng.normal(size=3)), i + 1))
         spec = core.ParametricModelSpec(
             category=Category.HUMAN, pose_dim=3 * n, shape_dim=0,
@@ -349,12 +363,11 @@ def test_batched_fk_matches_per_pose_loop_oracle_bitwise(case):
     joints = core.fk_joints(spec, poses, shape_scale)
     posed = core.forward_kinematics(spec, poses, shape_scale)
     assert joints.shape == (len(poses), spec.joint_count, 3)
-    assert posed.points.shape[:2] == (len(poses), posed.labels.shape[0])
+    assert posed.shape == (len(poses), spec.point_labels.shape[0], 3)
     for t, pose in enumerate(poses):
         points, expected = _fk_loop_oracle(spec, pose, shape_scale)
         np.testing.assert_array_equal(joints[t], expected)
-        np.testing.assert_array_equal(posed.joints[t], expected)
-        np.testing.assert_array_equal(posed.points[t], points)
+        np.testing.assert_array_equal(posed[t], points)
     # one bad entry in any one frame rejects the whole batch
     bad = poses.copy()
     bad[nan_at] = np.nan
@@ -370,19 +383,19 @@ def test_fk_single_pose_keeps_its_shape():
     posed = core.forward_kinematics(spec, pose, 1.4)
     points, joints = _fk_loop_oracle(spec, pose, 1.4)
     np.testing.assert_array_equal(core.fk_joints(spec, pose, 1.4), joints)
-    np.testing.assert_array_equal(posed.joints, joints)
-    np.testing.assert_array_equal(posed.points, points)
+    np.testing.assert_array_equal(posed, points)
 
 
 def test_forward_kinematics_emits_joint_and_bone_points():
     spec = preset(Category.HUMAN)
     out = core.forward_kinematics(spec, np.zeros(spec.pose_dim), 1.0)
     expected_n = spec.joint_count + core.BONE_SAMPLES * (spec.joint_count - 1)
-    assert out.points.shape == (expected_n, 3)
-    assert out.labels.shape == (expected_n,)
-    assert out.labels.min() >= 1 and out.labels.max() <= spec.part_count
+    assert out.shape == (expected_n, 3)
+    assert spec.point_labels.shape == (expected_n,)
+    assert spec.point_labels.min() >= 1 and spec.point_labels.max() <= spec.part_count
     # the first J points are the joints themselves
-    np.testing.assert_allclose(out.points[:spec.joint_count], out.joints)
+    np.testing.assert_array_equal(out[:spec.joint_count],
+                                  core.fk_joints(spec, np.zeros(spec.pose_dim), 1.0))
 
 
 def test_fk_dimension_mismatch():

@@ -25,8 +25,7 @@ from motionloop.simgen import FINE_CONFIG, VideoClip, generate
 def const_clip(value, frames=32, size=(12, 8)):
     w, h = size
     grid = np.full((h, w), value, dtype=np.uint8)
-    return VideoClip(frames=tuple(grid.copy() for _ in range(frames)),
-                     fps=16.0, resolution=size)
+    return VideoClip(tuple(grid.copy() for _ in range(frames)), 16.0)
 
 
 # ---------------------------------------------------------------- planning
@@ -87,7 +86,7 @@ def test_stitch_identical_clips_lossless():
     clips = []
     for start, end in plan.windows:
         frames = tuple(base.copy() for _ in range(32))
-        clips.append(VideoClip(frames=frames, fps=16.0, resolution=(12, 8)))
+        clips.append(VideoClip(frames, 16.0))
     merged = stitch(clips, plan)
     assert merged.frame_count == 80
     for frame in merged.frames:
@@ -170,7 +169,7 @@ def _stitch_cases(draw):
         shape = (window, size[1], size[0])
         grids = (rng.choice(np.array([0, 255], dtype=np.uint8), shape) if extremes
                  else rng.integers(0, 256, shape, dtype=np.uint8))
-        clips.append(VideoClip(frames=tuple(grids), fps=16.0, resolution=size))
+        clips.append(VideoClip(tuple(grids), 16.0))
     spec = preset(Category.GENERIC_OBJECT)
     seqs = [MotionSequence(spec, 16.0, scale * rng.normal(size=(window, spec.pose_dim)))
             for _ in range(count)]
@@ -222,8 +221,8 @@ def test_stitch_long_clip_stays_within_memory_bound():
     # window frames as float64, about 23 MiB
     plan = plan_windows(128)
     rng = np.random.default_rng(64)
-    clips = [VideoClip(frames=tuple(rng.integers(0, 256, (32, 108, 192), dtype=np.uint8)),
-                       fps=16.0, resolution=(192, 108)) for _ in plan.windows]
+    clips = [VideoClip(tuple(rng.integers(0, 256, (32, 108, 192), dtype=np.uint8)), 16.0)
+             for _ in plan.windows]
     tracemalloc.start()
     try:
         merged = stitch(clips, plan)

@@ -52,9 +52,7 @@ def tiny_model():
 
 
 def clip_of(frames, fps=16.0):
-    h, w = np.asarray(frames[0]).shape
-    return VideoClip(frames=tuple(np.asarray(f, dtype=np.uint8) for f in frames),
-                     fps=fps, resolution=(w, h))
+    return VideoClip(tuple(np.asarray(f, dtype=np.uint8) for f in frames), fps)
 
 
 ZERO_CORRUPTION = GeneratorConfig(
@@ -621,6 +619,34 @@ def test_run_pipeline_empty_condition_completes():
     result = run_pipeline(scene, UserCondition(), PipelineConfig(), tiny_model())
     assert result.final_clip.frame_count == 16
     assert np.isfinite(result.report.traj_mse)
+
+
+# ------------------------------------------------ objects leaving the frame
+
+def _slide_at(x: float) -> SceneSpec:
+    """Fixture 2's slide object moved to x, at its own depth."""
+    scene = fixture_scene(2)
+    obj = scene.objects[0]
+    return replace(scene, objects=(replace(obj, placement=(x, *obj.placement[1:])),))
+
+
+def test_run_pipeline_on_an_object_cut_by_the_frame_edge_reports_in_range():
+    scene = _slide_at(2.5)
+    clip = generate(scene, ConditionMode.EMPTY, COARSE_CONFIG, seed=42)[0]
+    # stage 1's clip: the right edge cuts the object in every frame
+    assert clip.frames[:, :, -1].any(axis=1).all()
+    report = run_pipeline(scene, UserCondition(), PipelineConfig(seed=42), tiny_model()).report
+    assert 0.0 <= report.traj_mse < math.inf and 0.0 <= report.mask_miou <= 1.0
+    assert 0.0 < report.psnr <= 99.0 and -1.0 <= report.ssim <= 1.0
+
+
+def test_run_pipeline_on_an_object_off_the_frame_fails_and_writes_nothing(tmp_path):
+    scene = _slide_at(4.0)
+    assert not generate(scene, ConditionMode.EMPTY, COARSE_CONFIG, seed=42)[0].frames.any()
+    with pytest.raises(ExtractionFailed, match="no object pixels in 8/8 frames"):
+        run_pipeline(scene, UserCondition(), PipelineConfig(seed=42), tiny_model(),
+                     out_dir=tmp_path / "run")
+    assert not (tmp_path / "run").exists()
 
 
 # --------------------------------------------- properties with trained prior

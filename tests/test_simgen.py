@@ -9,7 +9,7 @@ import pytest
 
 from motionloop import simgen
 from motionloop.core import Category, motion_strength, preset, resample
-from motionloop.errors import InvalidConfig, UnknownActionTag
+from motionloop.errors import DimensionMismatch, InvalidConfig, UnknownActionTag
 from motionloop.geometry import CameraSpec, ConditionMode
 from motionloop.scenes import fixture_scene
 from motionloop.simgen import (
@@ -424,15 +424,29 @@ def test_every_generator_config_field_changes_what_generate_returns():
 def test_video_clip_rejects_non_uint8_frames():
     # SSIM's exact integer window sums rely on the uint8 frame contract
     frame = np.zeros((4, 6), dtype=np.uint8)
-    VideoClip(frames=(frame,), fps=16.0, resolution=(6, 4))
+    VideoClip((frame,), 16.0)
     with pytest.raises(InvalidConfig, match="uint8"):
-        VideoClip(frames=(frame, frame.astype(np.float64)), fps=16.0,
-                  resolution=(6, 4))
+        VideoClip((frame, frame.astype(np.float64)), 16.0)
 
 
 def test_video_clip_from_a_tuple_is_one_read_only_array():
     frames = tuple(np.full((4, 6), k, dtype=np.uint8) for k in range(3))
-    clip = VideoClip(frames=frames, fps=16.0, resolution=(6, 4))
+    clip = VideoClip(frames, 16.0)
     assert isinstance(clip.frames, np.ndarray) and clip.frames.shape == (3, 4, 6)
     assert clip.frames.dtype == np.uint8 and not clip.frames.flags.writeable
     np.testing.assert_array_equal(clip.frames, np.stack(frames))
+
+
+def test_video_clip_size_is_its_frames_shape():
+    clip = VideoClip(np.zeros((2, 4, 6), dtype=np.uint8), 16.0)
+    assert clip.resolution == (6, 4) and clip.frame_count == 2
+    # a resolution, if given, is only checked against the frames
+    assert VideoClip(clip.frames, 16.0, resolution=(6, 4)).resolution == (6, 4)
+    with pytest.raises(DimensionMismatch, match="not the frames' \\(6, 4\\)"):
+        VideoClip(clip.frames, 16.0, resolution=(4, 6))
+
+
+@pytest.mark.parametrize("shape", [(0, 4, 6), (4, 6), (1, 1, 4, 6), ()])
+def test_video_clip_refuses_frames_that_are_not_a_stack(shape):
+    with pytest.raises(InvalidConfig, match="F >= 1, H, W"):
+        VideoClip(np.zeros(shape, dtype=np.uint8), 16.0)

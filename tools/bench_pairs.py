@@ -25,8 +25,10 @@ end-to-end metric also gets a no-regression verdict against its ``bound``
 in ``BENCHMARK.json``: ``worse``, ``unresolved`` or ``ok`` (see
 ``verdict``). The script ends with one line per workload: each end-to-end
 metric's parent -> change medians and the pairs the change won, the raw op
-ms medians beside ``op_ms_p50``'s, every metric that is not ``ok``, and the
-claim's verdict.
+ms medians beside ``op_ms_p50``'s, the median change/parent ratio of
+``op_ms_p50`` over the pairs the parent ran first and over those the change
+ran first (so a side that reads faster for running second shows), every
+metric that is not ``ok``, and the claim's verdict.
 """
 
 from __future__ import annotations
@@ -85,13 +87,17 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float,
     return json.loads(out.read_text())
 
 
+def run_order(i: int) -> tuple[str, str]:
+    """The sides of pair ``i`` in the order they run."""
+    return ("parent", "change") if i % 2 == 0 else ("change", "parent")
+
+
 def run_pairs(sides: dict[str, Path], workload: str, seeds: list[int],
               seconds: float, trace: int) -> list[dict[str, dict]]:
     pairs = []
     for i, seed in enumerate(seeds):
-        order = ("parent", "change") if i % 2 == 0 else ("change", "parent")
         pair = {}
-        for side in order:
+        for side in run_order(i):
             pair[side] = run_once(sides[side], workload, seed, seconds, trace)
             value = pair[side]["result"]["metrics"].get("op_ms_p50", {}).get("value")
             print(f"{workload} seed {seed} {side}: op_ms_p50 {value}", file=sys.stderr)
@@ -131,6 +137,11 @@ def summarize(pairs: list[dict[str, dict]], seeds: list[int],
         "failed": {s: sum(r["failed"] for r in results[s]) for s in sides},
         "correct": all(r["correct"] for s in sides for r in results[s]),
         "metrics": {},
+        # median change/parent op_ms_p50 over the pairs each side ran first in
+        "op_ms_p50_ratio_by_first": {f"{first}_first": statistics.median(
+            p["change"]["result"]["metrics"]["op_ms_p50"]["value"]
+            / p["parent"]["result"]["metrics"]["op_ms_p50"]["value"]
+            for i, p in enumerate(pairs) if run_order(i)[0] == first) for first in sides},
         "raw_records": {s: {
             "op_ms_p50_raw": [statistics.median(p[s]["op_times_s"]) * 1e3 for p in pairs],
             "cal_ms_p50": [statistics.median(p[s]["cal_ms"]) for p in pairs],
@@ -210,8 +221,10 @@ def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
     """One line per workload: each end-to-end metric's parent -> change
     medians and the pairs the change won, with the medians of the runs' raw
     op ms after ``op_ms_p50`` (a reference-ms gap that the raw times do not
-    show came from the host-speed calibration), every metric whose verdict
-    is not ``ok``, then the claim's verdict on the line of its workload."""
+    show came from the host-speed calibration) and its change/parent ratio
+    by the side that ran first (ratios that differ by order show an order
+    effect), every metric whose verdict is not ``ok``, then the claim's
+    verdict on the line of its workload."""
     lines = []
     for workload, summary in workloads.items():
         entries = []
@@ -222,6 +235,9 @@ def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
                 raw = [statistics.median(summary["raw_records"][side]["op_ms_p50_raw"])
                        for side in ("parent", "change")]
                 entries.append(f"raw op ms {raw[0]:.4g} -> {raw[1]:.4g}")
+                ratio = summary["op_ms_p50_ratio_by_first"]
+                entries.append(f"change/parent {ratio['parent_first']:.3f} parent-first, "
+                               f"{ratio['change_first']:.3f} change-first")
         line = f"{workload}: " + ", ".join(entries)
         flagged = [f"{name} {m['verdict']}" for name, m in summary["metrics"].items()
                    if m["verdict"] != "ok"]
