@@ -64,9 +64,12 @@ def _load_scene(path) -> SceneSpec:
     return scene_from_json(Path(path).read_bytes())
 
 
+MAX_CORPUS_COUNT = 100_000  # motion_%05d.json names motions 0..99999
+
+
 def cmd_gen_corpus(args) -> int:
-    if args.count < 1:
-        raise InvalidConfig(f"--count must be at least 1, got {args.count}")
+    if not 1 <= args.count <= MAX_CORPUS_COUNT:  # before any motion is drawn
+        raise InvalidConfig(f"--count must lie in 1..{MAX_CORPUS_COUNT}, got {args.count}")
     max_frames = PmpConfig().max_frames  # train-pmp refuses longer motions
     if args.frames > max_frames:
         raise TooManyFrames(f"--frames {args.frames} > max_frames {max_frames}")

@@ -3,8 +3,9 @@
 The scene's ground truth is synthesized once per run. Stage 1 realizes it
 under weak conditioning (a target pose, or nothing) as a coarse clip. Stage 2
 recovers per-object motion from that clip's pixels alone and refines it with
-the motion prior. Stage 3 realizes at full fidelity, conditioned on the
-refined motion; its one render gives the final clip and the masks eval scores.
+the motion prior. Stage 3 realizes the ground truth at full fidelity under
+full-motion conditioning; its one render gives the final clip and the masks
+eval scores. The loop is open: the refined motion is recorded, not fed back.
 
 Depth during extraction is proxied by the one depth of each object's scene
 placement, since the stand-in renderer encodes no depth in pixels: a generic
@@ -334,18 +335,12 @@ def stage2_optimize(clip: VideoClip, scene: SceneSpec, pmp: PmpModel,
 # ------------------------------------------------------------------ stage 3
 
 def stage3_regenerate(scene: SceneSpec, gt: list[MotionSequence],
-                      refined: list[MotionSequence], config: PipelineConfig, seed: int
-                      ) -> tuple[VideoClip, np.ndarray, ConditionChannels,
-                                 list[MotionSequence]]:
-    """Regenerate at full fidelity, conditioned on the refined full motion:
-    the final clip, its part masks, the channels and the realized motion."""
-    fine_n = coarse_frame_count(scene.duration, config.fine)
-    if any(m.frame_count != fine_n for m in refined):
-        raise ShapeMismatch("refined motion length != fine frame count")
-    channels = ConditionChannels(render(scene, refined, config.fine)[1],
-                                 ConditionMode.FULL_MOTION)
+                      config: PipelineConfig, seed: int
+                      ) -> tuple[VideoClip, np.ndarray, list[MotionSequence]]:
+    """Regenerate at full fidelity under full-motion conditioning: the final
+    clip, its part masks and the realized motion."""
     realized = realize(gt, ConditionMode.FULL_MOTION, config.fine, seed)
-    return *render(scene, realized, config.fine), channels, realized
+    return *render(scene, realized, config.fine), realized
 
 
 # ------------------------------------------------------------------ metrics
@@ -445,6 +440,7 @@ class RunResult:
     final_clip: VideoClip
     report: EvalReport
     coarse_clip: VideoClip
+    coarse_channels: ConditionChannels
     coarse_traj_mse: float
     raw_motions: list[MotionSequence]
     refined_motions: list[MotionSequence]
@@ -465,8 +461,7 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
     coarse_clip, s1_channels, coarse_realized = stage1_coarse(
         scene, gt, user_condition, config, seed)
     refined, raws, strengths = stage2_optimize(coarse_clip, scene, pmp, config)
-    final_clip, pred_masks, s3_channels, final_realized = stage3_regenerate(
-        scene, gt, refined, config, seed)
+    final_clip, pred_masks, final_realized = stage3_regenerate(scene, gt, config, seed)
 
     gt_fine = [resample(m, fine_n) for m in gt]
     gt_coarse = [resample(m, coarse_clip.frame_count) for m in gt]
@@ -475,28 +470,29 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
     report = eval_metrics(final_clip, ref_clip, final_realized, gt_fine,
                           pred_masks, gt_masks)
     result = RunResult(final_clip=final_clip, report=report, coarse_clip=coarse_clip,
+                       coarse_channels=s1_channels,
                        coarse_traj_mse=_traj_mse(coarse_realized, gt_coarse),
                        raw_motions=raws, refined_motions=refined,
                        strengths=strengths, raw_traj_mse=_traj_mse(raws, gt_fine),
                        refined_traj_mse=_traj_mse(refined, gt_fine))
     if out_dir is not None:
-        _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
-                     strengths, s1_channels, s3_channels, report, scene)
+        _persist_run(out_dir, config, scene, result)
     return result
 
 
-def _persist_run(out_dir, config, coarse_clip, final_clip, raws, refined,
-                 strengths, s1_channels, s3_channels, report, scene) -> None:
+def _persist_run(out_dir, config: PipelineConfig, scene: SceneSpec,
+                 result: RunResult) -> None:
+    """Write what a replay cannot re-derive, so not the refined motion's
+    masks: ``render(scene, refined, config.fine)[1]`` rebuilds them."""
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
     (d / "run.json").write_text(run_to_json(config, scene))
-    fileio.write_clip(d / "coarse", coarse_clip.frames, coarse_clip.fps)
-    fileio.write_clip(d / "final", final_clip.frames, final_clip.fps)
+    for name, clip in (("coarse", result.coarse_clip), ("final", result.final_clip)):
+        fileio.write_clip(d / name, clip.frames, clip.fps)
     stage2 = d / "stage2"
     stage2.mkdir(exist_ok=True)
-    (stage2 / "raw.json").write_text(motions_to_json(raws))
-    (stage2 / "refined.json").write_text(motions_to_json(refined))
-    (stage2 / "strength.json").write_text(json.dumps(strengths))
-    fileio.write_condition(d / "channels" / "s1", s1_channels)
-    fileio.write_condition(d / "channels" / "s3", s3_channels)
-    (d / "report.json").write_text(report.to_json())
+    (stage2 / "raw.json").write_text(motions_to_json(result.raw_motions))
+    (stage2 / "refined.json").write_text(motions_to_json(result.refined_motions))
+    (stage2 / "strength.json").write_text(json.dumps(result.strengths))
+    fileio.write_condition(d / "channels" / "s1", result.coarse_channels)
+    (d / "report.json").write_text(result.report.to_json())

@@ -222,3 +222,25 @@ def test_verdict_per_metric_reads_its_bound(better, parent, change, expected):
     line = bench_pairs.summary_lines({"long": summary})[0]
     flagged = "" if expected == "ok" else f"; op_ms_p50 {expected}, ops_per_s {expected}"
     assert line.endswith(f"({summary['metrics']['ops_per_s']['change_wins']}){flagged}")
+
+
+def test_summary_lines_show_the_traced_counts_that_differ():
+    # a traced pair: the run writes 17 fewer files and splats once less;
+    # equal counts and timings are not listed
+    pair = {"seed": 5,
+            "parent": {"fileio.files_written": 57.0, "geometry.render_part_masks_calls": 4.0,
+                       "pmp.model.refine_calls": 1.0, "fileio.write_condition_ms": 5.34},
+            "change": {"fileio.files_written": 40.0, "geometry.render_part_masks_calls": 3.0,
+                       "pmp.model.refine_calls": 1.0, "fileio.write_condition_ms": 2.33}}
+    names = ["fileio.files_written", "geometry.render_part_masks_calls",
+             "pmp.model.refine_calls", "simgen.generate_calls"]
+    counts = bench_pairs.count_changes(pair, names)
+    assert counts == ["fileio.files_written 57 -> 40", "geometry.render_part_masks_calls 4 -> 3"]
+    pairs = [{"parent": _record(10.0, 1.0), "change": _record(9.0, 1.0)}] * 2
+    summary = bench_pairs.summarize(pairs, [1, 2], METRICS)
+    lines = bench_pairs.summary_lines({"fixtures": summary, "long": summary},
+                                      counts={"fixtures": counts, "long": []})
+    assert lines[0].endswith("; traced fileio.files_written 57 -> 40, "
+                             "geometry.render_part_masks_calls 4 -> 3")
+    assert "traced" not in lines[1]
+    assert lines[1] == bench_pairs.summary_lines({"long": summary})[0]

@@ -24,7 +24,7 @@ import motionloop
 from motionloop import fileio
 from motionloop.cli import main
 from motionloop.core import motion_from_json, motion_to_json
-from motionloop.pipeline import PipelineConfig
+from motionloop.pipeline import PipelineConfig, UserCondition, run_pipeline
 from motionloop.pmp import load_checkpoint, save_checkpoint
 from motionloop.scenes import fixture_scene, scene_to_json
 from motionloop.simgen import FINE_CONFIG, generate, render, synthesize_gt_motion
@@ -111,7 +111,7 @@ def test_extract_command(tmp_path):
     assert len(docs[0]["frames"]) == clip.frame_count
 
 
-def test_rasterize_command(tmp_path):
+def test_rasterize_command(tmp_path, tiny_checkpoint):
     scene = fixture_scene(0, duration=6)
     motions = synthesize_gt_motion(scene, seed=6)
     motion_path = tmp_path / "motion.json"
@@ -128,6 +128,17 @@ def test_rasterize_command(tmp_path):
     masks = render(scene, motions, FINE_CONFIG)[1]
     assert masks.shape[0] == 6 and masks.max() >= 1
     np.testing.assert_array_equal(channels.part_masks, masks)
+    # a run does not write its stage-3 conditioning; rasterize on the run's
+    # refined motion gives the masks of that motion at the default fine config
+    scene = fixture_scene(1, duration=8)
+    result = run_pipeline(scene, UserCondition(), PipelineConfig(),
+                          load_checkpoint(tiny_checkpoint), out_dir=tmp_path / "run")
+    scene_path.write_text(scene_to_json(scene))
+    assert run_cli("rasterize", "--motion", str(tmp_path / "run" / "stage2" / "refined.json"),
+                   "--scene", str(scene_path), "--out", str(tmp_path / "s3")) == 0
+    masks = render(scene, result.refined_motions, PipelineConfig().fine)[1]
+    assert masks.shape[0] == 8 and masks.max() >= 1
+    np.testing.assert_array_equal(fileio.read_condition(tmp_path / "s3").part_masks, masks)
 
 
 def test_run_command_deterministic(tiny_checkpoint, tmp_path):
@@ -631,6 +642,9 @@ BOUNDARY_CASES = {
     "denoise-nan-strength": (_denoise_with_strength("nan"), "InvalidConfig"),
     "denoise-infinite-strength": (_denoise_with_strength("inf"), "InvalidConfig"),
     "gen-corpus-negative-count": (_gen_corpus("-5", "8"), "InvalidConfig"),
+    # motion_%05d.json names 100000 motions, 0..99999
+    "gen-corpus-count-past-its-file-names": (_gen_corpus("100001", "8"), "InvalidConfig",
+                                             "1..100000, got 100001"),
     "corpus-index-not-json": (_bad_corpus("not json"), "InvalidConfig"),
     "corpus-index-entry-without-file": (_bad_corpus('[{"tags": ["walk"]}]'),
                                         "InvalidConfig"),
@@ -990,6 +1004,8 @@ MEMORY_CASES = {
     "stitch-huge-total": (_huge_stitch_total, "PlanMismatch"),
     "run-huge-duration": (_huge_scene_duration, "TooManyFrames"),
     "gen-corpus-huge-frames": (_gen_corpus("2", "1000000000"), "TooManyFrames"),
+    # every record used to be built in memory before the first was written
+    "gen-corpus-huge-count": (_gen_corpus("1000000000000", "16"), "InvalidConfig"),
     "rasterize-huge-camera": (_rasterize_on_camera(size=[100000, 100000]), "ShapeMismatch"),
     # a flag that sizes the prior's tensors or a training batch
     "train-pmp-huge-batch": (_train_pmp_with("--batch-size", "1000000000"), "InvalidConfig"),
@@ -999,19 +1015,22 @@ MEMORY_CASES = {
 }
 # the value each flag case's error line names
 _FLAG_VALUES = {"train-pmp-huge-batch": "1000000000", "train-pmp-huge-layers": "100000000",
-                "grad-check-huge-layers": "100000000"}
+                "grad-check-huge-layers": "100000000", "gen-corpus-huge-count": "1000000000000"}
 
 
 @pytest.mark.parametrize("case", sorted(MEMORY_CASES))
 def test_input_that_would_exhaust_memory_exits_1_with_a_named_error(
         case, tiny_checkpoint, tmp_path):
     build, name = MEMORY_CASES[case]
-    proc = run_cli_capped(*build(tmp_path, tiny_checkpoint))
+    argv = build(tmp_path, tiny_checkpoint)
+    before = sorted(tmp_path.rglob("*"))
+    proc = run_cli_capped(*argv)
     assert proc.returncode == 1, proc.stderr
     assert len(proc.stderr.strip().splitlines()) == 1, proc.stderr
     assert proc.stderr.startswith(f"error [{name}]: "), proc.stderr
     assert "Traceback" not in proc.stderr
     assert _FLAG_VALUES.get(case, "") in proc.stderr
+    assert sorted(tmp_path.rglob("*")) == before  # the refused command wrote nothing
 
 
 # ------------------------------------------------------ checkpoint bytes

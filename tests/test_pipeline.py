@@ -408,37 +408,18 @@ def test_stage1_rejects_full_motion_user_condition():
 
 # ------------------------------------------------------------------ stage 3
 
-def test_stage3_channels_full_confidence_and_resolution():
+def test_stage3_final_clip_and_its_masks_come_from_one_render():
     scene = fixture_scene(2)
     config = PipelineConfig()
     gt = synthesize_gt_motion(scene, seed=4)
-    clip, masks, channels, realized = stage3_regenerate(scene, gt, gt, config, seed=4)
+    clip, masks, realized = stage3_regenerate(scene, gt, config, seed=4)
     assert clip.resolution == scene.camera.size  # fine keeps base resolution
+    assert len(masks) == clip.frame_count == scene.duration and masks.any()
     # the final clip's masks come from the same render as its pixels
     again, again_masks = render(scene, realized, config.fine)
     for a, b, m, n in zip(clip.frames, again.frames, masks, again_masks, strict=True):
         np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(m, n)
-    assert len(channels.part_masks) == scene.duration
-    assert channels.mode is ConditionMode.FULL_MOTION
-    seen = False
-    for mask, confidence in zip(channels.part_masks,
-                                channels.confidence(config.confidence_triple), strict=True):
-        labeled = mask != 0
-        if labeled.any():
-            seen = True
-            assert np.all(confidence[labeled] == 1.0)
-        assert np.all(confidence[~labeled] == 0.0)
-    assert seen
-
-
-def test_stage3_rejects_wrong_length():
-    scene = fixture_scene(2)
-    config = PipelineConfig()
-    gt = synthesize_gt_motion(scene, seed=4)
-    short = [m.with_frames(m.frames[:10]) for m in gt]
-    with pytest.raises(ShapeMismatch):
-        stage3_regenerate(scene, gt, short, config, seed=4)
 
 
 # ------------------------------------------------------------------ stage 2
@@ -467,9 +448,10 @@ def test_run_pipeline_persists_layout_and_is_deterministic(tmp_path):
                       out_dir=tmp_path / "b")
     for sub in ("run.json", "report.json", "coarse/clip.json",
                 "final/clip.json", "stage2/raw.json", "stage2/refined.json",
-                "stage2/strength.json", "channels/s1/condition.json",
-                "channels/s3/condition.json"):
+                "stage2/strength.json", "channels/s1/condition.json"):
         assert (tmp_path / "a" / sub).exists(), sub
+    # the refined motion's masks are re-derived, not written
+    assert [p.name for p in (tmp_path / "a" / "channels").iterdir()] == ["s1"]
     for sub in ("report.json", "stage2/raw.json", "stage2/refined.json",
                 "run.json"):
         assert (tmp_path / "a" / sub).read_bytes() == \
@@ -479,16 +461,20 @@ def test_run_pipeline_persists_layout_and_is_deterministic(tmp_path):
     assert set(doc) == {"traj_mse", "mask_miou", "psnr", "ssim"}
 
 
-def test_stage3_channels_are_the_part_masks_of_the_refined_motions(tmp_path):
+def test_stage3_masks_rebuild_bitwise_from_run_json_and_refined_json(tmp_path):
+    # a run does not write the refined motion's masks: its run.json and
+    # stage2/refined.json alone give them back, bit for bit
     scene = SceneSpec(objects=(fixture_scene(1).objects[0], fixture_scene(2).objects[0]),
                       camera=fixture_scene(1).camera, duration=16, fps=16.0)
-    config = PipelineConfig()
-    result = run_pipeline(scene, UserCondition(), config, tiny_model(), out_dir=tmp_path)
-    channels = read_condition(tmp_path / "channels" / "s3")
-    masks = render(scene, result.refined_motions, config.fine)[1]
-    assert len(channels.part_masks) == len(masks) == scene.duration
-    assert channels.mode is ConditionMode.FULL_MOTION
-    np.testing.assert_array_equal(channels.part_masks, masks)
+    result = run_pipeline(scene, UserCondition(), PipelineConfig(), tiny_model(),
+                          out_dir=tmp_path)
+    expected = render(scene, result.refined_motions, PipelineConfig().fine)[1]
+    config, back_scene = run_from_json((tmp_path / "run.json").read_bytes())
+    refined = motions_from_json((tmp_path / "stage2" / "refined.json").read_bytes())
+    masks = render(back_scene, refined, config.fine)[1]
+    assert masks.shape == (scene.duration,) + expected.shape[1:] and len(refined) == 2
+    assert masks.any()
+    np.testing.assert_array_equal(masks, expected)
 
 
 def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
@@ -520,13 +506,11 @@ def test_every_file_a_run_writes_reads_back(tmp_path, monkeypatch):
             np.testing.assert_array_equal(a.frames, b.frames)
     assert json.loads((tmp_path / "stage2" / "strength.json").read_text()) == result.strengths
     w, h = scene.camera.scaled(config.coarse.resolution_scale).size
-    fine_masks = render(scene, result.refined_motions, config.fine)[1]
-    for stage, mode, masks in (
-            ("s1", ConditionMode.EMPTY, np.zeros((result.coarse_clip.frame_count, h, w))),
-            ("s3", ConditionMode.FULL_MOTION, fine_masks)):
-        channels = read_condition(tmp_path / "channels" / stage)
-        assert channels.mode is mode and channels.part_masks.shape == masks.shape
-        np.testing.assert_array_equal(channels.part_masks, masks)
+    channels = read_condition(tmp_path / "channels" / "s1")
+    assert channels.mode is ConditionMode.EMPTY
+    assert channels.part_masks.shape == (result.coarse_clip.frame_count, h, w)
+    np.testing.assert_array_equal(channels.part_masks, result.coarse_channels.part_masks)
+    assert not channels.part_masks.any()
     assert EvalReport(**json.loads((tmp_path / "report.json").read_text())) == result.report
     assert not list(tmp_path.rglob("*_conf_*.pgm"))
     assert read == written, sorted(str(p.relative_to(tmp_path)) for p in written - read)
@@ -578,9 +562,9 @@ def test_run_directories_match_golden_digests(tmp_path):
 
 def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
     # one kernel call per render, each taking all of its frames: 8 coarse
-    # frames, the refined-motion channels, the final clip with its masks,
-    # and the ground-truth clip with its masks (16 each); neither the final
-    # clip nor the ground truth is splatted twice
+    # frames, then the final clip with its masks and the ground-truth clip
+    # with its masks (16 each); the refined motion is not rendered, and
+    # neither the final clip nor the ground truth is splatted twice
     from motionloop import simgen
 
     calls = []
@@ -593,7 +577,7 @@ def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
 
     monkeypatch.setattr(simgen, "render_part_masks", counted)
     run_pipeline(fixture_scene(1), UserCondition(), PipelineConfig(), tiny_model())
-    assert sorted(calls) == [8, 16, 16, 16]
+    assert sorted(calls) == [8, 16, 16]
 
 
 def test_run_pipeline_synthesizes_ground_truth_once(monkeypatch):

@@ -28,7 +28,9 @@ metric's parent -> change medians and the pairs the change won, the raw op
 ms medians beside ``op_ms_p50``'s, the median change/parent ratio of
 ``op_ms_p50`` over the pairs the parent ran first and over those the change
 ran first (so a side that reads faster for running second shows), every
-metric that is not ``ok``, and the claim's verdict.
+metric that is not ``ok``, the traced per-layer counts (unit ``count``) that
+differ between the sides, such as ``fileio.files_written 57 -> 40``, and the
+claim's verdict.
 """
 
 from __future__ import annotations
@@ -217,14 +219,24 @@ def judge_claim(spec: str, workloads: dict) -> dict:
     }
 
 
-def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
+def count_changes(pair: dict, names: list[str]) -> list[str]:
+    """``name parent -> change`` for each of the named per-layer values of a
+    traced pair that the two sides both report and that differ."""
+    return [f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
+            for name in names if name in pair["parent"] and name in pair["change"]
+            and pair["parent"][name] != pair["change"][name]]
+
+
+def summary_lines(workloads: dict, claim: dict | None = None,
+                  counts: dict | None = None) -> list[str]:
     """One line per workload: each end-to-end metric's parent -> change
     medians and the pairs the change won, with the medians of the runs' raw
     op ms after ``op_ms_p50`` (a reference-ms gap that the raw times do not
     show came from the host-speed calibration) and its change/parent ratio
     by the side that ran first (ratios that differ by order show an order
-    effect), every metric whose verdict is not ``ok``, then the claim's
-    verdict on the line of its workload."""
+    effect), every metric whose verdict is not ``ok``, the traced counts that
+    differ (``counts``, per workload, from ``count_changes``), then the
+    claim's verdict on the line of its workload."""
     lines = []
     for workload, summary in workloads.items():
         entries = []
@@ -243,6 +255,8 @@ def summary_lines(workloads: dict, claim: dict | None = None) -> list[str]:
                    if m["verdict"] != "ok"]
         if flagged:
             line += "; " + ", ".join(flagged)
+        if counts and counts.get(workload):
+            line += "; traced " + ", ".join(counts[workload])
         if claim and claim["workload"] == workload:
             result = claim["result"]
             line += (f"; claim {claim['metric']} {result['gain']:+.1%} "
@@ -272,7 +286,9 @@ def main(argv=None) -> int:
     parser.add_argument("--trace-seed", type=int)
     parser.add_argument("--claim", help="workload:metric:fraction")
     args = parser.parse_args(argv)
-    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["end_to_end"]
+    benchmark = json.loads((ROOT / "BENCHMARK.json").read_text())
+    metrics = benchmark["end_to_end"]
+    count_names = [m["name"] for m in benchmark["per_layer"] if m["unit"] == "count"]
     if args.claim:
         try:
             check_claim(args.claim, args.workloads, [m["name"] for m in metrics])
@@ -315,7 +331,8 @@ def main(argv=None) -> int:
     out = ROOT / f"BENCH_{args.slug}.json"
     out.write_text(json.dumps(doc, indent=1) + "\n")
     print(out)
-    print("\n".join(summary_lines(workloads, doc.get("claim"))))
+    counts = {w: count_changes(pairs[0], count_names) for w, pairs in traced.items()}
+    print("\n".join(summary_lines(workloads, doc.get("claim"), counts)))
     return 0
 
 
