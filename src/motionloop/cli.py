@@ -64,7 +64,8 @@ def _load_scene(path) -> SceneSpec:
     return scene_from_json(Path(path).read_bytes())
 
 
-MAX_CORPUS_COUNT = 100_000  # motion_%05d.json names motions 0..99999
+# five-digit names (motion_00000..motion_99999) list in draw order
+MAX_CORPUS_COUNT = 100_000
 
 
 def cmd_gen_corpus(args) -> int:
@@ -73,17 +74,17 @@ def cmd_gen_corpus(args) -> int:
     max_frames = PmpConfig().max_frames  # train-pmp refuses longer motions
     if args.frames > max_frames:
         raise TooManyFrames(f"--frames {args.frames} > max_frames {max_frames}")
-    records = make_corpus(args.count, seed=args.seed, frames=args.frames)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     index = []
-    for i, rec in enumerate(records):
+    # each record is written as it is drawn, so memory does not grow with --count
+    for i, rec in enumerate(make_corpus(args.count, seed=args.seed, frames=args.frames)):
         name = f"motion_{i:05d}.json"
         (out / name).write_text(motion_to_json(rec.item.motion))
         index.append({"file": name, "tags": list(rec.item.tags),
                       "mode": rec.mode.value})
     (out / "index.json").write_text(json.dumps(index))
-    _log(f"wrote {len(records)} motions")
+    _log(f"wrote {len(index)} motions")
     _emit(out / "index.json")
     return 0
 

@@ -482,8 +482,8 @@ def run_pipeline(scene: SceneSpec, user_condition: UserCondition,
 
 def _persist_run(out_dir, config: PipelineConfig, scene: SceneSpec,
                  result: RunResult) -> None:
-    """Write what a replay cannot re-derive, so not the refined motion's
-    masks: ``render(scene, refined, config.fine)[1]`` rebuilds them."""
+    """Write the run directory. ``channels/s1`` holds the stage-1 masks,
+    which carry the user's target-pose mask that ``run.json`` lacks."""
     d = Path(out_dir)
     d.mkdir(parents=True, exist_ok=True)
     (d / "run.json").write_text(run_to_json(config, scene))

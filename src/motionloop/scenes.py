@@ -9,6 +9,7 @@ the 0.4 / 0.3 / 0.3 full / target / empty training mix.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,10 +64,10 @@ def random_scene(rng: np.random.Generator, category: Category, action: str,
 
 
 def make_corpus(n: int = 512, seed: int = 42, frames: int = 16
-                ) -> list[CorpusRecord]:
-    """Clean motions with tags across all categories, uniform frame count."""
+                ) -> Iterator[CorpusRecord]:
+    """Clean motions with tags across all categories, uniform frame count,
+    drawn one at a time so a caller can write each before the next."""
     rng = np.random.default_rng(seed)
-    records: list[CorpusRecord] = []
     categories = (Category.HUMAN, Category.ANIMAL, Category.GENERIC_OBJECT)
     cat_probs = (0.45, 0.2, 0.35)
     for i in range(n):
@@ -77,13 +78,11 @@ def make_corpus(n: int = 512, seed: int = 42, frames: int = 16
         scene = random_scene(rng, category, action, duration=frames)
         motion = synthesize_gt_motion(scene, seed=int(rng.integers(2**31)))[0]
         mode = tuple(ConditionMode)[int(rng.choice(3, p=TRAINING_MIX))]
-        records.append(CorpusRecord(
-            item=CorpusItem(motion=motion, tags=scene.objects[0].tags),
-            mode=mode))
-    return records
+        yield CorpusRecord(item=CorpusItem(motion=motion, tags=scene.objects[0].tags),
+                           mode=mode)
 
 
-def corpus_items(records: list[CorpusRecord]) -> list[CorpusItem]:
+def corpus_items(records: Iterable[CorpusRecord]) -> list[CorpusItem]:
     return [r.item for r in records]
 
 

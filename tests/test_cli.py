@@ -12,6 +12,7 @@ import struct
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 from dataclasses import replace
 from pathlib import Path
 
@@ -26,7 +27,7 @@ from motionloop.cli import main
 from motionloop.core import motion_from_json, motion_to_json
 from motionloop.pipeline import PipelineConfig, UserCondition, run_pipeline
 from motionloop.pmp import load_checkpoint, save_checkpoint
-from motionloop.scenes import fixture_scene, scene_to_json
+from motionloop.scenes import fixture_scene, make_corpus, scene_to_json
 from motionloop.simgen import FINE_CONFIG, generate, render, synthesize_gt_motion
 from motionloop.geometry import ConditionMode
 
@@ -64,6 +65,23 @@ def test_gen_corpus_writes_motions(tmp_path):
     modes = [e["mode"] for e in json.loads((out2 / "index.json").read_text())]
     frac_full = modes.count("FullMotion") / len(modes)
     assert 0.3 < frac_full < 0.5  # 0.4 target
+
+
+def test_gen_corpus_memory_does_not_grow_with_count(tmp_path):
+    # each motion is written before the next is drawn: 32 more motions of 128
+    # frames raise the traced peak by far less than holding their frames would
+    def peak(count):
+        tracemalloc.start()
+        try:
+            assert run_cli("gen-corpus", "--out", str(tmp_path / str(count)), "--count",
+                           str(count), "--frames", "128", "--seed", "5") == 0
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    held = sum(rec.item.motion.frames.nbytes
+               for rec in list(make_corpus(40, seed=5, frames=128))[8:])
+    assert peak(40) - peak(8) < held / 4
 
 
 def test_train_pmp_and_log(tiny_checkpoint):
@@ -128,8 +146,7 @@ def test_rasterize_command(tmp_path, tiny_checkpoint):
     masks = render(scene, motions, FINE_CONFIG)[1]
     assert masks.shape[0] == 6 and masks.max() >= 1
     np.testing.assert_array_equal(channels.part_masks, masks)
-    # a run does not write its stage-3 conditioning; rasterize on the run's
-    # refined motion gives the masks of that motion at the default fine config
+    # rasterize on a run's refined motion gives its masks at the default fine config
     scene = fixture_scene(1, duration=8)
     result = run_pipeline(scene, UserCondition(), PipelineConfig(),
                           load_checkpoint(tiny_checkpoint), out_dir=tmp_path / "run")
@@ -642,7 +659,7 @@ BOUNDARY_CASES = {
     "denoise-nan-strength": (_denoise_with_strength("nan"), "InvalidConfig"),
     "denoise-infinite-strength": (_denoise_with_strength("inf"), "InvalidConfig"),
     "gen-corpus-negative-count": (_gen_corpus("-5", "8"), "InvalidConfig"),
-    # motion_%05d.json names 100000 motions, 0..99999
+    # five-digit file names list 100000 motions in draw order
     "gen-corpus-count-past-its-file-names": (_gen_corpus("100001", "8"), "InvalidConfig",
                                              "1..100000, got 100001"),
     "corpus-index-not-json": (_bad_corpus("not json"), "InvalidConfig"),
@@ -1004,7 +1021,7 @@ MEMORY_CASES = {
     "stitch-huge-total": (_huge_stitch_total, "PlanMismatch"),
     "run-huge-duration": (_huge_scene_duration, "TooManyFrames"),
     "gen-corpus-huge-frames": (_gen_corpus("2", "1000000000"), "TooManyFrames"),
-    # every record used to be built in memory before the first was written
+    # refused before any motion is drawn or written
     "gen-corpus-huge-count": (_gen_corpus("1000000000000", "16"), "InvalidConfig"),
     "rasterize-huge-camera": (_rasterize_on_camera(size=[100000, 100000]), "ShapeMismatch"),
     # a flag that sizes the prior's tensors or a training batch

@@ -450,7 +450,6 @@ def test_run_pipeline_persists_layout_and_is_deterministic(tmp_path):
                 "final/clip.json", "stage2/raw.json", "stage2/refined.json",
                 "stage2/strength.json", "channels/s1/condition.json"):
         assert (tmp_path / "a" / sub).exists(), sub
-    # the refined motion's masks are re-derived, not written
     assert [p.name for p in (tmp_path / "a" / "channels").iterdir()] == ["s1"]
     for sub in ("report.json", "stage2/raw.json", "stage2/refined.json",
                 "run.json"):
@@ -462,8 +461,7 @@ def test_run_pipeline_persists_layout_and_is_deterministic(tmp_path):
 
 
 def test_stage3_masks_rebuild_bitwise_from_run_json_and_refined_json(tmp_path):
-    # a run does not write the refined motion's masks: its run.json and
-    # stage2/refined.json alone give them back, bit for bit
+    # run.json and stage2/refined.json alone give the refined motion's masks
     scene = SceneSpec(objects=(fixture_scene(1).objects[0], fixture_scene(2).objects[0]),
                       camera=fixture_scene(1).camera, duration=16, fps=16.0)
     result = run_pipeline(scene, UserCondition(), PipelineConfig(), tiny_model(),
@@ -563,8 +561,7 @@ def test_run_directories_match_golden_digests(tmp_path):
 def test_run_pipeline_splats_each_motion_set_once(monkeypatch):
     # one kernel call per render, each taking all of its frames: 8 coarse
     # frames, then the final clip with its masks and the ground-truth clip
-    # with its masks (16 each); the refined motion is not rendered, and
-    # neither the final clip nor the ground truth is splatted twice
+    # with its masks (16 each)
     from motionloop import simgen
 
     calls = []
