@@ -364,10 +364,52 @@ def _window_sums(x: np.ndarray, window: int, stride: int) -> np.ndarray:
 
 
 def _frame_groups(pred, ref):
-    """Both frame sequences as (F, H, W) stacks, in slices of SPLAT_BLOCK pixels or one frame."""
-    pred, ref = np.asarray(pred), np.asarray(ref)
+    """Two (F, H, W) stacks in slices of SPLAT_BLOCK pixels or one frame."""
     k = max(1, SPLAT_BLOCK // pred[0].size)
     return ((pred[f:f + k], ref[f:f + k]) for f in range(0, len(pred), k))
+
+
+def _spans(lo, hi, side: int, window: int, stride: int):
+    """Per frame, [start, stop) of one side's crop that starts at a multiple
+    of the stride, holds pixels lo..hi and every window that meets them, and
+    holds at least one window; a side shorter than the window is taken
+    whole. ``lo`` and ``hi`` are int arrays."""
+    w = min(window, side)
+    last = (side - w) // stride  # the last window's index
+    start = np.clip(-((w - 1 - lo) // stride), 0, last) * stride
+    return start, np.minimum(np.maximum(np.minimum(hi // stride, last) * stride + w,
+                                        hi + 1), side)
+
+
+def _crop_groups(pred, ref, marks, window: int = 1, stride: int = 1):
+    """(first, stop, rows, columns) for runs of consecutive frames of two
+    (F, H, W) stacks: the row and column slices crop every pixel that
+    ``marks(pred, ref)`` marks in the run's frames, aligned to the windows
+    as ``_spans`` does, and are empty when it marks none. A run's frames
+    times its crop pixels stay within SPLAT_BLOCK, one frame at least."""
+    h, w = pred.shape[1:]
+    rows, cols = [], []  # per frame, whether each row and each column holds a mark
+    for p, r in _frame_groups(pred, ref):
+        m = marks(p, r)
+        rows.append(m.any(2))
+        cols.append(m.any(1))
+    rows, cols = np.concatenate(rows), np.concatenate(cols)
+    top, bottom = _spans(rows.argmax(1), h - 1 - rows[:, ::-1].argmax(1), h, window, stride)
+    left, right = _spans(cols.argmax(1), w - 1 - cols[:, ::-1].argmax(1), w, window, stride)
+    # per frame (-top, bottom, -left, right), so a run's crop is a running
+    # max; a frame that marks nothing is empty in any union
+    crops = np.where(rows.any(1)[:, None], np.stack([-top, bottom, -left, right], 1),
+                     (-h, 0, -w, 0))
+    first = 0
+    while first < len(crops):
+        union = np.maximum.accumulate(crops[first:])
+        pixels = (np.arange(1, len(union) + 1) * (union[:, 0] + union[:, 1]).clip(0)
+                  * (union[:, 2] + union[:, 3]).clip(0))
+        # the pixels grow with the run, so the runs within the budget are a prefix
+        stop = first + max(1, np.count_nonzero(pixels <= SPLAT_BLOCK))
+        t, b, lt, rt = union[stop - first - 1].tolist()
+        yield first, stop, slice(-t, max(-t, b)), slice(-lt, max(-lt, rt))
+        first = stop
 
 
 def _frame_scores(pred, ref, maxval: float = 255.0, window: int = 8,
@@ -376,27 +418,45 @@ def _frame_scores(pred, ref, maxval: float = 255.0, window: int = 8,
     stride, row-major) of two equal-shape sequences of uint8 frames. Patch
     sums of a, b, a², b², ab are exact in int32 (64·255² < 2³¹), so with a
     full 64-pixel patch S/n and (n·Sxy − Sx·Sy)/n² are exactly the two-pass
-    mean, variance and covariance; PSNR's squared error sums exactly."""
+    mean, variance and covariance; PSNR's squared error sums exactly.
+
+    A window where the frames agree scores exactly 1: its sums are equal
+    pairwise, so SSIM's numerator and denominator are the same operations
+    on equal values. So windows are computed only on the crop that holds
+    every pixel where a run of frames differs (``_crop_groups``), the rest
+    of each frame's window grid is 1, and the squared error, zero outside
+    the crop, is summed over it and divided by the whole frame's pixels."""
     c1, c2 = (0.01 * maxval) ** 2, (0.03 * maxval) ** 2
+    pred, ref = np.asarray(pred), np.asarray(ref)
+    h, w = pred.shape[1:]
+    n = min(window, h) * min(window, w)
+    ny, nx = ((side - min(window, side)) // stride + 1 for side in (h, w))
+    chunk = max(1, SPLAT_BLOCK // (ny * nx))  # frames per block of whole window grids
     psnr, ssim = [], []
-    for group in _frame_groups(pred, ref):
-        q = np.empty((5,) + group[0].shape, dtype=np.int32)
-        q[0], q[1] = group
-        a, b = q[:2]
-        sq = np.square(np.subtract(a, b, out=q[4]), out=q[4]).reshape(len(a), -1)
+    for f, stop, rows, cols in _crop_groups(pred, ref, np.not_equal, window, stride):
+        sq, vals = np.zeros(stop - f, dtype=np.int64), np.ones((stop - f, 0, 0))
+        if rows.stop > rows.start:
+            q = np.empty((5, stop - f, rows.stop - rows.start, cols.stop - cols.start),
+                         dtype=np.int32)
+            q[0], q[1] = pred[f:stop, rows, cols], ref[f:stop, rows, cols]
+            a, b = q[:2]
+            sq = np.square(np.subtract(a, b, out=q[4]), out=q[4]).sum((1, 2), dtype=np.int64)
+            np.multiply(q[:2], q[:2], out=q[2:4])
+            np.multiply(a, b, out=q[4])
+            sa, sb, saa, sbb, sab = _window_sums(q, window, stride).astype(np.int64)
+            mu_a, mu_b = sa / n, sb / n
+            va = (n * saa - sa * sa) / (n * n)
+            vb = (n * sbb - sb * sb) / (n * n)
+            cov = (n * sab - sa * sb) / (n * n)
+            vals = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+                    / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
         psnr += [min(99.0, 10.0 * math.log10(maxval * maxval / m)) if m else 99.0
-                 for m in (sq.sum(-1, dtype=np.int64) / a[0].size).tolist()]
-        np.multiply(q[:2], q[:2], out=q[2:4])
-        np.multiply(a, b, out=q[4])
-        sa, sb, saa, sbb, sab = _window_sums(q, window, stride).astype(np.int64)
-        n = min(window, a.shape[1]) * min(window, a.shape[2])
-        mu_a, mu_b = sa / n, sb / n
-        va = (n * saa - sa * sa) / (n * n)
-        vb = (n * sbb - sb * sb) / (n * n)
-        cov = (n * sab - sa * sb) / (n * n)
-        vals = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
-                / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
-        ssim += [float(np.mean(v.ravel())) for v in vals]
+                 for m in (sq / (h * w)).tolist()]
+        y, x = rows.start // stride, cols.start // stride
+        for g in range(0, stop - f, chunk):
+            grid = np.ones((len(vals[g:g + chunk]), ny, nx))
+            grid[:, y:y + vals.shape[1], x:x + vals.shape[2]] = vals[g:g + chunk]
+            ssim += grid.reshape(len(grid), -1).mean(1).tolist()
     return psnr, ssim
 
 
@@ -408,15 +468,21 @@ def eval_metrics(pred_clip: VideoClip, ref_clip: VideoClip,
     if pred_clip.resolution != ref_clip.resolution or \
             pred_clip.frame_count != ref_clip.frame_count:
         raise ShapeMismatch("clip shapes differ")
-    if len(pred_masks) != len(gt_masks):
-        raise ShapeMismatch("mask counts differ")
+    pred_masks, gt_masks = np.asarray(pred_masks), np.asarray(gt_masks)
+    if pred_masks.shape != gt_masks.shape:
+        raise ShapeMismatch(f"mask shapes differ: {pred_masks.shape} and {gt_masks.shape}")
+    if len(pred_masks) and (pred_masks.ndim != 3 or not pred_masks[0].size):
+        raise ShapeMismatch(f"masks must be (F, H >= 1, W >= 1), got {pred_masks.shape}")
     if len(pred_motions) != len(gt_motions):
         raise ShapeMismatch(f"{len(pred_motions)} predicted motions for "
                             f"{len(gt_motions)} ground-truth ones")
     psnr, ssim = (float(np.mean(v)) for v in
                   _frame_scores(pred_clip.frames, ref_clip.frames))
+    # mIoU counts only pixels that either mask labels, so it counts on their crop
     ious = []
-    for p, r in _frame_groups(pred_masks, gt_masks) if len(pred_masks) else ():
+    for f, stop, rows, cols in (_crop_groups(pred_masks, gt_masks, np.logical_or)
+                                if len(pred_masks) else ()):
+        p, r = pred_masks[f:stop, rows, cols], gt_masks[f:stop, rows, cols]
         inter = np.count_nonzero((p == r) & (r != 0), axis=(1, 2)).tolist()
         union = np.count_nonzero((p != 0) | (r != 0), axis=(1, 2)).tolist()
         ious += [i / u if u else 1.0 for i, u in zip(inter, union)]

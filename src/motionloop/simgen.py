@@ -126,13 +126,15 @@ class VideoClip:
     """A clip; its size is its frames' shape. A ``resolution`` argument is
     only checked against the frames' (w, h): perfbench's tests pass one."""
 
-    frames: np.ndarray  # read-only (F >= 1, H, W) uint8, from any sequence of equal frames
+    frames: np.ndarray  # read-only (F, H, W >= 1) uint8, from any sequence of equal frames
     fps: float
 
     def __init__(self, frames, fps: float, *, resolution: tuple[int, int] | None = None):
         frames = np.asarray(frames)
         if frames.ndim != 3 or not len(frames):
             raise InvalidConfig(f"clip frames must be (F >= 1, H, W), got shape {frames.shape}")
+        if not frames[0].size:
+            raise InvalidConfig(f"clip frames hold no image: shape {frames.shape}")
         # SSIM's int32 window sums are exact only for uint8 pixels
         if frames.dtype != np.uint8:
             raise InvalidConfig(f"clip frames must be uint8, got {frames.dtype}")

@@ -244,3 +244,15 @@ def test_summary_lines_show_the_traced_counts_that_differ():
                              "geometry.render_part_masks_calls 4 -> 3")
     assert "traced" not in lines[1]
     assert lines[1] == bench_pairs.summary_lines({"long": summary})[0]
+
+
+def test_count_changes_leaves_out_counts_that_move_with_run_speed():
+    # trace.ops and counts that are not whole per op changed on workloads
+    # whose code did not change; whole per-op counts are still listed
+    pair = {"seed": 5,
+            "parent": {"trace.ops": 217.0, "perturb.calls": 14.54,
+                       "simgen.render_frames": 24.5, "pmp.model.refine_calls": 2.0},
+            "change": {"trace.ops": 234.0, "perturb.calls": 14.51,
+                       "simgen.render_frames": 24.0, "pmp.model.refine_calls": 3.0}}
+    assert bench_pairs.count_changes(pair, list(pair["parent"])) == [
+        "pmp.model.refine_calls 2 -> 3"]

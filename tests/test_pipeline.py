@@ -196,29 +196,64 @@ def _psnr_frame(a: np.ndarray, b: np.ndarray) -> float:
     return 99.0 if mse == 0.0 else min(99.0, 10.0 * math.log10(255.0 * 255.0 / mse))
 
 
+def _frame_scores_whole(pred, ref, maxval: float = 255.0, window: int = 8,
+                        stride: int = 4) -> tuple[list[float], list[float]]:
+    """The whole-frame window-sum PSNR and SSIM that the crop replaced,
+    kept as its oracle: every window of every frame, in one group."""
+    c1, c2 = (0.01 * maxval) ** 2, (0.03 * maxval) ** 2
+    q = np.empty((5,) + np.shape(pred), dtype=np.int32)
+    q[0], q[1] = pred, ref
+    a, b = q[:2]
+    sq = np.square(np.subtract(a, b, out=q[4]), out=q[4]).reshape(len(a), -1)
+    psnr = [min(99.0, 10.0 * math.log10(maxval * maxval / m)) if m else 99.0
+            for m in (sq.sum(-1, dtype=np.int64) / a[0].size).tolist()]
+    np.multiply(q[:2], q[:2], out=q[2:4])
+    np.multiply(a, b, out=q[4])
+    sa, sb, saa, sbb, sab = pipeline._window_sums(q, window, stride).astype(np.int64)
+    n = min(window, a.shape[1]) * min(window, a.shape[2])
+    mu_a, mu_b = sa / n, sb / n
+    va = (n * saa - sa * sa) / (n * n)
+    vb = (n * sbb - sb * sb) / (n * n)
+    cov = (n * sab - sa * sb) / (n * n)
+    vals = (((2 * mu_a * mu_b + c1) * (2 * cov + c2))
+            / ((mu_a**2 + mu_b**2 + c1) * (va + vb + c2)))
+    return psnr, [float(np.mean(v.ravel())) for v in vals]
+
+
 @st.composite
 def _frame_pairs(draw):
     """1-12 pairs of h x w uint8 frames, 1-40 pixels a side: a dense random
-    frame against a dense, sparse, blank or identical one."""
+    frame against a dense, sparse, blank or identical one, or against a
+    copy that differs in every pixel of one rectangle (often at an edge or
+    a corner, or one pixel) in some of the frames."""
     n, h, w = draw(st.integers(1, 12)), draw(st.integers(1, 40)), draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     a = rng.integers(0, 256, size=(n, h, w), dtype=np.uint8)
-    kind = draw(st.sampled_from(["dense", "sparse", "blank", "same"]))
+    kind = draw(st.sampled_from(["dense", "sparse", "blank", "same", "local"]))
     b = {"dense": rng.integers(0, 256, size=(n, h, w), dtype=np.uint8),
          "sparse": a * (rng.random((n, h, w)) < 0.03).astype(np.uint8),
-         "blank": np.zeros_like(a), "same": a.copy()}[kind]
+         "blank": np.zeros_like(a), "same": a.copy(), "local": a.copy()}[kind]
+    if kind == "local":
+        rect = [rng.random(n) < 0.7]  # the frames that differ, then rows and columns
+        for side in (h, w):
+            lo = draw(st.sampled_from([0, side - 1]) | st.integers(0, side - 1))
+            rect.append(slice(lo, draw(st.sampled_from([lo + 1, side]) | st.integers(lo + 1, side))))
+        rect = tuple(rect)  # adding 1..255 mod 256 changes every pixel
+        b[rect] += rng.integers(1, 256, size=b[rect].shape, dtype=np.uint8)
     return list(a), list(b)
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(pair=_frame_pairs(), budget=st.sampled_from([1, 2**8, 2**20]))
 def test_frame_groups_score_every_frame_as_the_per_frame_oracles(pair, budget):
     # a budget of 1 pixel scores each frame alone; 2**8 groups frames of up
-    # to 16 x 16 pixels; 2**20 takes every frame in one group
+    # to 16 x 16 crop pixels; 2**20 takes every frame in one group
     a, b = pair
     with mock.patch.object(pipeline, "SPLAT_BLOCK", budget):
         psnr, ssim = _frame_scores(a, b)
         report = eval_metrics(clip_of(a), clip_of(b), [], [], a, b)
+        runs = list(pipeline._crop_groups(np.asarray(a), np.asarray(b), np.not_equal, 8, 4))
+    assert (psnr, ssim) == _frame_scores_whole(a, b)
     assert psnr == [_psnr_frame(x, y) for x, y in zip(a, b)]
     oracle = [_ssim_frame_loop(x, y) for x, y in zip(a, b)]
     if min(a[0].shape) < 8:  # one truncated window: agreement to rounding
@@ -230,6 +265,67 @@ def test_frame_groups_score_every_frame_as_the_per_frame_oracles(pair, budget):
         union = np.count_nonzero((x != 0) | (y != 0))
         ious.append(np.count_nonzero((x == y) & (y != 0)) / union if union else 1.0)
     assert report.mask_miou == float(np.mean(ious))
+    # the runs cover the frames in order, each within the budget, and a
+    # run's crop is the union of its frames' spans of differing pixels
+    assert [f for f, *_ in runs] == [0] + [stop for _, stop, *_ in runs[:-1]]
+    assert runs[-1][1] == len(a)
+    h, w = a[0].shape
+    for f, stop, rows, cols in runs:
+        pixels = (stop - f) * (rows.stop - rows.start) * (cols.stop - cols.start)
+        assert pixels <= budget or stop - f == 1
+        boxes = [(np.flatnonzero(d.any(1)), np.flatnonzero(d.any(0)))
+                 for d in np.not_equal(a[f:stop], b[f:stop]) if d.any()]
+        for crop, axis, side in ((rows, 0, h), (cols, 1, w)):
+            if not boxes:  # no differing pixel: the empty crop
+                assert crop.stop == crop.start
+                continue
+            starts, stops = pipeline._spans(np.array([box[axis][0] for box in boxes]),
+                                            np.array([box[axis][-1] for box in boxes]),
+                                            side, 8, 4)
+            assert (crop.start, crop.stop) == (starts.min(), stops.max())
+
+
+@pytest.mark.parametrize("side", range(1, 22))
+def test_crop_spans_are_the_smallest_window_aligned_crops(side):
+    # brute force over every [start, stop): it starts at a multiple of the
+    # stride, holds lo..hi, every window that meets them and one whole
+    # window at least; the shortest such span is the one _spans gives
+    window, stride = 8, 4
+    w = min(window, side)
+    windows = [(i, i + w) for i in range(0, side - w + 1, stride)]
+    for lo in range(side):
+        for hi in range(lo, side):
+            spans = [(start, stop) for start in range(0, side, stride)
+                     for stop in range(start + 1, side + 1)
+                     if start <= lo and hi < stop
+                     and all(start <= s and e <= stop for s, e in windows
+                             if s <= hi and lo < e)
+                     and any(start <= s and e <= stop for s, e in windows)]
+            best = min(spans, key=lambda span: span[1] - span[0])
+            got = pipeline._spans(np.array([lo]), np.array([hi]), side, window, stride)
+            assert tuple(int(x[0]) for x in got) == best, (side, lo, hi)
+
+
+@pytest.mark.parametrize("shape", [(16, 20), (5, 40), (40, 3), (1, 1)])
+def test_scores_of_clips_with_no_differing_pixel(shape):
+    frames = list(np.random.default_rng(76).integers(0, 256, size=(5,) + shape, dtype=np.uint8))
+    runs = list(pipeline._crop_groups(np.asarray(frames), np.asarray(frames), np.not_equal, 8, 4))
+    assert [(f, stop, r.stop - r.start, c.stop - c.start) for f, stop, r, c in runs] == [
+        (0, 5, 0, 0)]
+    assert _frame_scores(frames, frames) == ([99.0] * 5, [1.0] * 5)
+
+
+@pytest.mark.parametrize("other", [(2, 8, 10), (2, 8, 1), (3, 8, 8), (2, 8)])
+def test_eval_refuses_masks_of_different_shapes(other):
+    # (2, 8, 1) used to broadcast against (2, 8, 8) and report mIoU 1.0
+    clip = clip_of([np.zeros((8, 8))] * 2)
+    masks = np.ones((2, 8, 8), dtype=np.int32)
+    with pytest.raises(ShapeMismatch, match="mask shapes differ"):
+        eval_metrics(clip, clip, [], [], masks, np.ones(other, dtype=np.int32))
+    with pytest.raises(ShapeMismatch, match="mask shapes differ"):
+        eval_metrics(clip, clip, [], [], np.ones(other, dtype=np.int32), masks)
+    with pytest.raises(ShapeMismatch, match="H >= 1, W >= 1"):
+        eval_metrics(clip, clip, [], [], masks[:, :0], masks[:, :0])
 
 
 def test_eval_full_hd_clip_stays_within_memory_bound():

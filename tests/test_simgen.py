@@ -450,3 +450,10 @@ def test_video_clip_size_is_its_frames_shape():
 def test_video_clip_refuses_frames_that_are_not_a_stack(shape):
     with pytest.raises(InvalidConfig, match="F >= 1, H, W"):
         VideoClip(np.zeros(shape, dtype=np.uint8), 16.0)
+
+
+@pytest.mark.parametrize("shape", [(2, 0, 8), (2, 8, 0), (1, 0, 0)])
+def test_video_clip_refuses_frames_of_no_pixel(shape):
+    # as read_pgm refuses a PGM that holds no image; eval would divide by zero
+    with pytest.raises(InvalidConfig, match="hold no image"):
+        VideoClip(np.zeros(shape, dtype=np.uint8), 16.0)

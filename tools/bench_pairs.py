@@ -29,8 +29,9 @@ ms medians beside ``op_ms_p50``'s, the median change/parent ratio of
 ``op_ms_p50`` over the pairs the parent ran first and over those the change
 ran first (so a side that reads faster for running second shows), every
 metric that is not ``ok``, the traced per-layer counts (unit ``count``) that
-differ between the sides, such as ``fileio.files_written 57 -> 40``, and the
-claim's verdict.
+differ between the sides, such as ``fileio.files_written 57 -> 40`` (only
+counts that are whole per op, and not ``trace.ops``), and the claim's
+verdict.
 """
 
 from __future__ import annotations
@@ -221,10 +222,15 @@ def judge_claim(spec: str, workloads: dict) -> dict:
 
 def count_changes(pair: dict, names: list[str]) -> list[str]:
     """``name parent -> change`` for each of the named per-layer values of a
-    traced pair that the two sides both report and that differ."""
-    return [f"{name} {pair['parent'][name]:.4g} -> {pair['change'][name]:.4g}"
-            for name in names if name in pair["parent"] and name in pair["change"]
-            and pair["parent"][name] != pair["change"][name]]
+    traced pair that the two sides both report, whole per op, and that
+    differ. ``trace.ops`` and counts that are not whole per op (such as
+    ``perturb.calls``, which depends on sampling) move with run speed, not
+    with the code, so they are left out."""
+    sides = (pair["parent"], pair["change"])
+    return [f"{name} {sides[0][name]:.4g} -> {sides[1][name]:.4g}"
+            for name in names if name != "trace.ops"
+            and all(name in side and float(side[name]).is_integer() for side in sides)
+            and sides[0][name] != sides[1][name]]
 
 
 def summary_lines(workloads: dict, claim: dict | None = None,
