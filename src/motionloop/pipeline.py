@@ -363,12 +363,6 @@ def _window_sums(x: np.ndarray, window: int, stride: int) -> np.ndarray:
     return x
 
 
-def _frame_groups(pred, ref):
-    """Two (F, H, W) stacks in slices of SPLAT_BLOCK pixels or one frame."""
-    k = max(1, SPLAT_BLOCK // pred[0].size)
-    return ((pred[f:f + k], ref[f:f + k]) for f in range(0, len(pred), k))
-
-
 def _spans(lo, hi, side: int, window: int, stride: int):
     """Per frame, [start, stop) of one side's crop that starts at a multiple
     of the stride, holds pixels lo..hi and every window that meets them, and
@@ -389,8 +383,9 @@ def _crop_groups(pred, ref, marks, window: int = 1, stride: int = 1):
     times its crop pixels stay within SPLAT_BLOCK, one frame at least."""
     h, w = pred.shape[1:]
     rows, cols = [], []  # per frame, whether each row and each column holds a mark
-    for p, r in _frame_groups(pred, ref):
-        m = marks(p, r)
+    k = max(1, SPLAT_BLOCK // (h * w))  # whole frames marked at once
+    for f in range(0, len(pred), k):
+        m = marks(pred[f:f + k], ref[f:f + k])
         rows.append(m.any(2))
         cols.append(m.any(1))
     rows, cols = np.concatenate(rows), np.concatenate(cols)
